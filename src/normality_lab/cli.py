@@ -328,7 +328,10 @@ def cmd_measure(args, parser) -> tuple[int, str]:
             "tail_bound_decimal": decimal_approx(bound),
         }
         if args.target is not None:
-            target = parse_rational(args.target)
+            try:
+                target = parse_rational(args.target)
+            except ValueError as exc:
+                _fail_usage(parser, str(exc))
             if target <= 0:
                 _fail_usage(parser, f"--target must be > 0, got {target}")
             payload["target"] = format_rational(target)

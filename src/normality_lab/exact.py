@@ -60,8 +60,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string form: "num/den" in lowest terms, or "num" for integers."""
-    return str(Fraction(q))
+    """Canonical string form: "num/den" in lowest terms, or "num" for integers.
+
+    Digits go through Decimal, which converts ints exactly at any size, so
+    values past the interpreter's int-to-str digit limit still print.
+    """
+    q = Fraction(q)
+    num, den = (str(decimal.Decimal(v)) for v in (q.numerator, q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def decimal_approx(q: Fraction, significant: int = APPROX_DIGITS) -> str:

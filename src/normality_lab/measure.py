@@ -58,13 +58,15 @@ class DeviationSetSpec:
 
 
 def admissible_counts(spec: DeviationSetSpec) -> list[int]:
-    """The counts p with |p/n - 1/base| >= epsilon (inclusive)."""
-    target = Fraction(1, spec.base)
-    return [
-        p
-        for p in range(spec.n + 1)
-        if abs(Fraction(p, spec.n) - target) >= spec.epsilon
-    ]
+    """The counts p with |p/n - 1/base| >= epsilon (inclusive).
+
+    With epsilon = a/b this is b*|base*p - n| >= a*base*n, compared in
+    ints.
+    """
+    r, n = spec.base, spec.n
+    a, b = spec.epsilon.numerator, spec.epsilon.denominator
+    threshold = a * r * n
+    return [p for p in range(n + 1) if b * abs(r * p - n) >= threshold]
 
 
 def prefix_interval_measure(base: int, length: int) -> Fraction:

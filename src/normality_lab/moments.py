@@ -12,10 +12,14 @@ coefficient bound C turns the fourth moment into the D/n**2 tail bound
 that drives all the measure estimates.
 
 All coefficients and values are exact; the only floats anywhere are the
-display columns of the CSV rows.
+display columns of the CSV rows.  The hot sums run on ints: evaluation
+puts every term over one common denominator and builds a single
+Fraction at the end, and the direct moment sum accumulates its
+numerator by Horner's rule in (r-1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,23 +45,33 @@ class MomentPolynomial:
         return self.coeffs.get((p, q), 0)
 
     def evaluate(self, u: Fraction, y: Fraction) -> Fraction:
-        """Exact value at U = u, y = y."""
+        """Exact value at U = u, y = y.
+
+        Writes u = a/d and y = b/d over d = lcm of their denominators and
+        sums c * a**p * b**q * d**(top-p-q) as one int, top being the
+        largest p+q; the value is that int over d**top.  One Fraction is
+        built instead of one per term.
+        """
         if not self.coeffs:
             return Fraction(0)
         u = Fraction(u)
         y = Fraction(y)
-        max_p = max(p for p, _ in self.coeffs)
-        max_q = max(q for _, q in self.coeffs)
-        u_pows = _power_table(u, max_p)
-        y_pows = _power_table(y, max_q)
-        total = Fraction(0)
-        for (p, q), c in self.coeffs.items():
-            total += c * u_pows[p] * y_pows[q]
-        return total
+        d = math.lcm(u.denominator, y.denominator)
+        a = u.numerator * (d // u.denominator)
+        b = y.numerator * (d // y.denominator)
+        top = max(p + q for p, q in self.coeffs)
+        a_pows = _power_table(a, max(p for p, _ in self.coeffs))
+        b_pows = _power_table(b, max(q for _, q in self.coeffs))
+        d_pows = _power_table(d, top)
+        total = sum(
+            c * a_pows[p] * b_pows[q] * d_pows[top - p - q]
+            for (p, q), c in self.coeffs.items()
+        )
+        return Fraction(total, d_pows[top])
 
 
-def _power_table(x: Fraction, top: int) -> list[Fraction]:
-    pows = [Fraction(1)]
+def _power_table(x: int, top: int) -> list[int]:
+    pows = [1]
     for _ in range(top):
         pows.append(pows[-1] * x)
     return pows
@@ -170,20 +184,19 @@ def frequency_fourth_moment(n: int, r: int) -> Fraction:
     """E[(X/n - 1/r)**4]: the binomially weighted fourth power of the
     frequency deviation, as one exact fraction.
 
-    Computed directly from the probability weights C(n,p)(r-1)^(n-p)/r^n
-    with integer accumulation, independent of the operator route.
+    Computed directly from the probability weights C(n,p)(r-1)^(n-p)/r^n,
+    independent of the operator route.  The numerator
+    sum_p C(n,p) (r-1)^(n-p) (r*p - n)**4 is accumulated as an int by
+    Horner's rule in (r-1), so no term multiplies two big factors.
     """
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = 0
     binom = 1
-    pw = (r - 1) ** n
     for p in range(n + 1):
-        total += binom * pw * (r * p - n) ** 4
+        total = total * (r - 1) + binom * (r * p - n) ** 4
         binom = binom * (n - p) // (p + 1)
-        if r > 2:
-            pw //= r - 1
     return Fraction(total, r**n * (r * n) ** 4)
 
 

@@ -248,6 +248,24 @@ class TestMeasure:
         assert payload["tail_bound"] == "6"
         assert payload["witness_m"] == 4
 
+    def test_target_must_be_exact(self, capsys):
+        err = run_usage_error(capsys, "measure", "--base", "2", "--epsilon",
+                              "1/2", "--tail", "1", "--target", "abc")
+        assert "not a rational number" in err
+        assert "Traceback" not in err
+
+    def test_measure_past_int_str_digit_limit(self, capsys):
+        # 10**5000 and the exact measure's digits exceed the 4300-digit
+        # int-to-str default limit
+        code, out, _ = run(
+            capsys, "measure", "--base", "10", "--epsilon", "1/10", "-n", "5000",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        _, den = payload["exact_measure"].split("/")
+        assert len(den) > 4300
+        assert payload["admissible_p"][0] == 0
+
     def test_needs_a_mode(self, capsys):
         run_usage_error(capsys, "measure", "--base", "2", "--epsilon", "1/2")
 

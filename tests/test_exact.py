@@ -1,4 +1,5 @@
 """Exact arithmetic primitives."""
+import decimal
 import math
 from fractions import Fraction
 
@@ -93,6 +94,15 @@ class TestParseFormat:
     def test_format_integers_without_slash(self):
         assert format_rational(Fraction(8, 4)) == "2"
         assert format_rational(Fraction(0)) == "0"
+
+    def test_beyond_int_str_digit_limit(self):
+        # 7**6000 has 5071 digits, past the 4300-digit int-to-str default
+        q = Fraction(7**6000, 3)
+        num, den = format_rational(q).split("/")
+        assert len(num) == 5071
+        assert int(decimal.Decimal(num)) == 7**6000
+        assert den == "3"
+        assert format_rational(-q).startswith("-" + num[:50])
 
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, q):

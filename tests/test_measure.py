@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normality_lab.errors import EnumerationBudgetError
@@ -27,6 +27,12 @@ small_eps = st.fractions(min_value=Fraction(1, 100), max_value=1)
 
 def spec(base, digit, n, eps):
     return DeviationSetSpec(base=base, digit=digit, n=n, epsilon=Fraction(eps))
+
+
+def admissible_by_fractions(base, n, eps):
+    """The Fraction comparison that admissible_counts replaces."""
+    target = Fraction(1, base)
+    return [p for p in range(n + 1) if abs(Fraction(p, n) - target) >= Fraction(eps)]
 
 
 class TestSpecValidation:
@@ -88,6 +94,29 @@ class TestDeviationSetMeasure:
         # p = 3, n = 4: |3/4 - 1/2| = 1/4 exactly; eps = 1/4 keeps it
         assert 3 in admissible_counts(spec(2, 1, 4, "1/4"))
         assert 3 not in admissible_counts(spec(2, 1, 4, "26/100"))
+        assert admissible_counts(spec(2, 0, 4, "1/4")) == [0, 1, 3, 4]
+
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 80),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1),
+    )
+    @settings(max_examples=150)
+    def test_admissible_matches_fraction_rule(self, base, n, eps):
+        assert admissible_counts(spec(base, 0, n, eps)) == admissible_by_fractions(
+            base, n, eps
+        )
+
+    @given(st.integers(2, 12), st.integers(1, 80), st.data())
+    @settings(max_examples=150)
+    def test_admissible_on_exact_boundaries(self, base, n, data):
+        # epsilon equal to some count's own deviation: that count must stay in
+        p = data.draw(st.integers(0, n))
+        eps = abs(Fraction(p, n) - Fraction(1, base))
+        assume(eps != 0)
+        counts = admissible_counts(spec(base, 0, n, eps))
+        assert p in counts
+        assert counts == admissible_by_fractions(base, n, eps)
 
     def test_json_shape(self):
         payload = deviation_set_measure(spec(2, 0, 2, "1/2")).to_json_dict()

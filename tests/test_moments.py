@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normality_lab.measure import digit_count_measure
 from normality_lab.moments import (
     MOMENT_SWEEP_CSV_HEADER,
     MomentPolynomial,
@@ -53,6 +54,41 @@ class TestPolynomial:
     def test_coefficients_are_binomials(self, n, s):
         poly = binomial_power_polynomial(n, s)
         assert all(poly.coefficient(p, n - p) == comb(n, p) for p in range(n + 1))
+
+
+def evaluate_term_by_term(poly, u, y):
+    """The Fraction-per-term sum that MomentPolynomial.evaluate replaces."""
+    return sum((c * u**p * y**q for (p, q), c in poly.coeffs.items()), Fraction(0))
+
+
+sparse_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.integers(-10**12, 10**12).filter(bool),
+    max_size=12,
+)
+points = st.fractions(min_value=-7, max_value=7, max_denominator=60)
+
+
+class TestIntegerEvaluation:
+    @given(sparse_coeffs, points, points)
+    @settings(max_examples=150)
+    def test_matches_term_by_term_sum(self, coeffs, u, y):
+        # keys are arbitrary (p, q), so p + q varies across terms
+        poly = MomentPolynomial(9, 2, coeffs)
+        assert poly.evaluate(u, y) == evaluate_term_by_term(poly, u, y)
+
+    def test_accepts_ints(self):
+        poly = binomial_power_polynomial(4, 1)
+        assert poly.evaluate(2, -1) == 1
+
+    @given(st.integers(1, 30), bases, st.integers(0, 4))
+    @settings(max_examples=40)
+    def test_specialized_operator_sum(self, n, r, k):
+        poly = binomial_power_polynomial(n, r - 1)
+        for _ in range(k):
+            poly = apply_euler_operator(poly)
+        u, y = Fraction(1, r), Fraction(r - 1, r)
+        assert poly.evaluate(u, y) == evaluate_term_by_term(poly, u, y)
 
 
 class TestEulerOperator:
@@ -162,6 +198,16 @@ class TestFrequencyFourthMoment:
     def test_agrees_with_operator_route(self, n, r):
         # E[(X/n - 1/r)^4] = E[(rX - n)^4] / (rn)^4
         expected = fourth_moment_closed_form(n, r) / (r * n) ** 4
+        assert frequency_fourth_moment(n, r) == expected
+
+    @given(st.integers(1, 60), bases)
+    @settings(max_examples=60)
+    def test_matches_fraction_weighted_sum(self, n, r):
+        target = Fraction(1, r)
+        expected = sum(
+            digit_count_measure(r, n, p) * (Fraction(p, n) - target) ** 4
+            for p in range(n + 1)
+        )
         assert frequency_fourth_moment(n, r) == expected
 
     @given(st.integers(1, 60), bases)
