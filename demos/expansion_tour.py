@@ -1,7 +1,8 @@
 """A walk through exact digit expansions.
 
-Expands a few rationals in several bases, shows how the long-division
-remainders reveal the eventual period, and ends with the shift/regroup
+Expands a few rationals in several bases, shows the eventual period that
+the denominator fixes (how often the base divides into it, then the
+order of the base modulo the rest), and ends with the shift/regroup
 commutation that justifies reading one number in many bases at once:
 multiplying by r**m shifts the base-r digits, and grouping n of them at
 a time is the same as expanding in base r**n.
@@ -15,17 +16,16 @@ from fractions import Fraction
 from normality_lab import (
     expand_rational,
     format_bracket,
+    rational_period,
     regroup_to_power_base,
     shift_fractional,
 )
 
 
 def show(q, base, count):
-    expansion = expand_rational(q, base, count)
-    line = format_bracket(expansion, count)
-    if expansion.period is not None:
-        pre, per = expansion.period
-        line += f"   (preperiod {pre}, period {per})"
+    line = format_bracket(expand_rational(q, base), count)
+    pre, per = rational_period(q, base)
+    line += f"   (preperiod {pre}, period {per})"
     print(f"  {str(q):>8} in base {base:>4}: {line}")
 
 
@@ -42,7 +42,7 @@ show(Fraction(355, 113), 10, 12)
 # failing it in another view of the very same digits.
 print()
 print("The same number, grouped")
-stream = expand_rational(Fraction(1, 3), 2, 16).fractional
+stream = expand_rational(Fraction(1, 3), 2).fractional
 print("  1/3 base 2 :", stream.fork().take(16))
 print("  grouped by 2:", regroup_to_power_base(stream, 2).take(8), "(base 4)")
 
@@ -57,9 +57,9 @@ show(10**7 * alpha, 1000, 5)
 
 # the two operations commute: drop m digits then group by n, or
 # expand r**m * alpha in base r**n directly; same stream either way
-stream = expand_rational(alpha, 10, 60).fractional
+stream = expand_rational(alpha, 10).fractional
 head, rest = shift_fractional(stream, 1)
 print("  dropped head:", head)
 print("  then grouped:", regroup_to_power_base(rest, 3).take(6))
-direct = expand_rational(10 * alpha - 1, 1000, 6).fractional
+direct = expand_rational(10 * alpha - 1, 1000).fractional
 print("  direct      :", direct.take(6))

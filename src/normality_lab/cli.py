@@ -33,7 +33,13 @@ from .moments import (
     derive_constants,
     verify_operator_closed_form,
 )
-from .radix import DigitExpansion, expand_rational, format_bracket, int_to_digits
+from .radix import (
+    DigitExpansion,
+    expand_rational,
+    format_bracket,
+    int_to_digits,
+    rational_period,
+)
 from .sources import (
     SourceSpec,
     load_digit_file,
@@ -165,11 +171,7 @@ def cmd_expand(args, parser) -> tuple[int, str]:
     base = _target_base(args, source, parser)
 
     if source.kind == "rational":
-        value = source.value
-        if args.base is not None:
-            expansion = expand_rational(value, base, args.digits)
-        else:
-            expansion = expand_rational(value, source.base, args.digits)
+        expansion = expand_rational(source.value, base)
     else:
         integer_value = 0
         if source.kind == "file":
@@ -188,8 +190,8 @@ def cmd_expand(args, parser) -> tuple[int, str]:
     if _fmt(args, "text") == "text":
         return 0, display + "\n"
     payload = {"base": expansion.base, "digits": args.digits, "display": display}
-    if expansion.period is not None:
-        payload["preperiod"], payload["period"] = expansion.period
+    if source.kind == "rational":
+        payload["preperiod"], payload["period"] = rational_period(source.value, base)
     return 0, json.dumps(payload, indent=2) + "\n"
 
 

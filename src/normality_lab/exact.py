@@ -1,30 +1,18 @@
 """Exact rational arithmetic primitives.
 
-Everything in this package that is a number is either a Python int or an
-``ExactRational`` (an alias of :class:`fractions.Fraction`).  Floats never
-enter any computation: measures, deviations, bounds and polynomial
-coefficients are all exact, and decimal strings exist only as labeled
-display approximations produced by :func:`decimal_approx`.
+Everything in this package that is a number is either a Python int or a
+:class:`fractions.Fraction`.  Floats never enter any computation:
+measures, deviations, bounds and polynomial coefficients are all exact,
+and decimal strings exist only as labeled display approximations
+produced by :func:`decimal_approx`.
 """
 from __future__ import annotations
 
 import decimal
-import math
 from fractions import Fraction
-
-ExactRational = Fraction
 
 #: significant digits used for display approximations
 APPROX_DIGITS = 12
-
-
-def binomial(n: int, p: int) -> int:
-    """Binomial coefficient C(n, p), exact, with C(n, p) = 0 for p > n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    return math.comb(n, p)
 
 
 def binomial_row(n: int) -> list[int]:
@@ -35,16 +23,6 @@ def binomial_row(n: int) -> list[int]:
     for p in range(n):
         row[p + 1] = row[p] * (n - p) // (p + 1)
     return row
-
-
-def rational_pow(q: Fraction, e: int) -> Fraction:
-    """q**e for integer e of either sign, exact.
-
-    Negative exponents invert; 0 to a negative power is rejected.
-    """
-    if e < 0 and q == 0:
-        raise ValueError("0 cannot be raised to a negative power")
-    return Fraction(q) ** e
 
 
 def parse_rational(text: str) -> Fraction:

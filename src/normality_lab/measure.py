@@ -117,8 +117,12 @@ def deviation_set_measure(spec: DeviationSetSpec) -> MeasureReport:
     """Exact measure of M(n, epsilon), summed over admissible counts."""
     admissible = admissible_counts(spec)
     row = binomial_row(spec.n)
+    # sum of C(n,p) (r-1)**(n-p) over admissible p, by Horner's rule in (r-1)
+    wanted = set(admissible)
     rm1 = spec.base - 1
-    numerator = sum(row[p] * rm1 ** (spec.n - p) for p in admissible)
+    numerator = 0
+    for p, count in enumerate(row):
+        numerator = numerator * rm1 + (count if p in wanted else 0)
     return MeasureReport(
         spec=spec,
         exact_measure=Fraction(numerator, spec.base**spec.n),

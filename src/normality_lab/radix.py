@@ -7,17 +7,27 @@ are all streams) and every consumer states up front how many digits it
 needs, so exhaustion is always reported with exact positions.
 
 Digits are plain ints in range(base).  The expansion produced for a
-rational is the standard long-division one: it never ends in an infinite
-tail of (base-1), and a leading-digit index records where the expansion
-starts.  Bases are arbitrary ints >= 2.
+rational is the standard long-division one, streamed lazily in constant
+memory: it never ends in an infinite tail of (base-1), and a
+leading-digit index records where the expansion starts.  Its preperiod
+and period are computed separately, by :func:`rational_period`.  Bases
+are ints >= 2.
+
+The package's one digit codec lives here too: up to base 36 a digit is
+one character of ALPHABET (read back through CHAR_VALUE), beyond it a
+bracketed decimal like "[17]".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import InsufficientDigitsError
+
+ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
 
 
 def validate_base(base: int) -> int:
@@ -131,9 +141,6 @@ class DigitStream:
                 ) from None
         return out
 
-    def skip(self, count: int) -> None:
-        self.take(count)
-
     def fork(self) -> "DigitStream":
         """An independent stream continuing from the same next digit.
 
@@ -173,75 +180,69 @@ class DigitExpansion:
     len(integer_digits) - 1 for values >= 1, -k when the first nonzero
     fractional digit is the k-th, and -1 for an exact zero.  None means
     the expansion was built around an opaque stream and the index was
-    not scanned for.  period, when known, is (preperiod_length,
-    period_length) of the fractional part.
+    not scanned for.
     """
 
     base: int
     integer_digits: list[int]
     fractional: DigitStream
     leading_index: int | None = None
-    period: tuple[int, int] | None = None
-
-    @property
-    def value_known_rational(self) -> bool:
-        return self.period is not None
 
 
-def expand_rational(q: Fraction, base: int, count: int) -> DigitExpansion:
+def expand_rational(q: Fraction, base: int) -> DigitExpansion:
     """Standard long-division expansion of a nonnegative rational.
 
-    The fractional stream is infinite (the periodic part cycles forever);
-    `count` declares how many fractional digits the caller intends to use
-    and is validated, nothing more.  The expansion produced is the one
-    whose truncations round down, so it never ends in an infinite tail of
-    (base-1): 1/2 in base 2 is 0.1000..., not 0.0111... .  Memory is
-    bounded by the denominator (one slot per distinct remainder).
+    The fractional stream is infinite and lazy: each digit is one step of
+    long division on the remainder, so memory stays constant however long
+    the period.  The expansion produced is the one whose truncations
+    round down, so it never ends in an infinite tail of (base-1): 1/2 in
+    base 2 is 0.1000..., not 0.0111... .
     """
     validate_base(base)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     q = Fraction(q)
     if q < 0:
         raise ValueError(f"value must be >= 0, got {q}")
-    int_part, rem = divmod(q.numerator, q.denominator)
-    integer_digits = int_to_digits(int_part, base)
     den = q.denominator
-
-    # long division on the fractional remainder, detecting the cycle by
-    # the first repeated remainder
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    r = rem
-    while r not in seen:
-        seen[r] = len(digits)
-        d, r = divmod(r * base, den)
-        digits.append(d)
-    preperiod = seen[r]
-    period = len(digits) - preperiod
-
-    def cycle() -> Iterator[int]:
-        yield from digits
-        tail = digits[preperiod:]
-        while True:
-            yield from tail
+    int_part, rem = divmod(q.numerator, den)
+    integer_digits = int_to_digits(int_part, base)
 
     if q == 0:
         leading = -1
     elif int_part > 0:
         leading = len(integer_digits) - 1
     else:
-        first_nonzero = next(i for i, d in enumerate(digits) if d)
-        leading = -(first_nonzero + 1)
+        # the digits before the first nonzero one are zeros, so the
+        # remainder just scales: at most about log_base(den) steps
+        leading, scaled = -1, rem * base
+        while scaled < den:
+            leading, scaled = leading - 1, scaled * base
 
-    stream = DigitStream(base, cycle(), description=f"{q} in base {base}")
-    return DigitExpansion(
-        base=base,
-        integer_digits=integer_digits,
-        fractional=stream,
-        leading_index=leading,
-        period=(preperiod, period),
-    )
+    def long_division(r: int = rem) -> Iterator[int]:
+        while True:
+            d, r = divmod(r * base, den)
+            yield d
+
+    stream = DigitStream(base, long_division(), description=f"{q} in base {base}")
+    return DigitExpansion(base, integer_digits, stream, leading)
+
+
+def rational_period(q: Fraction, base: int) -> tuple[int, int]:
+    """(preperiod, period) of the fractional digits of q in base.
+
+    The preperiod is how often gcd(den, base) divides out of the reduced
+    denominator, the period the multiplicative order of base modulo what
+    remains (1 for the all-zero tail).  O(period) time, O(1) memory.
+    """
+    validate_base(base)
+    den = Fraction(q).denominator
+    preperiod = 0
+    while (g := math.gcd(den, base)) > 1:
+        den //= g
+        preperiod += 1
+    period, power = 1, base % den
+    while power != 1 % den:
+        period, power = period + 1, power * base % den
+    return preperiod, period
 
 
 def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
@@ -287,8 +288,24 @@ def digit_token(d: int, base: int) -> str:
     if not 0 <= d < base:
         raise ValueError(f"digit {d} out of range for base {base}")
     if base <= 36:
-        return "0123456789abcdefghijklmnopqrstuvwxyz"[d]
+        return ALPHABET[d]
     return f"[{d}]"
+
+
+def parse_digit_text(text: str, base: int) -> list[int]:
+    """Digit values of 0-9a-z text in a base up to 36, in reading order."""
+    validate_base(base)
+    if base > 36:
+        raise ValueError(f"digit text needs base <= 36, got {base}")
+    if not text:
+        raise ValueError("empty digit text")
+    digits = []
+    for ch in text:
+        value = CHAR_VALUE.get(ch, base)
+        if value >= base:
+            raise ValueError(f"invalid digit {ch!r} for base {base}")
+        digits.append(value)
+    return digits
 
 
 def format_bracket(expansion: DigitExpansion, count: int) -> str:

@@ -27,10 +27,16 @@ from typing import Iterator
 
 from .errors import InvalidDigitError, MalformedHeaderError
 from .exact import parse_rational
-from .radix import DigitStream, expand_rational, int_to_digits, validate_base
-
-_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-_CHAR_VALUE = {c: i for i, c in enumerate(_ALPHABET)}
+from .radix import (
+    CHAR_VALUE,
+    DigitStream,
+    digits_to_int,
+    expand_rational,
+    int_to_digits,
+    parse_digit_text,
+    regroup_to_power_base,
+    validate_base,
+)
 
 _MASK64 = (1 << 64) - 1
 # substitute for the forbidden all-zero xorshift state; any fixed nonzero
@@ -43,7 +49,7 @@ def rational_stream(value: Fraction, base: int) -> DigitStream:
     value = Fraction(value)
     if not 0 <= value < 1:
         raise ValueError(f"rational source must be in [0, 1), got {value}")
-    return expand_rational(value, base, 1).fractional
+    return expand_rational(value, base).fractional
 
 
 def champernowne_stream(base: int) -> DigitStream:
@@ -97,7 +103,9 @@ def random_stream(base: int, seed: int) -> DigitStream:
 # giving a display-only integer part; everything after that is fractional
 # digits.  For r <= 36 digits are the characters 0-9a-z; for r > 36 each
 # digit is a bracketed decimal like [17].  Whitespace is ignored anywhere
-# in the digit section.
+# in the digit section.  Files are read as ASCII with undecodable bytes
+# replaced, so a stray non-ASCII byte surfaces as an InvalidDigitError at
+# its line and column instead of a decoding error.
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class DigitFile:
 
 def load_digit_file(path) -> DigitFile:
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
         if not first:
             raise MalformedHeaderError(path, 1, "empty file, expected base=<r>")
@@ -147,7 +155,7 @@ def load_digit_file(path) -> DigitFile:
 
 
 def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator[int]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= header_lines:
                 continue
@@ -155,7 +163,7 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator[int]:
                 for col, ch in enumerate(line, start=1):
                     if ch.isspace():
                         continue
-                    value = _CHAR_VALUE.get(ch)
+                    value = CHAR_VALUE.get(ch)
                     if value is None:
                         raise InvalidDigitError(
                             path, lineno, col, f"invalid digit character {ch!r}"
@@ -280,8 +288,6 @@ def stream_in_base(spec: SourceSpec, base: int) -> DigitStream:
     File sources carry their own base; requesting a power of it regroups
     the stream, anything else is an error.
     """
-    from .radix import regroup_to_power_base
-
     validate_base(base)
     if base == spec.base:
         return spec.stream()
@@ -296,18 +302,8 @@ def stream_in_base(spec: SourceSpec, base: int) -> DigitStream:
 
 def parse_prefix_digits(text: str, base: int) -> Fraction:
     """Value of an explicit digit prefix: sum of d_j * base**-j."""
-    validate_base(base)
-    if base > 36:
-        raise ValueError("digit-prefix sources need base <= 36")
-    if not text:
-        raise ValueError("empty digit prefix")
-    num = 0
-    for ch in text:
-        value = _CHAR_VALUE.get(ch)
-        if value is None or value >= base:
-            raise ValueError(f"invalid digit {ch!r} for base {base}")
-        num = num * base + value
-    return Fraction(num, base ** len(text))
+    digits = parse_digit_text(text, base)
+    return Fraction(digits_to_int(digits, base), base ** len(digits))
 
 
 def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:

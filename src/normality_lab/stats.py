@@ -17,10 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import decimal_approx, format_rational
-from .radix import DigitStream, digits_to_int, regroup_to_power_base, shift_fractional
+from .radix import (
+    DigitStream,
+    digit_token,
+    digits_to_int,
+    parse_digit_text,
+    regroup_to_power_base,
+    shift_fractional,
+)
 from .sources import SourceSpec, stream_in_base
-
-_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -47,21 +52,11 @@ class Word:
         return digits_to_int(self.digits, self.base)
 
     def __str__(self) -> str:
-        if self.base <= 36:
-            return "".join(_ALPHABET[d] for d in self.digits)
-        return "".join(f"[{d}]" for d in self.digits)
+        return "".join(digit_token(d, self.base) for d in self.digits)
 
     @classmethod
     def parse(cls, text: str, base: int) -> "Word":
-        if base > 36:
-            raise ValueError("word parsing supports bases up to 36")
-        digits = []
-        for ch in text:
-            value = _ALPHABET.find(ch)
-            if value < 0 or value >= base:
-                raise ValueError(f"invalid digit {ch!r} for base {base}")
-            digits.append(value)
-        return cls(base, tuple(digits))
+        return cls(base, tuple(parse_digit_text(text, base)))
 
 
 @dataclass

@@ -35,7 +35,13 @@ from .moments import (
     scaled_moment_via_operator,
     verify_operator_closed_form,
 )
-from .radix import expand_rational, format_bracket, regroup_to_power_base
+from .radix import (
+    DigitExpansion,
+    expand_rational,
+    format_bracket,
+    int_to_digits,
+    regroup_to_power_base,
+)
 from .sources import (
     SourceSpec,
     load_digit_file,
@@ -141,8 +147,6 @@ def _pi_bracket_display() -> str:
     source = _pi_source()
     meta = load_digit_file(source.path)
     _require(meta.integer_value == 3, f"integer part {meta.integer_value} != 3")
-    from .radix import DigitExpansion, int_to_digits
-
     grouped = regroup_to_power_base(source.stream(), 2)
     expansion = DigitExpansion(
         base=100,
@@ -157,21 +161,21 @@ def _pi_bracket_display() -> str:
 
 @_check("half-expansion-tail-free")
 def _half_expansion() -> str:
-    e = expand_rational(Fraction(1, 2), 2, 4)
+    e = expand_rational(Fraction(1, 2), 2)
     digits = e.fractional.take(20)
     _require(
         digits == [1] + [0] * 19,
         f"1/2 in base 2 starts {digits[:6]}..., expected 1,0,0,0,...",
     )
     _require(e.leading_index == -1, f"leading index {e.leading_index} != -1")
-    zero = expand_rational(Fraction(0), 2, 1)
+    zero = expand_rational(Fraction(0), 2)
     _require(zero.leading_index == -1, "zero must report leading index -1")
     return "1/2 in base 2 is 0.1000..., never 0.0111..."
 
 
 @_check("third-base4-constant-digit")
 def _third_base4() -> str:
-    e = expand_rational(Fraction(1, 3), 4, 60)
+    e = expand_rational(Fraction(1, 3), 4)
     digits = e.fractional.take(60)
     _require(digits == [1] * 60, "1/3 in base 4 must be all 1s")
 
@@ -200,32 +204,32 @@ def _block_overlap() -> str:
 def _shift_regroup() -> str:
     alpha = Fraction(123, 1000) + Fraction(345042, 999999) / 1000
 
-    e10 = expand_rational(alpha, 10, 9)
+    e10 = expand_rational(alpha, 10)
     _require(
         e10.fractional.take(9) == [1, 2, 3, 3, 4, 5, 0, 4, 2],
         "base-10 digits of the example value are wrong",
     )
 
-    e1000 = expand_rational(alpha, 1000, 5)
+    e1000 = expand_rational(alpha, 1000)
     _require(
         e1000.fractional.take(5) == [123, 345, 42, 345, 42],
         "base-1000 digits must be [123] then repeating [345][42]",
     )
 
-    shifted = expand_rational(alpha * 10**7, 1000, 5)
+    shifted = expand_rational(alpha * 10**7, 1000)
     text = format_bracket(shifted, 5)
     _require(text == "[1][233][450].[423][450]", f"got {text!r}")
 
-    once = expand_rational(alpha * 10, 1000, 4)
+    once = expand_rational(alpha * 10, 1000)
     text1 = format_bracket(once, 4)
     _require(text1 == "[1].[233][450][423]", f"got {text1!r}")
 
     # same digits two ways: shift by 7 then regroup, vs shift by 1,
     # regroup, then drop 2 grouped digits (7 = 2*3 + 1)
-    s_a = expand_rational(alpha, 10, 1).fractional
+    s_a = expand_rational(alpha, 10).fractional
     s_a.take(7)
     via_shift = regroup_to_power_base(s_a, 3).take(6)
-    s_b = expand_rational(alpha, 10, 1).fractional
+    s_b = expand_rational(alpha, 10).fractional
     s_b.take(1)
     grouped_b = regroup_to_power_base(s_b, 3)
     grouped_b.take(2)

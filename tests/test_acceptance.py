@@ -74,7 +74,7 @@ def test_criterion_02_block_count():
 
 def test_criterion_03_one_third_expansion_and_battery():
     t0 = time.monotonic()
-    digits = expand_rational(Fraction(1, 3), 4, 40).fractional.take(40)
+    digits = expand_rational(Fraction(1, 3), 4).fractional.take(40)
     all_ones = digits == [1] * 40
     spec = parse_source_spec("rational:1/3", 2)
     cells = normality_battery(spec, 2, 30)
@@ -92,8 +92,8 @@ def test_criterion_03_one_third_expansion_and_battery():
 def test_criterion_04_shift_regroup_display():
     t0 = time.monotonic()
     alpha = Fraction(123, 1000) + Fraction(345042, 999999) / 1000
-    seven = format_bracket(expand_rational(10**7 * alpha, 1000, 5), 5)
-    one = format_bracket(expand_rational(10 * alpha, 1000, 4), 4)
+    seven = format_bracket(expand_rational(10**7 * alpha, 1000), 5)
+    one = format_bracket(expand_rational(10 * alpha, 1000), 4)
     elapsed = time.monotonic() - t0
     ok = seven == "[1][233][450].[423][450]" and one == "[1].[233][450][423]"
     finish("04", ok, f"10^7 view {seven}; 10^1 view {one}", elapsed, 5.0)

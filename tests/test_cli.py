@@ -69,6 +69,14 @@ class TestExpand:
         assert payload["preperiod"] == 1
         assert payload["period"] == 1
 
+    def test_huge_period_streams(self, capsys):
+        code, out, _ = run(
+            capsys, "expand", "--source", "rational:1/1000000007", "--base", "10",
+            "--digits", "30",
+        )
+        assert code == 0
+        assert out == f"0.{10**30 // 1000000007:030d}\n"
+
     def test_base_required_for_rational(self, capsys):
         run_usage_error(capsys, "expand", "--source", "rational:1/3",
                         "--digits", "4")
@@ -96,6 +104,15 @@ class TestExpand:
 class TestStats:
     ARGS = ("stats", "--source", "rational:11010111011-prefix", "--base", "2",
             "-n", "11")
+
+    def test_non_ascii_digit_file_is_typed_error(self, capsys, tmp_path):
+        p = tmp_path / "bad.digits"
+        p.write_bytes(b"base=10\n" + (b"1" * 99 + b"\n") * 100 + "12\u00e9\n".encode())
+        code, out, err = run(capsys, "stats", "--source", f"file:{p}", "-n", "10000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_digit_and_word_counts(self, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--digit", "1", "--word", "01")

@@ -8,30 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab.exact import (
-    binomial,
     binomial_row,
     decimal_approx,
     format_rational,
     parse_rational,
-    rational_pow,
 )
 
 
 class TestBinomial:
     def test_small_values(self):
-        assert binomial(0, 0) == 1
-        assert binomial(4, 2) == 6
-        assert binomial(50, 25) == 126410606437752
-
-    def test_p_beyond_n_is_zero(self):
-        assert binomial(4, 6) == 0
-        assert binomial(0, 1) == 0
+        assert binomial_row(0) == [1]
+        assert binomial_row(4) == [1, 4, 6, 4, 1]
+        assert binomial_row(50)[25] == 126410606437752
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
+            binomial_row(-1)
 
     @given(st.integers(0, 300))
     def test_row_matches_comb(self, n):
@@ -43,28 +35,6 @@ class TestBinomial:
         # length n partition by the count of one fixed digit
         row = binomial_row(n)
         assert sum(row[p] * (r - 1) ** (n - p) for p in range(n + 1)) == r**n
-
-
-class TestRationalPow:
-    def test_positive_exponent(self):
-        assert rational_pow(Fraction(2, 3), 3) == Fraction(8, 27)
-
-    def test_zero_exponent(self):
-        assert rational_pow(Fraction(5, 7), 0) == 1
-
-    def test_negative_exponent_inverts(self):
-        assert rational_pow(Fraction(2, 3), -2) == Fraction(9, 4)
-
-    def test_zero_base_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            rational_pow(Fraction(0), -1)
-
-    @given(
-        st.fractions(max_denominator=1000).filter(lambda q: q != 0),
-        st.integers(-8, 8),
-    )
-    def test_pow_multiplies_exponents(self, q, e):
-        assert rational_pow(q, e) * rational_pow(q, -e) == 1
 
 
 class TestParseFormat:

@@ -1,8 +1,10 @@
 """Golden CLI outputs: the sha256 of stdout for fixed exact-arithmetic commands.
 
-The hashes were captured from the Fraction-per-term implementation of the
-moment and measure hot paths; any rewrite of that arithmetic must leave
-every byte of these outputs unchanged.
+The exact-arithmetic hashes were captured from the Fraction-per-term
+implementation of the moment and measure hot paths, the expand and stats
+hashes from the eager rational expansion and the per-module digit
+alphabets; any rewrite of those paths must leave every byte of these
+outputs unchanged.
 """
 import hashlib
 
@@ -27,6 +29,29 @@ GOLDEN = [
         ("measure", "--base", "7", "--digit", "2", "--epsilon", "1/10",
          "--n-max", "200", "--format", "csv"),
         "989adf0bc19114b89090239e737b5cd1366f33837f1e00fe7793ee07fdefa639",
+    ),
+    (
+        ("expand", "--source", "rational:5/12", "--base", "10", "--digits", "40",
+         "--format", "json"),
+        "d029fa8f644f7d0f594dd67076eba47514cc7a29243c6e8f22b5987494b38736",
+    ),
+    (
+        ("expand", "--source", "rational:1/3", "--base", "40", "--digits", "6"),
+        "3013f9f23a9bd8f6c705546f1b34a95bf8a3b1e09bdfef46d3218492545f0081",
+    ),
+    (
+        ("expand", "--source", "file:pi_base10.digits", "--base", "100", "--digits", "30"),
+        "26112c4f445575bc2b4d9b2f5ae804bcbc2555f3c967a7e69a28758d3ca4cf13",
+    ),
+    (
+        ("stats", "--source", "rational:11010111011-prefix", "--base", "2", "-n", "11",
+         "--word", "101", "--format", "json"),
+        "59e69e95adf14dfa035e1ec77edcaa7112a1eb95450e15bef2535514a2dbf7ac",
+    ),
+    (
+        ("stats", "--source", "random:7", "--base", "16", "-n", "5000", "--word", "a0f",
+         "--format", "text"),
+        "8e8b6c8ec894aa9c12f4282c2b912b2ce40fa88dce643e7d5f5b36103a536b1d",
     ),
 ]
 

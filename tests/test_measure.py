@@ -118,6 +118,20 @@ class TestDeviationSetMeasure:
         assert p in counts
         assert counts == admissible_by_fractions(base, n, eps)
 
+    @given(st.integers(2, 12), st.integers(1, 300), st.data())
+    @settings(max_examples=100)
+    def test_measure_is_sum_of_count_measures(self, base, n, data):
+        # half the draws put epsilon exactly on some count's own deviation
+        p = data.draw(st.integers(0, n))
+        eps = abs(Fraction(p, n) - Fraction(1, base))
+        if eps == 0 or data.draw(st.booleans()):
+            eps = data.draw(st.fractions(min_value=Fraction(1, 1000), max_value=1))
+        expected = sum(
+            (digit_count_measure(base, n, q) for q in admissible_by_fractions(base, n, eps)),
+            Fraction(0),
+        )
+        assert deviation_set_measure(spec(base, 0, n, eps)).exact_measure == expected
+
     def test_json_shape(self):
         payload = deviation_set_measure(spec(2, 0, 2, "1/2")).to_json_dict()
         assert payload == {

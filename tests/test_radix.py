@@ -1,4 +1,5 @@
 """Digit streams, rational expansions, regrouping, shifting, rendering."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from normality_lab.radix import (
     expand_rational,
     format_bracket,
     int_to_digits,
+    parse_digit_text,
+    rational_period,
     regroup_to_power_base,
     shift_fractional,
     validate_base,
@@ -24,6 +27,19 @@ unit_fractions = st.integers(2, 5000).flatmap(
     lambda den: st.integers(0, den - 1).map(lambda num: Fraction(num, den))
 )
 bases = st.integers(2, 16)
+
+
+def remainder_cycle_period(q, base):
+    """(preperiod, period) found by running long division until a
+    remainder repeats: the eager algorithm rational_period replaced."""
+    rem = q.numerator % q.denominator
+    seen = {}
+    steps = 0
+    while rem not in seen:
+        seen[rem] = steps
+        rem = rem * base % q.denominator
+        steps += 1
+    return seen[rem], steps - seen[rem]
 
 
 class TestIntDigits:
@@ -98,58 +114,67 @@ class TestDigitStream:
 
 class TestExpandRational:
     def test_half_base_two_round_down_form(self):
-        e = expand_rational(Fraction(1, 2), 2, 4)
+        e = expand_rational(Fraction(1, 2), 2)
         assert e.fractional.take(8) == [1, 0, 0, 0, 0, 0, 0, 0]
         assert e.leading_index == -1
-        assert e.period == (1, 1)
+        assert rational_period(Fraction(1, 2), 2) == (1, 1)
 
     def test_third_base_two_alternates(self):
-        e = expand_rational(Fraction(1, 3), 2, 6)
+        e = expand_rational(Fraction(1, 3), 2)
         assert e.fractional.take(6) == [0, 1, 0, 1, 0, 1]
-        assert e.period == (0, 2)
+        assert rational_period(Fraction(1, 3), 2) == (0, 2)
         assert e.leading_index == -2
 
     def test_third_base_four_constant(self):
-        e = expand_rational(Fraction(1, 3), 4, 6)
+        e = expand_rational(Fraction(1, 3), 4)
         assert e.fractional.take(6) == [1] * 6
 
     def test_zero(self):
-        e = expand_rational(Fraction(0), 7, 3)
+        e = expand_rational(Fraction(0), 7)
         assert e.fractional.take(3) == [0, 0, 0]
         assert e.leading_index == -1
         assert e.integer_digits == []
 
     def test_value_above_one(self):
-        e = expand_rational(Fraction(7, 2), 10, 2)
+        e = expand_rational(Fraction(7, 2), 10)
         assert e.integer_digits == [3]
         assert e.fractional.take(3) == [5, 0, 0]
         assert e.leading_index == 0
 
     def test_integer_value(self):
-        e = expand_rational(Fraction(42), 10, 2)
+        e = expand_rational(Fraction(42), 10)
         assert e.integer_digits == [4, 2]
         assert e.leading_index == 1
         assert e.fractional.take(2) == [0, 0]
 
     def test_sixth_base_ten_preperiod(self):
-        e = expand_rational(Fraction(1, 6), 10, 4)
+        e = expand_rational(Fraction(1, 6), 10)
         assert e.fractional.take(4) == [1, 6, 6, 6]
-        assert e.period == (1, 1)
+        assert rational_period(Fraction(1, 6), 10) == (1, 1)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            expand_rational(Fraction(-1, 2), 2, 1)
+            expand_rational(Fraction(-1, 2), 2)
 
-    def test_count_validated(self):
-        with pytest.raises(ValueError):
-            expand_rational(Fraction(1, 2), 2, 0)
+    def test_stream_is_lazy(self):
+        # a prime with a full period of 998650 digits: building that period
+        # up front took about 100 MiB
+        tracemalloc.start()
+        try:
+            digits = expand_rational(Fraction(1, 998651), 10).fractional.take(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digits[:6] == [0, 0, 0, 0, 0, 1]
+        assert peak < 2**20
+        assert rational_period(Fraction(1, 998651), 10) == (0, 998650)
 
     @given(unit_fractions, bases)
     @settings(max_examples=150)
     def test_partial_sums_round_down(self, q, base):
         # truncations never overshoot: 0 <= q - sum_{j<=k} d_j r^-j < r^-k,
         # which also rules out an infinite (r-1) tail
-        e = expand_rational(q, base, 1)
+        e = expand_rational(q, base)
         digits = e.fractional.take(40)
         partial = Fraction(0)
         for k, d in enumerate(digits, start=1):
@@ -159,15 +184,25 @@ class TestExpandRational:
     @given(unit_fractions, bases)
     @settings(max_examples=100)
     def test_period_metadata_cycles(self, q, base):
-        e = expand_rational(q, base, 1)
-        pre, per = e.period
+        e = expand_rational(q, base)
+        pre, per = rational_period(q, base)
         digits = e.fractional.take(pre + 3 * per)
         assert digits[pre : pre + per] == digits[pre + per : pre + 2 * per]
+
+    @given(
+        unit_fractions,
+        st.integers(0, 10**6),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=200)
+    def test_period_matches_remainder_cycle(self, q, int_part, base):
+        for value in (q, q + int_part):
+            assert rational_period(value, base) == remainder_cycle_period(value, base)
 
     @given(unit_fractions, bases)
     @settings(max_examples=100)
     def test_leading_index_marks_first_nonzero(self, q, base):
-        e = expand_rational(q, base, 1)
+        e = expand_rational(q, base)
         if q == 0:
             assert e.leading_index == -1
             return
@@ -209,8 +244,8 @@ class TestRegroup:
     @given(unit_fractions, st.integers(2, 6), st.integers(1, 4))
     @settings(max_examples=100)
     def test_regroup_equals_power_base_expansion(self, q, base, n):
-        grouped = regroup_to_power_base(expand_rational(q, base, 1).fractional, n)
-        direct = expand_rational(q, base**n, 1).fractional
+        grouped = regroup_to_power_base(expand_rational(q, base).fractional, n)
+        direct = expand_rational(q, base**n).fractional
         assert grouped.take(12) == direct.take(12)
 
     @given(st.lists(st.integers(0, 1), min_size=12, max_size=12), st.integers(1, 4))
@@ -224,7 +259,7 @@ class TestRegroup:
 
 class TestShift:
     def test_splits_integer_digits(self):
-        s = expand_rational(Fraction(1, 3), 10, 1).fractional
+        s = expand_rational(Fraction(1, 3), 10).fractional
         head, rest = shift_fractional(s, 3)
         assert head == [3, 3, 3]
         assert rest is s
@@ -243,48 +278,60 @@ class TestShift:
     @given(unit_fractions, bases, st.integers(0, 8))
     @settings(max_examples=100)
     def test_head_is_integer_part_of_scaled_value(self, q, base, m):
-        s = expand_rational(q, base, 1).fractional
+        s = expand_rational(q, base).fractional
         head, rest = shift_fractional(s, m)
         scaled = q * base**m
         assert digits_to_int(head, base) == scaled.numerator // scaled.denominator
         # remaining digits expand the fractional part of the scaled value
         frac = scaled - (scaled.numerator // scaled.denominator)
-        assert rest.take(10) == expand_rational(frac, base, 1).fractional.take(10)
+        assert rest.take(10) == expand_rational(frac, base).fractional.take(10)
 
 
 class TestFormatBracket:
     def test_plain_digits_small_base(self):
-        e = expand_rational(Fraction(1, 2), 2, 4)
+        e = expand_rational(Fraction(1, 2), 2)
         assert format_bracket(e, 4) == "0.1000"
 
     def test_zero_renders_zeros(self):
-        e = expand_rational(Fraction(0), 10, 3)
+        e = expand_rational(Fraction(0), 10)
         assert format_bracket(e, 3) == "0.000"
 
     def test_integer_digits_count_toward_total(self):
-        e = expand_rational(Fraction(7, 2), 10, 4)
+        e = expand_rational(Fraction(7, 2), 10)
         assert format_bracket(e, 4) == "3.500"
 
     def test_count_equal_to_integer_digits(self):
-        e = expand_rational(Fraction(42), 10, 2)
+        e = expand_rational(Fraction(42), 10)
         assert format_bracket(e, 2) == "42."
 
     def test_letters_above_nine(self):
-        e = expand_rational(Fraction(11, 16), 16, 2)
+        e = expand_rational(Fraction(11, 16), 16)
         assert format_bracket(e, 2) == "0.b0"
 
     def test_brackets_above_base_36(self):
-        e = expand_rational(Fraction(14, 100) + Fraction(15, 10000), 100, 2)
+        e = expand_rational(Fraction(14, 100) + Fraction(15, 10000), 100)
         assert format_bracket(e, 2) == "0.[14][15]"
 
     def test_big_base_integer_part(self):
-        e = expand_rational(Fraction(1233450) + Fraction(423, 1000), 1000, 4)
+        e = expand_rational(Fraction(1233450) + Fraction(423, 1000), 1000)
         assert format_bracket(e, 4) == "[1][233][450].[423]"
 
     def test_count_validated(self):
-        e = expand_rational(Fraction(1, 2), 2, 1)
+        e = expand_rational(Fraction(1, 2), 2)
         with pytest.raises(ValueError):
             format_bracket(e, 0)
+
+    def test_digit_text_round_trips_through_tokens(self):
+        digits = parse_digit_text("09az", 36)
+        assert digits == [0, 9, 10, 35]
+        assert "".join(digit_token(d, 36) for d in digits) == "09az"
+
+    @pytest.mark.parametrize(
+        "text,base", [("", 10), ("12", 37), ("102", 2), ("A", 16), (" 1", 10)]
+    )
+    def test_digit_text_rejects(self, text, base):
+        with pytest.raises(ValueError):
+            parse_digit_text(text, base)
 
     def test_digit_token_range_checked(self):
         with pytest.raises(ValueError):

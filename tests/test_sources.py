@@ -206,6 +206,14 @@ class TestDigitFiles:
         with pytest.raises(InvalidDigitError):
             file_digit_stream(p).take(2)
 
+    def test_non_ascii_byte_is_invalid_digit(self, tmp_path):
+        # past the decoder's first 8 KiB chunk, so the header reads cleanly
+        p = tmp_path / "t.digits"
+        p.write_bytes(b"base=10\n" + (b"1" * 99 + b"\n") * 100 + "12\u00e9\n".encode())
+        with pytest.raises(InvalidDigitError) as exc:
+            file_digit_stream(p).take(10**4)
+        assert (exc.value.line, exc.value.column) == (102, 3)
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_digit_file(tmp_path / "nope.digits")
