@@ -34,7 +34,7 @@ print()
 print("digit counts at n = 1,000,000:")
 report = simple_normality_report(source.stream(), 1_000_000)
 for d in range(10):
-    print(f"  digit {d}: {report.counts[d]:>7,}")
+    print(f"  digit {d}: {report.counts.get(d, 0):>7,}")
 
 # every (shift, power) view of a normal number must itself be simply
 # normal; rationals fail spectacularly in some view

@@ -18,7 +18,6 @@ from normality_lab import (
     format_bracket,
     rational_period,
     regroup_to_power_base,
-    shift_fractional,
 )
 
 
@@ -58,8 +57,7 @@ show(10**7 * alpha, 1000, 5)
 # the two operations commute: drop m digits then group by n, or
 # expand r**m * alpha in base r**n directly; same stream either way
 stream = expand_rational(alpha, 10).fractional
-head, rest = shift_fractional(stream, 1)
-print("  dropped head:", head)
-print("  then grouped:", regroup_to_power_base(rest, 3).take(6))
+print("  dropped head:", stream.take(1))
+print("  then grouped:", regroup_to_power_base(stream, 3).take(6))
 direct = expand_rational(10 * alpha - 1, 1000).fractional
 print("  direct      :", direct.take(6))

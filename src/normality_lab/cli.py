@@ -216,10 +216,10 @@ def cmd_stats(args, parser) -> tuple[int, str]:
     report = simple_normality_report(stream, args.n)
 
     payload = report.to_json_dict()
-    payload["counts"] = {str(d): c for d, c in report.counts.items()}
+    payload["counts"] = {str(d): report.counts.get(d, 0) for d in range(base)}
     if args.digit is not None:
         payload["digit"] = args.digit
-        payload["digit_count"] = report.counts[args.digit]
+        payload["digit_count"] = report.counts.get(args.digit, 0)
     if word is not None:
         payload["word"] = str(word)
         payload["word_count"] = count_block(stream_in_base(source, base), word, args.n)

@@ -2,9 +2,10 @@
 
 The central object is :class:`DigitStream`: a pull-based, single-consumer
 source of base-r digits after the radix point.  Streams compose (a
-rational expansion, a regrouping into base r**n, and a fractional shift
-are all streams) and every consumer states up front how many digits it
-needs, so exhaustion is always reported with exact positions.
+rational expansion and a regrouping into base r**n are both streams; a
+fractional shift by m is `take(m)`) and every consumer states up front
+how many digits it needs, so exhaustion is always reported with exact
+positions.
 
 Digits are plain ints in range(base).  The expansion produced for a
 rational is the standard long-division one, streamed lazily in constant
@@ -127,7 +128,8 @@ class DigitStream:
 
     def take(self, count: int) -> list[int]:
         """Exactly `count` digits, or InsufficientDigitsError telling how
-        many were available in total."""
+        many were available in total, both counted in this stream's
+        digits (a regrouped stream counts whole groups)."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         goal = self.position + count
@@ -135,9 +137,9 @@ class DigitStream:
         for _ in range(count):
             try:
                 out.append(self.next_digit())
-            except InsufficientDigitsError as exc:
+            except InsufficientDigitsError:
                 raise InsufficientDigitsError(
-                    exc.available, goal, self.description
+                    self.position, goal, self.description
                 ) from None
         return out
 
@@ -251,8 +253,9 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
     Output digit k is the n consecutive input digits k*n..k*n+n-1 read as
     a base-r integer; consuming k output digits consumes exactly k*n input
     digits.  n=1 returns the stream itself.  Exhaustion mid-group
-    propagates the underlying error (its position identifies the short
-    read in input coordinates).
+    propagates the underlying error from `next_digit` (its position
+    identifies the short read in input coordinates); `take` on the
+    grouped stream reports it in grouped digits.
     """
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
@@ -269,18 +272,6 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
 
     inner = stream.description or f"base {r} stream"
     return DigitStream(r**n, grouped(), description=f"{inner} grouped by {n}")
-
-
-def shift_fractional(stream: DigitStream, m: int) -> tuple[list[int], DigitStream]:
-    """Multiply by base**m positionally: split off the first m digits.
-
-    Returns (those m digits, the same stream, now positioned after them):
-    the digits are the integer part of base**m times the represented
-    value, the stream is its fractional part.  m=0 is the identity.
-    """
-    if m < 0:
-        raise ValueError(f"shift must be >= 0, got {m}")
-    return stream.take(m), stream
 
 
 def digit_token(d: int, base: int) -> str:

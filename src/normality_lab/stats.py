@@ -8,13 +8,18 @@ uniform 1/base, as exact rationals.
 The battery runs one simple-normality report per (shift m, power n) pair
 with 0 <= m < n: digits m+1, m+2, ... of the source regrouped into base
 r**n.  A number is normal in base r exactly when all such views are
-simply normal, which is what makes the battery the right screen.
+simply normal, which is what makes the battery the right screen.  The
+source is read once; every view is a stride-n slice of the n-digit
+windows of that one read.  Reports are sparse, holding only the digit
+values that occur, so a view in base 2**40 costs what it reads.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .exact import decimal_approx, format_rational
 from .radix import (
@@ -22,8 +27,6 @@ from .radix import (
     digit_token,
     digits_to_int,
     parse_digit_text,
-    regroup_to_power_base,
-    shift_fractional,
 )
 from .sources import SourceSpec, stream_in_base
 
@@ -59,29 +62,6 @@ class Word:
         return cls(base, tuple(parse_digit_text(text, base)))
 
 
-@dataclass
-class FrequencyTable:
-    """Digit counts over a consumed prefix; counts sum to n."""
-
-    base: int
-    n: int
-    counts: dict[int, int]
-
-    def frequency(self, digit: int) -> Fraction:
-        return Fraction(self.counts.get(digit, 0), self.n)
-
-    def deviation(self, digit: int) -> Fraction:
-        return abs(self.frequency(digit) - Fraction(1, self.base))
-
-
-def tally_digits(stream: DigitStream, n: int) -> FrequencyTable:
-    """Count every digit value in the next n digits (consumes exactly n)."""
-    if n < 1:
-        raise ValueError(f"prefix length must be >= 1, got {n}")
-    counts = Counter(stream.take(n))
-    return FrequencyTable(stream.base, n, dict(counts))
-
-
 def count_digit(stream: DigitStream, digit: int, n: int) -> int:
     """Occurrences of one digit in the next n digits (consumes exactly n)."""
     if n < 1:
@@ -110,7 +90,14 @@ def count_block(stream: DigitStream, word: Word, n: int) -> int:
 
 @dataclass
 class NormalityReport:
-    """Per-digit deviations from uniform frequency over an n-digit prefix."""
+    """Deviations from uniform frequency over an n-digit prefix.
+
+    `counts` and `deviations` are sparse: they hold only the digit values
+    that occur, in increasing order.  Every other digit of range(base) has
+    count 0 and deviation 1/base, which `deviation` fills in and
+    `max_deviation` already includes, so a report costs what its prefix
+    holds, not base entries.
+    """
 
     base: int
     n: int
@@ -118,30 +105,54 @@ class NormalityReport:
     deviations: dict[int, Fraction]
     max_deviation: Fraction
 
+    def deviation(self, digit: int) -> Fraction:
+        """|count/n - 1/base| for any digit of the base, seen or not."""
+        return self.deviations.get(digit, Fraction(1, self.base))
+
     def to_json_dict(self) -> dict:
         return {
             "base": self.base,
             "n": self.n,
             "deviations": {
-                str(d): format_rational(v) for d, v in self.deviations.items()
+                str(d): format_rational(self.deviation(d)) for d in range(self.base)
             },
             "max_deviation": format_rational(self.max_deviation),
             "max_deviation_decimal": decimal_approx(self.max_deviation),
         }
 
 
+def _report(base: int, digits: list[int]) -> NormalityReport:
+    """The report over a prefix of base-`base` digits, built from those seen."""
+    n = len(digits)
+    counts = dict(sorted(Counter(digits).items()))
+    uniform = Fraction(1, base)
+    deviations = {d: abs(Fraction(c, n) - uniform) for d, c in counts.items()}
+    max_deviation = max(deviations.values())
+    if len(counts) < base:
+        max_deviation = max(max_deviation, uniform)
+    return NormalityReport(base, n, counts, deviations, max_deviation)
+
+
 def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:
-    """Deviation |count/n - 1/base| for every digit of the stream's base."""
-    table = tally_digits(stream, n)
-    base = table.base
-    deviations = {d: table.deviation(d) for d in range(base)}
-    return NormalityReport(
-        base=base,
-        n=n,
-        counts={d: table.counts.get(d, 0) for d in range(base)},
-        deviations=deviations,
-        max_deviation=max(deviations.values()),
-    )
+    """Deviation |count/n - 1/base| of the next n digits (consumes exactly n)."""
+    if n < 1:
+        raise ValueError(f"prefix length must be >= 1, got {n}")
+    return _report(stream.base, stream.take(n))
+
+
+def _power_values(digits: list[int], base: int, max_power: int) -> Iterator[list[int]]:
+    """For n = 1 .. max_power, the list whose entry s is digits s .. s+n-1
+    read as one base**n digit.
+
+    Digit k of the view shifted by m and grouped by n is entry m + k*n of
+    list n, so every view is a stride-n slice.  Each list is built from
+    the previous one in one pass and replaces it.
+    """
+    values = digits
+    yield values
+    for n in range(2, max_power + 1):
+        values = [v * base + d for v, d in zip(values, islice(digits, n - 1, None))]
+        yield values
 
 
 @dataclass(frozen=True)
@@ -161,20 +172,21 @@ def normality_battery(
     Each view shifts the source by m digits and regroups by n, then reads
     prefix_len digits of the resulting base-r**n stream.  r is the
     source's own base unless `base` regroups it first (for digit files
-    viewed in a power of their base).  Cells come back ordered by power,
-    then shift.
+    viewed in a power of their base).  The source is read once, for the
+    max_power*(prefix_len+1) - 1 digits the widest view needs.  Cells
+    come back ordered by power, then shift.
     """
     if max_power < 1:
         raise ValueError(f"max power must be >= 1, got {max_power}")
+    if prefix_len < 1:
+        raise ValueError(f"prefix length must be >= 1, got {prefix_len}")
     if base is None:
         base = source.base
+    digits = stream_in_base(source, base).take(max_power * (prefix_len + 1) - 1)
     cells = []
-    for n in range(1, max_power + 1):
+    for n, values in enumerate(_power_values(digits, base, max_power), 1):
         for m in range(n):
-            stream = stream_in_base(source, base)
-            shift_fractional(stream, m)
-            grouped = regroup_to_power_base(stream, n)
-            report = simple_normality_report(grouped, prefix_len)
+            report = _report(base**n, values[m : m + n * prefix_len : n])
             cells.append(BatteryCell(shift=m, power=n, report=report))
     return cells
 
@@ -184,21 +196,19 @@ def power_base_shift_counts(source: SourceSpec, word: Word, k: int) -> list[int]
 
     Entry c counts how often the word, read as a single base-r**len digit,
     appears among the first k digits of the view shifted by c and grouped
-    by len(word).  Shift c touches only c + k*len(word) source digits.
+    by len(word).  All shifts come from one read of len(word)*(k+1) - 1
+    source digits.
     """
     if k < 1:
         raise ValueError(f"prefix length must be >= 1, got {k}")
     if word.base != source.base:
         raise ValueError(f"word base {word.base} != source base {source.base}")
     n = len(word)
+    digits = source.stream().take(n * (k + 1) - 1)
+    for values in _power_values(digits, source.base, n):
+        pass  # keep list n only
     target = word.value()
-    counts = []
-    for c in range(n):
-        stream = source.stream()
-        shift_fractional(stream, c)
-        grouped = regroup_to_power_base(stream, n)
-        counts.append(count_digit(grouped, target, k))
-    return counts
+    return [values[c : c + n * k : n].count(target) for c in range(n)]
 
 
 def count_block_via_power_base(source: SourceSpec, word: Word, k: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output bytes, formats, exit codes."""
 import json
+import time
 
 import pytest
 
@@ -170,6 +171,32 @@ class TestBattery:
     def test_validation(self, capsys):
         run_usage_error(capsys, "battery", "--source", "rational:1/3",
                         "--base", "2", "--max-power", "0", "-n", "10")
+
+    def test_huge_power_base_finishes(self, capsys):
+        # views in base 2**40 hold ten digits each; the reports stay sparse
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "battery", "--source", "champernowne", "--base", "2",
+            "--max-power", "40", "-n", "10",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 821
+        assert lines[-1] == "39,40,549755813883/5497558138880"
+
+    def test_short_file_reads_exactly_what_views_need(self, capsys, tmp_path):
+        p = tmp_path / "nine.digits"
+        p.write_text("base=10\n141592653\n", encoding="ascii")
+        argv = ("battery", "--source", f"file:{p}", "--max-power", "2")
+        code, out, _ = run(capsys, *argv, "-n", "4")  # 2*(4+1) - 1 = 9 digits
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        code, out, err = run(capsys, *argv, "-n", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: digit stream exhausted after 9 digits (requested 11)")
+        assert "Traceback" not in err
 
 
 class TestVerifyLemma:

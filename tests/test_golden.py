@@ -3,8 +3,9 @@
 The exact-arithmetic hashes were captured from the Fraction-per-term
 implementation of the moment and measure hot paths, the expand and stats
 hashes from the eager rational expansion and the per-module digit
-alphabets; any rewrite of those paths must leave every byte of these
-outputs unchanged.
+alphabets, the battery hashes (and the stats run with unseen digits)
+from the rebuild-per-view battery with dense per-digit reports; any
+rewrite of those paths must leave every byte of these outputs unchanged.
 """
 import hashlib
 
@@ -52,6 +53,32 @@ GOLDEN = [
         ("stats", "--source", "random:7", "--base", "16", "-n", "5000", "--word", "a0f",
          "--format", "text"),
         "8e8b6c8ec894aa9c12f4282c2b912b2ce40fa88dce643e7d5f5b36103a536b1d",
+    ),
+    (
+        ("battery", "--source", "champernowne", "--base", "2", "--max-power", "8",
+         "-n", "1000"),
+        "d682cc39b9bb6dc56f0f70b299f958d2b3ce6c75e603885aa9db766cd7f40051",
+    ),
+    (
+        # power 13 views of 500 digits leave most of the 8192 values unseen
+        ("battery", "--source", "champernowne", "--base", "2", "--max-power", "13",
+         "-n", "500"),
+        "894accdc0849b339a91c81962b4b5e25d882e287588b47b20e4b906b212bf6de",
+    ),
+    (
+        ("battery", "--source", "random:7", "--base", "3", "--max-power", "4", "-n", "50"),
+        "98ad84996e9e6322c16f30c2bc7b022f0efa945e38701a58a0696b8f008d786d",
+    ),
+    (
+        ("battery", "--source", "file:pi_base10.digits", "--base", "100",
+         "--max-power", "2", "-n", "200", "--format", "text"),
+        "9a8701993cd5473cf8335ea877665ad1deeeed103619c656ebac3c9d919a4376",
+    ),
+    (
+        # nine digits never occur, including the one asked for
+        ("stats", "--source", "rational:1/3", "--base", "10", "-n", "20", "--digit", "5",
+         "--format", "json"),
+        "c4f400ccaccceee2780a486437eddf727860b462957da1d6a013ad4b2680afe0",
     ),
 ]
 

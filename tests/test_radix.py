@@ -18,7 +18,6 @@ from normality_lab.radix import (
     parse_digit_text,
     rational_period,
     regroup_to_power_base,
-    shift_fractional,
     validate_base,
 )
 
@@ -237,6 +236,13 @@ class TestRegroup:
             g.next_digit()
         assert exc.value.available == 3  # input-coordinate position
 
+    def test_take_exhaustion_counts_grouped_digits(self):
+        g = regroup_to_power_base(DigitStream(2, iter([1, 0, 1])), 2)
+        with pytest.raises(InsufficientDigitsError) as exc:
+            g.take(2)
+        assert exc.value.available == 1
+        assert exc.value.requested == 2
+
     def test_group_size_validated(self):
         with pytest.raises(ValueError):
             regroup_to_power_base(DigitStream(2, iter([])), 0)
@@ -258,33 +264,32 @@ class TestRegroup:
 
 
 class TestShift:
+    """A fractional shift by m is take(m) on the stream."""
+
     def test_splits_integer_digits(self):
         s = expand_rational(Fraction(1, 3), 10).fractional
-        head, rest = shift_fractional(s, 3)
-        assert head == [3, 3, 3]
-        assert rest is s
-        assert rest.take(2) == [3, 3]
+        assert s.take(3) == [3, 3, 3]
+        assert s.take(2) == [3, 3]
 
     def test_zero_shift(self):
         s = DigitStream(10, iter([9, 8]))
-        head, rest = shift_fractional(s, 0)
-        assert head == []
-        assert rest.take(2) == [9, 8]
+        assert s.take(0) == []
+        assert s.take(2) == [9, 8]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            shift_fractional(DigitStream(10, iter([])), -1)
+            DigitStream(10, iter([])).take(-1)
 
     @given(unit_fractions, bases, st.integers(0, 8))
     @settings(max_examples=100)
     def test_head_is_integer_part_of_scaled_value(self, q, base, m):
         s = expand_rational(q, base).fractional
-        head, rest = shift_fractional(s, m)
+        head = s.take(m)
         scaled = q * base**m
         assert digits_to_int(head, base) == scaled.numerator // scaled.denominator
         # remaining digits expand the fractional part of the scaled value
         frac = scaled - (scaled.numerator // scaled.denominator)
-        assert rest.take(10) == expand_rational(frac, base).fractional.take(10)
+        assert s.take(10) == expand_rational(frac, base).fractional.take(10)
 
 
 class TestFormatBracket:

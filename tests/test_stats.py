@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normality_lab.sources import champernowne_stream, parse_source_spec, random_stream
+from normality_lab.radix import regroup_to_power_base
+from normality_lab.sources import (
+    SourceSpec,
+    champernowne_stream,
+    parse_source_spec,
+    random_stream,
+    stream_in_base,
+)
 from normality_lab.stats import (
     Word,
     count_block,
@@ -14,12 +21,58 @@ from normality_lab.stats import (
     normality_battery,
     power_base_shift_counts,
     simple_normality_report,
-    tally_digits,
 )
 
 
 def prefix_spec(text, base):
     return parse_source_spec(f"rational:{text}-prefix", base)
+
+
+# Reference: the rebuild-per-view path, a fresh stream for every view
+# with dense per-digit deviations over the whole power base.
+
+
+def reference_battery(source, max_power, prefix_len, base):
+    cells = []
+    for n in range(1, max_power + 1):
+        for m in range(n):
+            stream = stream_in_base(source, base)
+            stream.take(m)
+            digits = regroup_to_power_base(stream, n).take(prefix_len)
+            view_base = base**n
+            counts = {d: digits.count(d) for d in range(view_base)}
+            deviations = {
+                d: abs(Fraction(c, prefix_len) - Fraction(1, view_base))
+                for d, c in counts.items()
+            }
+            cells.append((m, n, view_base, counts, max(deviations.values())))
+    return cells
+
+
+def reference_shift_counts(source, word, k):
+    counts = []
+    for c in range(len(word)):
+        stream = source.stream()
+        stream.take(c)
+        grouped = regroup_to_power_base(stream, len(word))
+        counts.append(grouped.take(k).count(word.value()))
+    return counts
+
+
+def source_text(kind, seed):
+    if kind == "random":
+        return f"random:{seed}"
+    if kind == "rational":
+        den = seed % 89 + 2
+        return f"rational:{seed % den}/{den}"
+    return "champernowne"
+
+
+sources = st.tuples(
+    st.sampled_from(["random", "champernowne", "rational"]),
+    st.integers(1, 2**32),
+    st.integers(2, 6),
+)
 
 
 class TestWord:
@@ -53,19 +106,20 @@ class TestWord:
 
 class TestTally:
     def test_counts_sum_to_n(self):
-        table = tally_digits(champernowne_stream(10), 100)
-        assert sum(table.counts.values()) == 100
+        report = simple_normality_report(champernowne_stream(10), 100)
+        assert sum(report.counts.values()) == 100
 
     def test_frequency_and_deviation(self):
-        table = tally_digits(prefix_spec("0110", 2).stream(), 4)
-        assert table.frequency(1) == Fraction(1, 2)
-        assert table.deviation(1) == 0
-        assert table.deviation(0) == 0
+        report = simple_normality_report(prefix_spec("0110", 2).stream(), 4)
+        assert report.counts == {0: 2, 1: 2}
+        assert report.deviation(1) == 0
+        assert report.deviation(0) == 0
 
     def test_missing_digit_has_zero_count(self):
-        table = tally_digits(prefix_spec("1111", 2).stream(), 4)
-        assert table.frequency(0) == 0
-        assert table.deviation(0) == Fraction(1, 2)
+        report = simple_normality_report(prefix_spec("1111", 2).stream(), 4)
+        assert report.counts.get(0, 0) == 0
+        assert report.deviation(0) == Fraction(1, 2)
+        assert report.max_deviation == Fraction(1, 2)
 
     def test_count_digit(self):
         assert count_digit(prefix_spec("0110", 2).stream(), 1, 4) == 2
@@ -74,7 +128,7 @@ class TestTally:
         with pytest.raises(ValueError):
             count_digit(champernowne_stream(10), 10, 5)
         with pytest.raises(ValueError):
-            tally_digits(champernowne_stream(10), 0)
+            simple_normality_report(champernowne_stream(10), 0)
 
 
 class TestCountBlock:
@@ -154,6 +208,43 @@ class TestBattery:
     def test_validation(self):
         with pytest.raises(ValueError):
             normality_battery(parse_source_spec("random:1", 2), 0, 10)
+        with pytest.raises(ValueError):
+            normality_battery(parse_source_spec("random:1", 2), 2, 0)
+
+    @given(sources, st.integers(1, 5), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rebuild_per_view(self, src, max_power, prefix_len):
+        kind, seed, base = src
+        spec = parse_source_spec(source_text(kind, seed), base)
+        cells = normality_battery(spec, max_power, prefix_len)
+        got = [
+            (
+                c.shift,
+                c.power,
+                c.report.base,
+                {d: c.report.counts.get(d, 0) for d in range(c.report.base)},
+                c.report.max_deviation,
+            )
+            for c in cells
+        ]
+        assert got == reference_battery(spec, max_power, prefix_len, base)
+        for c in cells:
+            assert 0 not in c.report.counts.values()
+
+    def test_reads_source_once(self, monkeypatch):
+        calls = []
+        stream = SourceSpec.stream
+
+        def spy(self):
+            calls.append(self)
+            return stream(self)
+
+        monkeypatch.setattr(SourceSpec, "stream", spy)
+        normality_battery(parse_source_spec("champernowne", 2), 4, 50)
+        assert len(calls) == 1
+        calls.clear()
+        power_base_shift_counts(parse_source_spec("random:5", 2), Word.parse("101", 2), 9)
+        assert len(calls) == 1
 
 
 class TestPowerBaseDecomposition:
@@ -186,6 +277,19 @@ class TestPowerBaseDecomposition:
         via_views = count_block_via_power_base(spec, word, k)
         direct = count_block(spec.stream(), word, n * (k + 1) - 1)
         assert via_views == direct
+
+    @given(
+        sources,
+        st.lists(st.integers(0, 5), min_size=1, max_size=5),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rebuild_per_shift(self, src, digits, k):
+        kind, seed, base = src
+        spec = parse_source_spec(source_text(kind, seed), base)
+        word = Word(base, tuple(d % base for d in digits))
+        got = power_base_shift_counts(spec, word, k)
+        assert got == reference_shift_counts(spec, word, k)
 
     def test_validation(self):
         spec = parse_source_spec("random:1", 2)
