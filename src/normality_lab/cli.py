@@ -51,6 +51,10 @@ from .verify import check_ids, run_checks
 
 BATTERY_CSV_HEADER = "m,n,max_deviation"
 MEASURE_SWEEP_CSV_HEADER = "n,exact_measure,bound,holds"
+# `stats --format json` prints a count and a deviation for every digit of
+# the base; above this base only the text format, which reads the sparse
+# report, is offered
+STATS_JSON_MAX_BASE = 2**16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,6 +204,13 @@ def cmd_stats(args, parser) -> tuple[int, str]:
         _fail_usage(parser, f"-n must be >= 1, got {args.n}")
     source = _parse_source(args, parser)
     base = _target_base(args, source, parser)
+    fmt = _fmt(args, "json")
+    if fmt == "json" and base > STATS_JSON_MAX_BASE:
+        _fail_usage(
+            parser,
+            f"--format json lists every digit of the base, so it needs base"
+            f" <= {STATS_JSON_MAX_BASE}, got {base}; use --format text",
+        )
     if args.digit is not None and not 0 <= args.digit < base:
         _fail_usage(parser, f"digit {args.digit} out of range for base {base}")
     word = None
@@ -214,29 +225,32 @@ def cmd_stats(args, parser) -> tuple[int, str]:
     except ValueError as exc:
         _fail_usage(parser, str(exc))
     report = simple_normality_report(stream, args.n)
-
-    payload = report.to_json_dict()
-    payload["counts"] = {str(d): report.counts.get(d, 0) for d in range(base)}
-    if args.digit is not None:
-        payload["digit"] = args.digit
-        payload["digit_count"] = report.counts.get(args.digit, 0)
+    digit_count = None if args.digit is None else report.counts.get(args.digit, 0)
+    word_count = None
     if word is not None:
-        payload["word"] = str(word)
-        payload["word_count"] = count_block(stream_in_base(source, base), word, args.n)
+        word_count = count_block(stream_in_base(source, base), word, args.n)
 
-    if _fmt(args, "json") == "json":
+    if fmt == "json":
+        payload = report.to_json_dict()
+        payload["counts"] = {str(d): report.counts.get(d, 0) for d in range(base)}
+        if digit_count is not None:
+            payload["digit"] = args.digit
+            payload["digit_count"] = digit_count
+        if word_count is not None:
+            payload["word"] = str(word)
+            payload["word_count"] = word_count
         return 0, json.dumps(payload, indent=2) + "\n"
+    dev = report.max_deviation
     lines = [
         f"source: {args.source}",
         f"base: {base}",
         f"n: {args.n}",
-        f"max deviation: {payload['max_deviation']}"
-        f" (~ {payload['max_deviation_decimal']})",
+        f"max deviation: {format_rational(dev)} (~ {decimal_approx(dev)})",
     ]
-    if "digit_count" in payload:
-        lines.append(f"digit {args.digit}: {payload['digit_count']} occurrences")
-    if "word_count" in payload:
-        lines.append(f"word {args.word}: {payload['word_count']} occurrences")
+    if digit_count is not None:
+        lines.append(f"digit {args.digit}: {digit_count} occurrences")
+    if word_count is not None:
+        lines.append(f"word {args.word}: {word_count} occurrences")
     return 0, "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,8 @@ source of base-r digits after the radix point.  Streams compose (a
 rational expansion and a regrouping into base r**n are both streams; a
 fractional shift by m is `take(m)`) and every consumer states up front
 how many digits it needs, so exhaustion is always reported with exact
-positions.
+positions.  Every read is one `take` (an `islice` of the stream's
+iterator) and a fork is an `itertools.tee` of it.
 
 Digits are plain ints in range(base).  The expansion produced for a
 rational is the standard long-division one, streamed lazily in constant
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, tee
 from typing import Iterator
 
 from .errors import InsufficientDigitsError
@@ -63,68 +65,28 @@ def digits_to_int(digits, base: int) -> int:
     return value
 
 
-class _Tape:
-    """Shared buffer that lets forked streams replay one underlying iterator."""
-
-    __slots__ = ("_it", "buffer", "exhausted")
-
-    def __init__(self, it: Iterator[int]):
-        self._it = it
-        self.buffer: list[int] = []
-        self.exhausted = False
-
-    def get(self, index: int) -> int | None:
-        """Digit at tape offset `index`, or None once the source is dry."""
-        while len(self.buffer) <= index:
-            if self.exhausted:
-                return None
-            try:
-                self.buffer.append(next(self._it))
-            except StopIteration:
-                self.exhausted = True
-                return None
-        return self.buffer[index]
-
-
 class DigitStream:
     """Single-consumer stream of base-r digits after the radix point.
 
-    `position` counts digits consumed from the underlying expansion since
-    this stream's origin; a fork shares the origin, so both copies report
-    positions in the same coordinate system.  Forking switches the stream
-    onto a shared tape whose memory grows with the furthest read; fine
-    for the bounded reads this package performs, so the tape is never
-    trimmed.
+    An iterator plus a `position`: the count of digits consumed from the
+    underlying expansion since this stream's origin.  A fork shares the
+    origin, so both copies report positions in the same coordinate
+    system; its digits are kept only until both copies have read them.
     """
 
-    __slots__ = ("base", "position", "description", "_it", "_tape", "_cursor")
+    __slots__ = ("base", "position", "description", "_it")
 
     def __init__(self, base: int, digits, description: str = ""):
         self.base = validate_base(base)
         self.position = 0
         self.description = description
-        self._it: Iterator[int] | None = iter(digits)
-        self._tape: _Tape | None = None
-        self._cursor = 0
+        self._it: Iterator[int] = iter(digits)
 
-    def next_digit(self) -> int:
-        if self._tape is None:
-            try:
-                d = next(self._it)  # type: ignore[arg-type]
-            except StopIteration:
-                raise InsufficientDigitsError(
-                    self.position, self.position + 1, self.description
-                ) from None
-        else:
-            got = self._tape.get(self._cursor)
-            if got is None:
-                raise InsufficientDigitsError(
-                    self.position, self.position + 1, self.description
-                )
-            d = got
-            self._cursor += 1
-        self.position += 1
-        return d
+    def _read(self, count: int) -> list[int]:
+        """Up to `count` digits, fewer only once the source is dry."""
+        digits = list(islice(self._it, count))
+        self.position += len(digits)
+        return digits
 
     def take(self, count: int) -> list[int]:
         """Exactly `count` digits, or InsufficientDigitsError telling how
@@ -133,15 +95,10 @@ class DigitStream:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         goal = self.position + count
-        out: list[int] = []
-        for _ in range(count):
-            try:
-                out.append(self.next_digit())
-            except InsufficientDigitsError:
-                raise InsufficientDigitsError(
-                    self.position, goal, self.description
-                ) from None
-        return out
+        digits = self._read(count)
+        if len(digits) < count:
+            raise InsufficientDigitsError(self.position, goal, self.description)
+        return digits
 
     def fork(self) -> "DigitStream":
         """An independent stream continuing from the same next digit.
@@ -149,25 +106,10 @@ class DigitStream:
         Both copies may be consumed in any interleaving and see identical
         digits.
         """
-        if self._tape is None:
-            self._tape = _Tape(self._it)  # type: ignore[arg-type]
-            self._it = None
-            self._cursor = 0
-        twin = DigitStream.__new__(DigitStream)
-        twin.base = self.base
+        self._it, twin_it = tee(self._it)
+        twin = DigitStream(self.base, twin_it, self.description)
         twin.position = self.position
-        twin.description = self.description
-        twin._it = None
-        twin._tape = self._tape
-        twin._cursor = self._cursor
         return twin
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            try:
-                yield self.next_digit()
-            except InsufficientDigitsError:
-                return
 
     def __repr__(self) -> str:
         src = f" {self.description}" if self.description else ""
@@ -252,10 +194,9 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
 
     Output digit k is the n consecutive input digits k*n..k*n+n-1 read as
     a base-r integer; consuming k output digits consumes exactly k*n input
-    digits.  n=1 returns the stream itself.  Exhaustion mid-group
-    propagates the underlying error from `next_digit` (its position
-    identifies the short read in input coordinates); `take` on the
-    grouped stream reports it in grouped digits.
+    digits.  n=1 returns the stream itself.  A short final group ends the
+    grouped stream, after consuming what is left of the input, so `take`
+    on the grouped stream reports the shortfall in grouped digits.
     """
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
@@ -264,10 +205,10 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
     r = stream.base
 
     def grouped() -> Iterator[int]:
-        while True:
+        while len(group := stream._read(n)) == n:
             value = 0
-            for _ in range(n):
-                value = value * r + stream.next_digit()
+            for d in group:
+                value = value * r + d
             yield value
 
     inner = stream.description or f"base {r} stream"

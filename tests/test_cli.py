@@ -144,6 +144,36 @@ class TestStats:
     def test_word_must_parse(self, capsys):
         run_usage_error(capsys, *self.ARGS, "--word", "012")
 
+    def test_huge_base_text_reads_the_sparse_report(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "stats", "--source", "random:1", "--base", str(2**40), "-n", "10",
+            "--digit", "0", "--format", "text",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"base: {2**40}",
+            "n: 10",
+            # ten distinct digits, each 1/10 - 1/2**40 off uniform
+            "max deviation: 549755813883/5497558138880 (~ 0.0999999999991)",
+            "digit 0: 0 occurrences",
+        ]
+
+    def test_huge_base_json_is_a_usage_error(self, capsys):
+        err = run_usage_error(
+            capsys, "stats", "--source", "random:1", "--base", str(2**40), "-n", "10",
+        )
+        assert "--format text" in err
+        assert "Traceback" not in err
+
+    def test_json_cap_is_inclusive(self, capsys):
+        code, out, _ = run(
+            capsys, "stats", "--source", "random:1", "--base", str(2**16), "-n", "10",
+        )
+        assert code == 0
+        assert len(json.loads(out)["counts"]) == 2**16
+
 
 class TestBattery:
     def test_csv_for_one_third(self, capsys):

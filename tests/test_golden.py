@@ -3,7 +3,7 @@
 The exact-arithmetic hashes were captured from the Fraction-per-term
 implementation of the moment and measure hot paths, the expand and stats
 hashes from the eager rational expansion and the per-module digit
-alphabets, the battery hashes (and the stats run with unseen digits)
+alphabets, the battery hashes (and the stats runs with unseen digits)
 from the rebuild-per-view battery with dense per-digit reports; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 """
@@ -79,6 +79,12 @@ GOLDEN = [
         ("stats", "--source", "rational:1/3", "--base", "10", "-n", "20", "--digit", "5",
          "--format", "json"),
         "c4f400ccaccceee2780a486437eddf727860b462957da1d6a013ad4b2680afe0",
+    ),
+    (
+        # a base far above any prefix: text reads the sparse report only
+        ("stats", "--source", "random:1", "--base", "65536", "-n", "10",
+         "--format", "text"),
+        "d4f5a0d1c5656aacfdaa8f26f34b786863c614c68cddb7e41405dc9bb48b0db8",
     ),
 ]
 

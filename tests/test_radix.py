@@ -20,6 +20,7 @@ from normality_lab.radix import (
     regroup_to_power_base,
     validate_base,
 )
+from normality_lab.sources import champernowne_stream
 
 # a value q in [0, 1) with a modest denominator
 unit_fractions = st.integers(2, 5000).flatmap(
@@ -92,7 +93,7 @@ class TestDigitStream:
         s = DigitStream(2, iter([1, 0, 1, 1, 0, 0, 1]))
         a = s.fork()
         b = a.fork()
-        assert s.next_digit() == 1
+        assert s.take(1) == [1]
         assert a.take(2) == [1, 0]
         assert b.take(3) == [1, 0, 1]
         assert s.take(2) == [0, 1]
@@ -104,11 +105,23 @@ class TestDigitStream:
         with pytest.raises(InsufficientDigitsError) as exc:
             twin.take(1)
         assert exc.value.available == 3
-        s.take(3)  # original still sees everything via the tape
+        s.take(3)  # the original still sees every digit
 
-    def test_iteration_stops_at_exhaustion(self):
-        s = DigitStream(10, iter([4, 5]))
-        assert list(s) == [4, 5]
+    def test_fork_frees_digits_both_copies_read(self):
+        # the two copies never drift more than 1000 digits apart, so a
+        # fork that kept every digit read (half a million here) would show
+        s = champernowne_stream(10)
+        twin = s.fork()
+        tracemalloc.start()
+        try:
+            for _ in range(500):
+                s.take(1000)
+                twin.take(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.position == twin.position == 500_000
+        assert peak < 2**20
 
 
 class TestExpandRational:
@@ -231,10 +244,12 @@ class TestRegroup:
     def test_exhaustion_mid_group_propagates(self):
         s = DigitStream(2, iter([1, 0, 1]))
         g = regroup_to_power_base(s, 2)
-        assert g.next_digit() == 2
+        assert g.take(1) == [2]
         with pytest.raises(InsufficientDigitsError) as exc:
-            g.next_digit()
-        assert exc.value.available == 3  # input-coordinate position
+            g.take(1)
+        assert exc.value.available == 1  # grouped coordinates
+        assert exc.value.requested == 2
+        assert s.position == 3  # the short group was read to the end
 
     def test_take_exhaustion_counts_grouped_digits(self):
         g = regroup_to_power_base(DigitStream(2, iter([1, 0, 1])), 2)

@@ -11,6 +11,7 @@ from normality_lab.errors import (
     InvalidDigitError,
     MalformedHeaderError,
 )
+from normality_lab.radix import regroup_to_power_base
 from normality_lab.sources import (
     ASSETS_ENV,
     SourceSpec,
@@ -328,3 +329,67 @@ class TestStreamInBase:
         spec = parse_source_spec(f"file:{p}")
         with pytest.raises(ValueError):
             stream_in_base(spec, 7)
+
+
+# one source of each kind; the packaged pi file holds 1000 digits, more
+# than any read below
+split_sources = st.one_of(
+    st.builds(
+        lambda num, den, base: parse_source_spec(f"rational:{num % den}/{den}", base),
+        st.integers(0, 10**6), st.integers(1, 5000), st.integers(2, 16),
+    ),
+    st.integers(2, 16).map(lambda base: parse_source_spec("champernowne", base)),
+    st.builds(
+        lambda seed, base: parse_source_spec(f"random:{seed}", base),
+        st.integers(0, 2**64), st.integers(2, 16),
+    ),
+    st.just("file:pi_base10.digits").map(parse_source_spec),
+)
+
+
+def one_by_one(spec, count):
+    """The oracle: the first `count` digits of a fresh stream, pulled from
+    its iterator one next() at a time."""
+    it = spec.stream()._it
+    return [next(it) for _ in range(count)]
+
+
+class TestStreamSplitting:
+    @given(split_sources, st.lists(st.integers(0, 120), max_size=8))
+    @settings(max_examples=150)
+    def test_split_takes_equal_one_take(self, spec, sizes):
+        stream = spec.stream()
+        pieces = []
+        for size in sizes:
+            pieces += stream.take(size)
+            assert stream.position == len(pieces)
+        total = sum(sizes)
+        assert pieces == spec.stream().take(total) == one_by_one(spec, total)
+
+    @given(
+        split_sources,
+        st.integers(0, 100),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 60)), max_size=12),
+    )
+    @settings(max_examples=150)
+    def test_interleaved_forks_see_identical_digits(self, spec, head, reads):
+        stream = spec.stream()
+        stream.take(head)
+        copies = [stream, stream.fork()]
+        seen = [[], []]
+        for which, size in reads:
+            seen[which] += copies[which].take(size)
+            assert copies[which].position == head + len(seen[which])
+        expected = one_by_one(spec, head + max(map(len, seen)))[head:]
+        for digits in seen:
+            assert digits == expected[: len(digits)]
+
+    @given(st.integers(2, 7))
+    def test_short_final_group_reads_the_file_to_the_end(self, n):
+        inner = parse_source_spec("file:pi_base10.digits").stream()
+        grouped = regroup_to_power_base(inner, n)
+        whole = 1000 // n
+        with pytest.raises(InsufficientDigitsError) as exc:
+            grouped.take(whole + 1)
+        assert (exc.value.available, exc.value.requested) == (whole, whole + 1)
+        assert inner.position == 1000
