@@ -6,14 +6,18 @@ rational expansion and a regrouping into base r**n are both streams; a
 fractional shift by m is `take(m)`) and every consumer states up front
 how many digits it needs, so exhaustion is always reported with exact
 positions.  Every read is one `take` (an `islice` of the stream's
-iterator) and a fork is an `itertools.tee` of it.
+iterator) and a fork is an `itertools.tee` of it.  Sources emit digits
+in chunks (a `bytes` or a tuple of digit values) and a stream flattens
+them with `itertools.chain.from_iterable`, so a read costs no Python
+frame per digit.
 
 Digits are plain ints in range(base).  The expansion produced for a
 rational is the standard long-division one, streamed lazily in constant
-memory: it never ends in an infinite tail of (base-1), and a
-leading-digit index records where the expansion starts.  Its preperiod
-and period are computed separately, by :func:`rational_period`.  Bases
-are ints >= 2.
+memory, one division per group of digits: it never ends in an infinite
+tail of (base-1), and a leading-digit index records where the expansion
+starts.  Its preperiod and period are computed separately, by
+:func:`rational_period`, from the factorization of a Carmichael
+function.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -22,9 +26,10 @@ bracketed decimal like "[17]".
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from typing import Iterator
 
 from .errors import InsufficientDigitsError
@@ -52,6 +57,27 @@ def int_to_digits(value: int, base: int) -> list[int]:
         digits.append(d)
     digits.reverse()
     return digits
+
+
+# the largest digit table a stream builds: base**t entries of t digits
+_TABLE_LIMIT = 4096
+
+
+def _digit_table(base: int) -> tuple[int, list]:
+    """(t, table) with t >= 0 the largest group size with base**t <= 4096
+    and table[g] the t digits of g, zero-padded, for g in range(base**t).
+
+    Entries are `bytes` up to base 256 and tuples above; beyond base 4096
+    t is 0 and the table holds the one empty group.
+    """
+    pack = bytes if base <= 256 else tuple
+    if base > _TABLE_LIMIT:
+        return 0, [pack()]
+    t, table = 1, [pack((d,)) for d in range(base)]
+    digits = table
+    while base ** (t + 1) <= _TABLE_LIMIT:
+        t, table = t + 1, [group + d for group in table for d in digits]
+    return t, table
 
 
 def digits_to_int(digits, base: int) -> int:
@@ -136,11 +162,12 @@ class DigitExpansion:
 def expand_rational(q: Fraction, base: int) -> DigitExpansion:
     """Standard long-division expansion of a nonnegative rational.
 
-    The fractional stream is infinite and lazy: each digit is one step of
-    long division on the remainder, so memory stays constant however long
-    the period.  The expansion produced is the one whose truncations
-    round down, so it never ends in an infinite tail of (base-1): 1/2 in
-    base 2 is 0.1000..., not 0.0111... .
+    The fractional stream is infinite and lazy: each group of t digits
+    (see `_digit_table`) is one step of long division by base**t on the
+    remainder, so memory stays constant however long the period.  The
+    expansion produced is the one whose truncations round down, so it
+    never ends in an infinite tail of (base-1): 1/2 in base 2 is
+    0.1000..., not 0.0111... .
     """
     validate_base(base)
     q = Fraction(q)
@@ -161,12 +188,19 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
         while scaled < den:
             leading, scaled = leading - 1, scaled * base
 
+    t, table = _digit_table(base)
+    step = base ** max(t, 1)
+
     def long_division(r: int = rem) -> Iterator[int]:
         while True:
-            d, r = divmod(r * base, den)
-            yield d
+            g, r = divmod(r * step, den)
+            yield g
 
-    stream = DigitStream(base, long_division(), description=f"{q} in base {base}")
+    # above base 4096 there is no table: each quotient is one digit
+    groups = map(table.__getitem__, long_division()) if t else zip(long_division())
+    stream = DigitStream(
+        base, chain.from_iterable(groups), description=f"{q} in base {base}"
+    )
     return DigitExpansion(base, integer_digits, stream, leading)
 
 
@@ -175,7 +209,9 @@ def rational_period(q: Fraction, base: int) -> tuple[int, int]:
 
     The preperiod is how often gcd(den, base) divides out of the reduced
     denominator, the period the multiplicative order of base modulo what
-    remains (1 for the all-zero tail).  O(period) time, O(1) memory.
+    remains (1 for the all-zero tail).  The order is found by dividing
+    primes out of the Carmichael function of that cofactor, so the cost
+    is that of factoring it, not of walking the period.
     """
     validate_base(base)
     den = Fraction(q).denominator
@@ -183,10 +219,87 @@ def rational_period(q: Fraction, base: int) -> tuple[int, int]:
     while (g := math.gcd(den, base)) > 1:
         den //= g
         preperiod += 1
-    period, power = 1, base % den
-    while power != 1 % den:
-        period, power = period + 1, power * base % den
-    return preperiod, period
+    return preperiod, _multiplicative_order(base, den)
+
+
+def _multiplicative_order(a: int, n: int) -> int:
+    """The least k >= 1 with a**k == 1 mod n, for a coprime to n."""
+    order = 1  # Carmichael's lambda(n), the lcm of lambda over prime powers
+    for p, k in _factorize(n).items():
+        lam = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
+        order = math.lcm(order, lam)
+    for p in _factorize(order):
+        while order % p == 0 and pow(a, order // p, n) == 1:
+            order //= p
+    return order
+
+
+# trial division runs this far before Pollard's rho takes over
+_TRIAL_LIMIT = 10**6
+# Miller-Rabin with these bases is exact below 3.18 * 10**23
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1."""
+    factors: dict[int, int] = {}
+    f = 2
+    while f * f <= n and f <= _TRIAL_LIMIT:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            rest += [d, m // d]
+    return factors
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the fixed witnesses, for n >= 2."""
+    if n in _WITNESSES:
+        return True
+    if any(n % p == 0 for p in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 37.
+
+    Floyd's cycle search on x -> x*x + c mod n, seeded from a fixed
+    generator so the same n always takes the same steps.
+    """
+    rng = random.Random(n)
+    while True:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(2, n)
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:

@@ -14,6 +14,10 @@ Four kinds, all deterministic:
 
 A :class:`SourceSpec` is the parsed, reusable description; every call to
 :meth:`SourceSpec.stream` starts a fresh stream from digit one.
+
+Champernowne digits come a block of integers at a time and file digits a
+line at a time, each block one `bytes` (a tuple above base 256) that the
+:class:`DigitStream` flattens; only ``random`` makes one digit per step.
 """
 from __future__ import annotations
 
@@ -22,14 +26,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
 from .errors import InvalidDigitError, MalformedHeaderError
 from .exact import parse_rational
 from .radix import (
+    ALPHABET,
     CHAR_VALUE,
     DigitStream,
+    _digit_table,
     digits_to_int,
     expand_rational,
     int_to_digits,
@@ -53,16 +60,29 @@ def rational_stream(value: Fraction, base: int) -> DigitStream:
 
 
 def champernowne_stream(base: int) -> DigitStream:
-    """Concatenated digits of 1, 2, 3, ... in the given base."""
+    """Concatenated digits of 1, 2, 3, ... in the given base.
+
+    With t and its table from `_digit_table`, the integers below base**t
+    come first, then one chunk per high part hi: the integers hi*base**t
+    up to (hi+1)*base**t - 1, each the digits of hi followed by t table
+    digits.
+    """
     validate_base(base)
+    t, table = _digit_table(base)
+    pack = type(table[0])
 
-    def digits() -> Iterator[int]:
-        k = 1
-        while True:
-            yield from int_to_digits(k, base)
-            k += 1
+    def chunks() -> Iterator:
+        yield pack(d for k in range(1, base**t) for d in int_to_digits(k, base))
+        for hi in count(1):
+            head = pack(int_to_digits(hi, base))
+            if pack is bytes:
+                yield head + head.join(table)
+            else:
+                yield tuple(d for low in table for d in head + low)
 
-    return DigitStream(base, digits(), description=f"champernowne base {base}")
+    return DigitStream(
+        base, chain.from_iterable(chunks()), description=f"champernowne base {base}"
+    )
 
 
 def xorshift64_step(state: int) -> int:
@@ -118,7 +138,7 @@ class DigitFile:
     def stream(self) -> DigitStream:
         return DigitStream(
             self.base,
-            _scan_digits(self.path, self.base, self.header_lines),
+            chain.from_iterable(_scan_digits(self.path, self.base, self.header_lines)),
             description=str(self.path.name),
         )
 
@@ -154,59 +174,80 @@ def load_digit_file(path) -> DigitFile:
     return DigitFile(path, base, integer_value, header_lines)
 
 
-def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator[int]:
+# the characters str.isspace() accepts in a file read as ASCII
+_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_SPACE_BYTES = _SPACE.encode()
+_TOKEN = re.compile(r"\[([0-9]+)\]")
+
+
+def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
+    """The digit section of a file, one chunk of digit values per line.
+
+    A line is cut at the end of its longest well-formed prefix.  That
+    prefix becomes one chunk (one `bytes.translate` up to base 36, one
+    `re.findall` of bracket tokens above); if the cut is short of the end
+    of the line, or a bracket token is out of range, the digits before the
+    first bad character come out and then the InvalidDigitError for it.
+    """
+    space = re.escape(_SPACE)
+    if base <= 36:
+        well_formed = re.compile(f"[{space}{ALPHABET[:base]}]*")
+        values = bytes.maketrans(ALPHABET[:base].encode(), bytes(range(base)))
+    else:
+        well_formed = re.compile(f"(?:[{space}]*{_TOKEN.pattern})*[{space}]*")
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= header_lines:
                 continue
+            cut = well_formed.match(line).end()
             if base <= 36:
-                for col, ch in enumerate(line, start=1):
-                    if ch.isspace():
-                        continue
-                    value = CHAR_VALUE.get(ch)
-                    if value is None:
-                        raise InvalidDigitError(
-                            path, lineno, col, f"invalid digit character {ch!r}"
-                        )
-                    if value >= base:
-                        raise InvalidDigitError(
-                            path, lineno, col,
-                            f"digit {ch!r} (= {value}) out of range for base {base}",
-                        )
-                    yield value
+                yield line[:cut].encode("ascii").translate(values, _SPACE_BYTES)
+                if cut < len(line):
+                    raise _bad_character(path, base, lineno, line, cut)
             else:
-                yield from _scan_bracketed_line(path, base, lineno, line)
+                digits = list(map(int, _TOKEN.findall(line, 0, cut)))
+                if digits and max(digits) >= base:
+                    k = next(k for k, d in enumerate(digits) if d >= base)
+                    yield digits[:k]
+                    token = list(_TOKEN.finditer(line, 0, cut))[k]
+                    raise InvalidDigitError(
+                        path, lineno, token.start() + 2,
+                        f"digit [{digits[k]}] out of range for base {base}",
+                    )
+                yield digits
+                if cut < len(line):
+                    raise _bad_token(path, lineno, line, cut)
 
 
-def _scan_bracketed_line(path: Path, base: int, lineno: int, line: str) -> Iterator[int]:
-    col = 0
-    length = len(line)
-    while col < length:
-        ch = line[col]
-        col += 1
-        if ch.isspace():
-            continue
-        if ch != "[":
-            raise InvalidDigitError(
-                path, lineno, col, f"expected '[', got {ch!r}"
-            )
-        start = col
-        end = line.find("]", col)
-        if end == -1:
-            raise InvalidDigitError(path, lineno, start, "unterminated '[' token")
-        token = line[col:end]
-        col = end + 1
-        if not token.isdigit():
-            raise InvalidDigitError(
-                path, lineno, start + 1, f"expected decimal digits inside [], got {token!r}"
-            )
-        value = int(token)
-        if value >= base:
-            raise InvalidDigitError(
-                path, lineno, start + 1,
-                f"digit [{value}] out of range for base {base}",
-            )
-        yield value
+def _bad_character(
+    path: Path, base: int, lineno: int, line: str, col: int
+) -> InvalidDigitError:
+    """The error for the character at 0-based `col`, which is neither
+    whitespace nor a digit of `base`."""
+    ch = line[col]
+    value = CHAR_VALUE.get(ch)
+    if value is None:
+        return InvalidDigitError(
+            path, lineno, col + 1, f"invalid digit character {ch!r}"
+        )
+    return InvalidDigitError(
+        path, lineno, col + 1, f"digit {ch!r} (= {value}) out of range for base {base}"
+    )
+
+
+def _bad_token(path: Path, lineno: int, line: str, col: int) -> InvalidDigitError:
+    """The error for the text at 0-based `col`, which starts no
+    well-formed bracket token."""
+    ch = line[col]
+    if ch != "[":
+        return InvalidDigitError(path, lineno, col + 1, f"expected '[', got {ch!r}")
+    end = line.find("]", col + 1)
+    if end == -1:
+        return InvalidDigitError(path, lineno, col + 1, "unterminated '[' token")
+    return InvalidDigitError(
+        path, lineno, col + 2,
+        f"expected decimal digits inside [], got {line[col + 1:end]!r}",
+    )
 
 
 def file_digit_stream(path) -> DigitStream:

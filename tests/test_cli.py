@@ -78,6 +78,18 @@ class TestExpand:
         assert code == 0
         assert out == f"0.{10**30 // 1000000007:030d}\n"
 
+    def test_huge_period_json_finishes(self, capsys):
+        # 10 is a primitive root mod 10**9 + 7: the period is 10**9 + 6
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "expand", "--source", "rational:1/1000000007", "--base", "10",
+            "--digits", "30", "--format", "json",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["preperiod"], payload["period"]) == (0, 1000000006)
+
     def test_base_required_for_rational(self, capsys):
         run_usage_error(capsys, "expand", "--source", "rational:1/3",
                         "--digits", "4")

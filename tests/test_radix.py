@@ -1,4 +1,5 @@
 """Digit streams, rational expansions, regrouping, shifting, rendering."""
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from normality_lab.errors import InsufficientDigitsError
 from normality_lab.radix import (
     DigitExpansion,
     DigitStream,
+    _factorize,
     digit_token,
     digits_to_int,
     expand_rational,
@@ -210,6 +212,21 @@ class TestExpandRational:
     def test_period_matches_remainder_cycle(self, q, int_part, base):
         for value in (q, q + int_part):
             assert rational_period(value, base) == remainder_cycle_period(value, base)
+
+    def test_period_with_prime_factors_past_trial_division(self):
+        # both primes lie above 10**6, so only Pollard's rho can split
+        # their product; the oracle walks the powers of 10 modulo each
+        p, q = 1000003, 1000033
+
+        def order_by_walk(a, n):
+            k, power = 1, a % n
+            while power != 1:
+                k, power = k + 1, power * a % n
+            return k
+
+        period = math.lcm(order_by_walk(10, p), order_by_walk(10, q))
+        assert rational_period(Fraction(7, 40 * p * q), 10) == (3, period)
+        assert _factorize(12 * p**2 * q) == {2: 2, 3: 1, p: 2, q: 1}
 
     @given(unit_fractions, bases)
     @settings(max_examples=100)

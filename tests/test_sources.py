@@ -1,6 +1,9 @@
 """Digit sources: rationals, champernowne, files, seeded randomness."""
 import os
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,14 @@ from normality_lab.errors import (
     InvalidDigitError,
     MalformedHeaderError,
 )
-from normality_lab.radix import regroup_to_power_base
+from normality_lab.radix import (
+    ALPHABET,
+    CHAR_VALUE,
+    DigitStream,
+    expand_rational,
+    int_to_digits,
+    regroup_to_power_base,
+)
 from normality_lab.sources import (
     ASSETS_ENV,
     SourceSpec,
@@ -393,3 +403,205 @@ class TestStreamSplitting:
             grouped.take(whole + 1)
         assert (exc.value.available, exc.value.requested) == (whole, whole + 1)
         assert inner.position == 1000
+
+
+# --- per-digit references: the generators the chunked sources replaced ---
+
+
+def champernowne_by_digit(base):
+    k = 1
+    while True:
+        yield from int_to_digits(k, base)
+        k += 1
+
+
+def long_division_by_digit(q, base):
+    r = q.numerator
+    while True:
+        d, r = divmod(r * base, q.denominator)
+        yield d
+
+
+def scan_by_character(path, base, header_lines):
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno <= header_lines:
+                continue
+            if base <= 36:
+                for col, ch in enumerate(line, start=1):
+                    if ch.isspace():
+                        continue
+                    value = CHAR_VALUE.get(ch)
+                    if value is None:
+                        raise InvalidDigitError(
+                            path, lineno, col, f"invalid digit character {ch!r}"
+                        )
+                    if value >= base:
+                        raise InvalidDigitError(
+                            path, lineno, col,
+                            f"digit {ch!r} (= {value}) out of range for base {base}",
+                        )
+                    yield value
+            else:
+                yield from scan_bracketed_line(path, base, lineno, line)
+
+
+def scan_bracketed_line(path, base, lineno, line):
+    col = 0
+    while col < len(line):
+        ch = line[col]
+        col += 1
+        if ch.isspace():
+            continue
+        if ch != "[":
+            raise InvalidDigitError(path, lineno, col, f"expected '[', got {ch!r}")
+        start = col
+        end = line.find("]", col)
+        if end == -1:
+            raise InvalidDigitError(path, lineno, start, "unterminated '[' token")
+        token = line[col:end]
+        col = end + 1
+        if not token.isdigit():
+            raise InvalidDigitError(
+                path, lineno, start + 1,
+                f"expected decimal digits inside [], got {token!r}",
+            )
+        value = int(token)
+        if value >= base:
+            raise InvalidDigitError(
+                path, lineno, start + 1, f"digit [{value}] out of range for base {base}"
+            )
+        yield value
+
+
+# bytes chunks up to base 256, tuples above, and no digit table past 4096
+chunk_bases = st.one_of(st.integers(2, 300), st.integers(4090, 4100))
+
+
+def champernowne_chunk_edge(base, j):
+    """Where chunk j + 1 of the chunked champernowne stream starts: the
+    integers below base**t, then base**t integers per high part."""
+    t = 0
+    while base ** (t + 1) <= 4096:
+        t += 1
+    edge = sum(len(int_to_digits(k, base)) for k in range(1, base**t))
+    for hi in range(1, j + 1):
+        edge += base**t * (t + len(int_to_digits(hi, base)))
+    return edge
+
+
+def read_in_pieces(stream, head, sizes):
+    digits = stream.take(head)
+    for size in sizes:
+        digits += stream.take(size)
+        assert stream.position == len(digits)
+    return digits
+
+
+class TestChunkedSources:
+    @given(
+        chunk_bases,
+        st.integers(0, 1),
+        st.integers(-40, 40),
+        st.lists(st.integers(0, 30), max_size=6),
+    )
+    @settings(max_examples=80)
+    def test_champernowne_matches_per_digit(self, base, edge, lead, sizes):
+        head = max(0, champernowne_chunk_edge(base, edge) + lead)
+        got = read_in_pieces(champernowne_stream(base), head, sizes)
+        assert got == list(islice(champernowne_by_digit(base), len(got)))
+
+    @given(
+        chunk_bases,
+        st.integers(0, 10**9),
+        st.integers(1, 10**9),
+        st.integers(0, 30),
+        st.lists(st.integers(0, 30), max_size=8),
+    )
+    @settings(max_examples=150)
+    def test_rational_matches_per_digit(self, base, num, den, head, sizes):
+        q = Fraction(num % den, den)
+        got = read_in_pieces(rational_stream(q, base), head, sizes)
+        assert got == list(islice(long_division_by_digit(q, base), len(got)))
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: champernowne_stream(2**40).take(10), list(range(1, 11))),
+            (
+                lambda: expand_rational(Fraction(1, 3), 2**40).fractional.take(10),
+                [2**40 // 3] * 10,
+            ),
+        ],
+        ids=["champernowne", "rational"],
+    )
+    def test_huge_base_builds_no_base_sized_table(self, make, expected):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            digits = make()
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digits == expected
+        assert elapsed < 1
+        assert peak < 2**20
+
+
+# whitespace str.isspace() accepts, line ends included
+SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\r\n", "\n", "\r")
+
+
+def bad_pieces(base):
+    """Text that no digit of `base` may contain."""
+    if base <= 36:
+        return ["!", "Z", "\u00e9", "[", *ALPHABET[base : base + 1]]
+    return ["[]", "[5x]", f"[{base}]", f"[{base + 7:04d}]", "[5", "5", "[ 5]", "]",
+            "\u00e9"]
+
+
+@st.composite
+def digit_files(draw):
+    """A base, a header, the pieces of a valid digit section and a spot
+    among them for a bad piece."""
+    base = draw(st.one_of(st.integers(2, 36), st.integers(37, 300), st.just(100)))
+    pieces = []
+    for value in draw(st.lists(st.integers(0, base - 1), max_size=60)):
+        pieces.append(draw(st.sampled_from(("",) + SPACES)))
+        if base <= 36:
+            pieces.append(ALPHABET[value])
+        else:
+            pieces.append(f"[{value:0{draw(st.integers(1, 4))}d}]")
+    header = f"base={base}\n" + draw(st.sampled_from(("", "int=3\n")))
+    return base, header, pieces, draw(st.integers(0, len(pieces)))
+
+
+def outcome(stream, size):
+    """What one take does: its digits or its error, and the position after."""
+    try:
+        result = stream.take(size)
+    except (InvalidDigitError, InsufficientDigitsError) as exc:
+        result = (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                  getattr(exc, "column", None))
+    return result, stream.position
+
+
+class TestChunkedFiles:
+    @given(digit_files(), st.lists(st.integers(0, 25), max_size=5))
+    @settings(max_examples=100)
+    def test_lines_match_per_character_scan(self, tmp_path_factory, spec, sizes):
+        base, header, pieces, spot = spec
+        folder = tmp_path_factory.mktemp("chunked")
+        for bad in ["", *bad_pieces(base)]:
+            path = folder / "f.digits"
+            body = "".join(pieces[:spot] + [bad] + pieces[spot:])
+            path.write_bytes((header + body).encode("utf-8"))
+            meta = load_digit_file(path)
+            reference = DigitStream(
+                base, scan_by_character(path, base, meta.header_lines), path.name
+            )
+            stream = meta.stream()
+            # then digit by digit, so the digits before a bad one must come out
+            for size in [*sizes, *[1] * 62, 10**4]:
+                assert outcome(stream, size) == outcome(reference, size), body
