@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, tee
 from typing import Iterator
 
@@ -63,21 +64,23 @@ def int_to_digits(value: int, base: int) -> list[int]:
 _TABLE_LIMIT = 4096
 
 
-def _digit_table(base: int) -> tuple[int, list]:
+@lru_cache(maxsize=32)
+def _digit_table(base: int) -> tuple[int, tuple]:
     """(t, table) with t >= 0 the largest group size with base**t <= 4096
     and table[g] the t digits of g, zero-padded, for g in range(base**t).
 
     Entries are `bytes` up to base 256 and tuples above; beyond base 4096
-    t is 0 and the table holds the one empty group.
+    t is 0 and the table holds the one empty group.  Tables are kept per
+    base, for the last 32 bases asked for.
     """
     pack = bytes if base <= 256 else tuple
     if base > _TABLE_LIMIT:
-        return 0, [pack()]
+        return 0, (pack(),)
     t, table = 1, [pack((d,)) for d in range(base)]
     digits = table
     while base ** (t + 1) <= _TABLE_LIMIT:
         t, table = t + 1, [group + d for group in table for d in digits]
-    return t, table
+    return t, tuple(table)
 
 
 def digits_to_int(digits, base: int) -> int:

@@ -15,18 +15,25 @@ Four kinds, all deterministic:
 A :class:`SourceSpec` is the parsed, reusable description; every call to
 :meth:`SourceSpec.stream` starts a fresh stream from digit one.
 
-Champernowne digits come a block of integers at a time and file digits a
-line at a time, each block one `bytes` (a tuple above base 256) that the
-:class:`DigitStream` flattens; only ``random`` makes one digit per step.
+Champernowne digits come a block of integers at a time, file digits a
+line at a time and random digits a block of xorshift states at a time,
+each block one `bytes` (a tuple or list above base 256) that the
+:class:`DigitStream` flattens.  The random blocks come from many
+xorshift states stepped together in the lanes of one int; see
+`_random_chunks`.
 """
 from __future__ import annotations
 
+import operator
 import os
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
-from itertools import chain, count
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import Iterator
 
@@ -100,21 +107,172 @@ def random_stream(base: int, seed: int) -> DigitStream:
     replaced by a fixed documented constant.  Each digit is state mod
     base, with states at or above the largest multiple of base rejected,
     so every digit value is exactly equally likely per accepted state.
+    The base must be at most 2**64: above it, no 64-bit state would pass
+    the rejection test.
+
+    The digits are those of one `xorshift64_step` after another, made a
+    block at a time by `_random_chunks`.
     """
-    validate_base(base)
+    _check_random_base(base)
     state = seed & _MASK64
     if state == 0:
         state = _SEED_SUBSTITUTE
-    threshold = (1 << 64) - ((1 << 64) % base)
+    return DigitStream(
+        base,
+        chain.from_iterable(_random_chunks(base, state)),
+        description=f"xorshift64 seed {seed}",
+    )
 
-    def digits() -> Iterator[int]:
-        s = state
-        while True:
-            s = xorshift64_step(s)
-            if s < threshold:
-                yield s % base
 
-    return DigitStream(base, digits(), description=f"xorshift64 seed {seed}")
+def _check_random_base(base: int) -> None:
+    validate_base(base)
+    if base > 1 << 64:
+        raise ValueError(f"random source needs base <= 2**64, got {base}")
+
+
+# The packed generator.  xorshift is linear over GF(2): one step is a
+# 64x64 bit matrix A, and A**e (built by squaring) jumps e steps ahead
+# (Haramoto et al. 2008, "Efficient jump ahead for F2-linear random
+# number generators").  A block holds `lanes` states in the _WIDTH-bit
+# lanes of one int, lane k _STEPS states after lane k-1, so _STEPS packed
+# steps make the lanes * _STEPS states that follow the block's start,
+# lane after lane.  The bits above 64 in a lane take what a shift pushes
+# out of the state and the products of the reduction mod base.  The
+# first block has one lane, so a short read stays short, and each next
+# one twice as many, spread out from the last state of the block before;
+# from _LANES lanes on, one jump moves every lane to the next block.
+_WIDTH = 136
+_LANE_BYTES = _WIDTH // 8
+_LANES = 256
+_STEPS = 128
+
+
+def _rep(value: int, lanes: int) -> int:
+    """`value` (below 2**_WIDTH) in each of `lanes` lanes."""
+    return int.from_bytes(value.to_bytes(_LANE_BYTES, "little") * lanes, "little")
+
+
+def _apply(columns: tuple[int, ...], packed: int, lanes: int) -> int:
+    """The matrix, given by its 64 columns, applied to the 64-bit value in
+    each of `lanes` lanes."""
+    ones = _rep(1, lanes)
+    out = 0
+    for i, column in enumerate(columns):
+        out ^= ((packed >> i) & ones) * column
+    return out
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The matrix product a b, each matrix given by its 64 columns: a
+    applied to the columns of b, held in 64 lanes."""
+    packed = b"".join(column.to_bytes(_LANE_BYTES, "little") for column in b)
+    data = _apply(a, int.from_bytes(packed, "little"), 64).to_bytes(len(packed), "little")
+    return tuple(
+        int.from_bytes(data[k : k + 8], "little") for k in range(0, len(data), _LANE_BYTES)
+    )
+
+
+@cache
+def _jump_matrices() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(doubling, jump): doubling[i] is A**(_STEPS * 2**i), for the lanes
+    that `_spread` adds; jump is A**((_LANES - 1) * _STEPS), which moves
+    each lane of a full block to its place in the next block."""
+    power = tuple(xorshift64_step(1 << i) for i in range(64))
+    for _ in range(_STEPS.bit_length() - 1):
+        power = _compose(power, power)
+    doubling = [power]
+    while len(doubling) < _LANES.bit_length() - 1:
+        doubling.append(_compose(doubling[-1], doubling[-1]))
+    jump = doubling[0]
+    for power in doubling[1:]:
+        jump = _compose(power, jump)
+    return tuple(doubling), jump
+
+
+def _spread(state: int, lanes: int) -> int:
+    """Lanes holding `state` and the states _STEPS, 2*_STEPS, ... after it."""
+    packed, n = state, 1
+    for power in _jump_matrices()[0]:
+        if n == lanes:
+            break
+        packed |= _apply(power, packed, n) << (_WIDTH * n)
+        n *= 2
+    return packed
+
+
+def _random_chunks(base: int, state: int) -> Iterator:
+    """The digits of the states after `state`, one chunk per block.
+
+    A power-of-two base masks its digits out of the states.  Any other
+    base takes s mod base = s - q*base, where q = s*m >> shift is the
+    exact quotient for every 64-bit s, with 2**l >= base, shift = 64 + l
+    and m = 2**shift / base rounded up (Granlund and Montgomery 1994,
+    "Division by invariant integers using multiplication", Theorem 4.2);
+    s*m stays below 2**129.  Such a base also rejects the states s with
+    s + 2**64 mod base >= 2**64: a step where that sum carries into bit 64
+    of some lane records which lanes did, and their digits are dropped
+    once the block is in order.
+    """
+    small = base <= 256
+    spill = (1 << 64) % base
+    shift = 64 + (base - 1).bit_length()
+    multiplier = -(-(1 << shift) // base)
+    lanes, packed = 1, state
+    while True:
+        mask = _rep(_MASK64, lanes)
+        if spill:
+            spills, carries = _rep(spill, lanes), _rep(1 << 64, lanes)
+            quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
+        else:
+            digit_bits = _rep(base - 1, lanes)
+        rows, rejected = [], {}
+        for j in range(_STEPS):
+            packed ^= (packed << 13) & mask
+            packed ^= (packed >> 7) & mask
+            packed ^= (packed << 17) & mask
+            if spill:
+                if carry := (packed + spills) & carries:
+                    rejected[j] = _lane_bytes(carry >> 64, lanes, True)
+                quotients = ((packed * multiplier) & quotient_bits) >> shift
+                digits = packed - quotients * base
+            else:
+                digits = packed & digit_bits
+            rows.append(_lane_bytes(digits, lanes, small))
+        chunk = _lane_major(rows, lanes, small)
+        if rejected:
+            flags = [rejected.get(j, bytes(lanes)) for j in range(_STEPS)]
+            keep = map(operator.not_, _lane_major(flags, lanes, True))
+            chunk = (bytes if small else list)(compress(chunk, keep))
+        yield chunk
+        if lanes < _LANES:
+            lanes *= 2
+            packed = _spread(packed >> (_WIDTH * (lanes // 2 - 1)), lanes)
+        else:
+            packed = _apply(_jump_matrices()[1], packed, lanes)
+
+
+def _lane_bytes(packed: int, lanes: int, small: bool) -> bytes:
+    """The low byte (`small`) or the low 8 bytes, little-endian, of each
+    lane, lane after lane."""
+    data = packed.to_bytes(_LANE_BYTES * lanes, "little")
+    if small:
+        return data[::_LANE_BYTES]
+    words = bytearray(8 * lanes)
+    for i in range(8):
+        words[i::8] = data[i::_LANE_BYTES]
+    return bytes(words)
+
+
+def _lane_major(rows: list[bytes], lanes: int, small: bool):
+    """Rows from `_lane_bytes`, one per step, as each lane's digits in
+    turn: a `bytes` of byte digits (`small`) or a list of 64-bit ones."""
+    flat = b"".join(rows)
+    if small:
+        return b"".join(flat[k::lanes] for k in range(lanes))
+    words = array("Q", flat)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
 
 
 # --- digit files -----------------------------------------------------------
@@ -385,6 +543,7 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
             seed = int(arg, 0)
         except ValueError:
             raise ValueError(f"random source needs an integer seed, got {arg!r}") from None
+        _check_random_base(base)
         return SourceSpec(kind="random", base=base, seed=seed, spelled=text)
 
     raise ValueError(

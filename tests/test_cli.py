@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: output bytes, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import normality_lab
 from normality_lab import verify
 from normality_lab.cli import main
 from normality_lab.sources import ASSETS_ENV
@@ -178,6 +183,28 @@ class TestStats:
         )
         assert "--format text" in err
         assert "Traceback" not in err
+
+    def test_random_base_above_two_to_the_64_is_a_usage_error(self):
+        # in a child process, so a hang fails the test instead of stalling it
+        env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from normality_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+             "stats", "--source", "random:1", "--base", str(2**64 + 1), "-n", "1",
+             "--format", "text"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 2
+        assert "base <= 2**64" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_random_base_two_to_the_64_works(self, capsys):
+        code, out, _ = run(
+            capsys, "stats", "--source", "random:1", "--base", str(2**64), "-n", "3",
+            "--format", "text",
+        )
+        assert code == 0
+        assert "n: 3\n" in out
 
     def test_json_cap_is_inclusive(self, capsys):
         code, out, _ = run(

@@ -11,6 +11,7 @@ from normality_lab.errors import InsufficientDigitsError
 from normality_lab.radix import (
     DigitExpansion,
     DigitStream,
+    _digit_table,
     _factorize,
     digit_token,
     digits_to_int,
@@ -124,6 +125,23 @@ class TestDigitStream:
             tracemalloc.stop()
         assert s.position == twin.position == 500_000
         assert peak < 2**20
+
+
+class TestDigitTable:
+    @pytest.mark.parametrize("base", [2, 10, 256, 257, 4096, 4097])
+    def test_kept_per_base(self, base):
+        t, table = _digit_table(base)
+        assert _digit_table(base) is _digit_table(base)
+        assert isinstance(table, tuple)
+        assert len(table) == base**t
+
+    def test_streams_share_the_table(self):
+        _digit_table.cache_clear()
+        expand_rational(Fraction(1, 7), 10)
+        champernowne_stream(10)
+        expand_rational(Fraction(2, 7), 10)
+        info = _digit_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestExpandRational:

@@ -24,6 +24,8 @@ from normality_lab.radix import (
 )
 from normality_lab.sources import (
     ASSETS_ENV,
+    _LANES,
+    _STEPS,
     SourceSpec,
     champernowne_stream,
     file_digit_stream,
@@ -547,6 +549,102 @@ class TestChunkedSources:
         assert digits == expected
         assert elapsed < 1
         assert peak < 2**20
+
+
+def xorshift_by_digit(base, seed):
+    """The per-digit random source: one xorshift64_step per state, states
+    at or above the largest multiple of base rejected."""
+    state = seed & (2**64 - 1) or 0x9E3779B97F4A7C15
+    threshold = 2**64 - 2**64 % base
+    while True:
+        state = xorshift64_step(state)
+        if state < threshold:
+            yield state % base
+
+
+def random_block_edge(j):
+    """Where block j + 1 of the random source starts, counted in states:
+    _STEPS states per lane, one lane in the first block, twice as many in
+    each next one up to _LANES."""
+    return _STEPS * sum(min(2**b, _LANES) for b in range(j + 1))
+
+
+# small bases, the largest one, bases that reject about half and a
+# quarter of all states, and one past the bytes chunks
+random_bases = st.one_of(
+    st.integers(2, 300), st.sampled_from([2**40, 2**64, 2**63 + 1, 3 * 2**62])
+)
+random_seeds = st.one_of(
+    st.sampled_from([0, 5 + 2**64, (0xDEADBEEF << 64) | 12345]),
+    st.integers(1, 2**64 - 1),
+)
+
+
+class TestRandomLanes:
+    @given(
+        random_bases,
+        random_seeds,
+        st.integers(0, 9),
+        st.integers(-300, 300),
+        st.lists(st.integers(0, 300), max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_matches_per_digit(self, base, seed, edge, lead, sizes):
+        head = max(0, random_block_edge(edge) + lead)
+        got = read_in_pieces(random_stream(base, seed), head, sizes)
+        assert got == list(islice(xorshift_by_digit(base, seed), len(got)))
+
+    @pytest.mark.parametrize("base", [10, 256, 257, 2**63 + 1, 3 * 2**62])
+    def test_full_blocks_match_per_digit(self, base):
+        # past the lane doubling, into blocks reached by the jump matrix
+        n = random_block_edge(10)
+        assert random_stream(base, 99).take(n) == list(
+            islice(xorshift_by_digit(base, 99), n)
+        )
+
+    @given(
+        random_bases,
+        random_seeds,
+        st.integers(0, 2000),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 400)), max_size=10),
+    )
+    @settings(max_examples=40)
+    def test_forks_read_interleaved(self, base, seed, head, reads):
+        stream = random_stream(base, seed)
+        stream.take(head)
+        twin = stream.fork()
+        got = {True: [], False: []}
+        for first, size in reads:
+            got[first] += (stream if first else twin).take(size)
+        longest = max(len(got[True]), len(got[False]))
+        expected = list(islice(xorshift_by_digit(base, seed), head + longest))[head:]
+        assert got[True] == expected[: len(got[True])]
+        assert got[False] == expected[: len(got[False])]
+
+    def test_short_read_is_short(self):
+        random_stream(10, 1).take(random_block_edge(9))  # builds the jump matrices
+        elapsed = []
+        for seed in range(5):
+            start = time.perf_counter()
+            random_stream(10, seed).take(10)
+            elapsed.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            random_stream(10, 7).take(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(elapsed) < 1e-3
+        assert peak < 2**20
+
+    def test_base_above_two_to_the_64_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            random_stream(2**64 + 1, 1)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            parse_source_spec("random:1", 2**64 + 1)
+        assert parse_source_spec("random:1", 2**64).stream().take(3) == list(
+            islice(xorshift_by_digit(2**64, 1), 3)
+        )
 
 
 # whitespace str.isspace() accepts, line ends included

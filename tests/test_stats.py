@@ -1,4 +1,5 @@
 """Digit statistics: tallies, block counts, the shift/power battery."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from normality_lab.sources import (
     stream_in_base,
 )
 from normality_lab.stats import (
+    _BYTES_TALLY_MAX_BASE,
     Word,
+    _report,
     count_block,
     count_block_via_power_base,
     count_digit,
@@ -129,6 +132,54 @@ class TestTally:
             count_digit(champernowne_stream(10), 10, 5)
         with pytest.raises(ValueError):
             simple_normality_report(champernowne_stream(10), 0)
+
+
+def assert_report_matches_counter(report, base, digits):
+    """The report against a Counter tally and exact Fractions, over every
+    digit of the base."""
+    n = len(digits)
+    counts = Counter(digits)
+    deviations = {d: abs(Fraction(counts[d], n) - Fraction(1, base)) for d in range(base)}
+    assert report.n == n
+    assert list(report.counts.items()) == sorted(counts.items())
+    assert list(report.deviations) == sorted(counts)
+    assert {d: report.deviation(d) for d in range(base)} == deviations
+    assert report.max_deviation == max(deviations.values())
+
+
+# both tally paths: bytes.count up to the crossover, Counter above it
+tally_bases = st.one_of(
+    st.integers(2, 300),
+    st.sampled_from([_BYTES_TALLY_MAX_BASE, _BYTES_TALLY_MAX_BASE + 1, 1000]),
+)
+
+
+class TestTallyPaths:
+    @given(tally_bases, st.data())
+    @settings(max_examples=150)
+    def test_matches_counter(self, base, data):
+        # digits from a few values only, so most digits never occur
+        seen = data.draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=5))
+        digits = data.draw(st.lists(st.sampled_from(seen), min_size=1, max_size=400))
+        assert_report_matches_counter(_report(base, digits), base, digits)
+
+    @pytest.mark.parametrize(
+        "base", [2, _BYTES_TALLY_MAX_BASE, _BYTES_TALLY_MAX_BASE + 1, 256]
+    )
+    def test_single_digit(self, base):
+        report = _report(base, [base - 1])
+        assert_report_matches_counter(report, base, [base - 1])
+        assert report.max_deviation == 1 - Fraction(1, base)
+
+    def test_battery_views_either_side_of_the_crossover(self):
+        spec = parse_source_spec("random:11", 2)
+        cells = normality_battery(spec, 8, 500)
+        assert {c.report.base for c in cells} >= {2, 256}
+        for cell in cells:
+            stream = spec.stream()
+            stream.take(cell.shift)
+            digits = regroup_to_power_base(stream, cell.power).take(500)
+            assert_report_matches_counter(cell.report, 2**cell.power, digits)
 
 
 class TestCountBlock:
