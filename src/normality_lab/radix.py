@@ -241,6 +241,8 @@ def _multiplicative_order(a: int, n: int) -> int:
 _TRIAL_LIMIT = 10**6
 # Miller-Rabin with these bases is exact below 3.18 * 10**23
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# rho steps between two gcds in Brent's search
+_RHO_BATCH = 128
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -288,19 +290,35 @@ def _is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     """A proper factor of a composite n with no prime factor below 37.
 
-    Floyd's cycle search on x -> x*x + c mod n, seeded from a fixed
-    generator so the same n always takes the same steps.
+    Brent's cycle search on x -> x*x + c mod n, seeded from a fixed
+    generator so the same n always takes the same steps.  The distances
+    x - y are multiplied into one product mod n and a batch of
+    _RHO_BATCH steps costs a single gcd; a batch whose gcd is n is
+    replayed one step at a time from its start.
     """
     rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
+        y = rng.randrange(2, n)
+        d = power = product = 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and d == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                d = math.gcd(product, n)
+                done += _RHO_BATCH
+            power *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                start = (start * start + c) % n
+                d = math.gcd(x - start, n)
         if d != n:
             return d
 

@@ -296,6 +296,13 @@ class TestVerifyLemma:
     def test_base_validation(self, capsys):
         run_usage_error(capsys, "verify-lemma", "--base", "1")
 
+    def test_large_sweep_within_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-lemma", "--base", "12", "--n-max", "3000")
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        assert "moment bound: pass" in out.splitlines()
+
 
 class TestMeasure:
     def test_single_report_json(self, capsys):

@@ -25,6 +25,17 @@ from normality_lab.moments import (
 bases = st.integers(2, 12)
 
 
+def horner_fourth_moment(n, r):
+    """E[(X/n - 1/r)**4] from its own O(n) sum: the numerator
+    sum_p C(n,p) (r-1)**(n-p) (r*p - n)**4 by Horner's rule in (r-1)."""
+    total = 0
+    binom = 1
+    for p in range(n + 1):
+        total = total * (r - 1) + binom * (r * p - n) ** 4
+        binom = binom * (n - p) // (p + 1)
+    return Fraction(total, r**n * (r * n) ** 4)
+
+
 class TestPolynomial:
     def test_square(self):
         poly = binomial_power_polynomial(2, 1)
@@ -249,3 +260,32 @@ class TestBoundSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_moment_bound(2, 0)
+
+
+class TestOnePassSweep:
+    """The one-pass sweep against the per-n Horner sum, row by row."""
+
+    @given(st.integers(2, 40), st.integers(1, 300))
+    @settings(max_examples=40)
+    def test_rows_match_horner(self, r, n_max):
+        d = derive_constants(r).d
+        rows = check_moment_bound(r, n_max)
+        assert [row.n for row in rows] == list(range(1, n_max + 1))
+        for row in rows:
+            expected = horner_fourth_moment(row.n, r)
+            bound = d / row.n**2
+            assert row.moment_sum == expected
+            assert row.bound == bound
+            assert row.ratio == expected / bound
+            assert row.holds == (expected <= bound)
+
+    @given(st.integers(2, 40), st.integers(1, 300))
+    @settings(max_examples=40)
+    def test_single_moment_matches_horner(self, r, n):
+        assert frequency_fourth_moment(n, r) == horner_fourth_moment(n, r)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            frequency_fourth_moment(0, 2)
+        with pytest.raises(ValueError):
+            frequency_fourth_moment(3, 1)

@@ -13,6 +13,8 @@ from normality_lab.radix import (
     DigitStream,
     _digit_table,
     _factorize,
+    _is_prime,
+    _pollard_rho,
     digit_token,
     digits_to_int,
     expand_rational,
@@ -257,6 +259,39 @@ class TestExpandRational:
         digits = e.fractional.take(k)
         assert digits[k - 1] != 0
         assert all(d == 0 for d in digits[: k - 1])
+
+
+class TestFactorize:
+    def test_three_large_primes(self):
+        n = (2**61 - 1) * (2**31 - 1) * (10**12 + 39)
+        factors = _factorize(n)
+        assert math.prod(p**k for p, k in factors.items()) == n
+        assert all(_is_prime(p) for p in factors)
+
+    def test_rho_splits_a_large_semiprime_one_gcd_per_batch(self, monkeypatch):
+        # the cycle modulo 2**31 - 1 spans many batches and doublings;
+        # gcds are counted, not timed: a search with one gcd per step
+        # (Floyd) takes 42448 of them on this number
+        calls = []
+        gcd = math.gcd
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting_gcd)
+        p, q = 2**31 - 1, 10**12 + 39
+        assert _pollard_rho(p * q) in (p, q)
+        assert len(calls) < 1000
+
+    def test_rho_splits_small_semiprimes(self):
+        # cycles this short close inside one batch, where the batch gcd is
+        # often n itself and the step-by-step replay must find the factor
+        primes = [p for p in range(41, 400) if _is_prime(p)]
+        for i, p in enumerate(primes):
+            for q in primes[i:]:
+                d = _pollard_rho(p * q)
+                assert 1 < d < p * q and p * q % d == 0
 
 
 class TestRegroup:
