@@ -23,12 +23,13 @@ from normality_lab import (
 )
 
 print("the operator is diagonal on monomials")
+print("  (entry p of a row multiplies x^p y^(2-p))")
 poly = binomial_power_polynomial(2, 1)
-print("  (x + y)^2          :", dict(sorted(poly.coeffs.items())))
+print("  (x + y)^2          :", poly.coeffs)
 once = apply_euler_operator(poly)
-print("  after one operator :", dict(sorted(once.coeffs.items())))
+print("  after one operator :", once.coeffs)
 twice = apply_euler_operator(once)
-print("  after two          :", dict(sorted(twice.coeffs.items())))
+print("  after two          :", twice.coeffs)
 
 print()
 print("specialized moments of rX - n (base r = 10, n = 50)")

@@ -16,12 +16,16 @@ APPROX_DIGITS = 12
 
 
 def binomial_row(n: int) -> list[int]:
-    """All of C(n, 0..n) in one pass, cheaper than n+1 comb() calls."""
+    """All of C(n, 0..n) in one pass, cheaper than n+1 comb() calls.
+
+    The pass runs over the left half only: C(n,p) = C(n,n-p) fills the
+    mirrored entry with the same value.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     row = [1] * (n + 1)
-    for p in range(n):
-        row[p + 1] = row[p] * (n - p) // (p + 1)
+    for p in range(n // 2):
+        row[p + 1] = row[n - p - 1] = row[p] * (n - p) // (p + 1)
     return row
 
 

@@ -4,19 +4,21 @@ Everything here is about one random quantity: the count X of a fixed
 digit among n independent uniform base-r digits.  The generating
 polynomial sum_p C(n,p) x^(s*p) y^(n-p) (which is just (x**s + y)**n)
 turns into moment sums under the Euler-type operator x*d/dx - y*d/dy,
-because each application multiplies the p-th coefficient by (s*p - q).
-With s = r-1 and the specialization x**s = 1/r, y = (r-1)/r, k
-applications evaluate to E[(r*X - n)**k]; k=1 vanishes (the mean is
-killed by construction) and k=4 has a closed quadratic form in n whose
-coefficient bound C turns the fourth moment into the D/n**2 tail bound
-that drives all the measure estimates.
+because each application multiplies the p-th coefficient by
+s*p - (n-p).  With s = r-1 and the specialization x**s = 1/r,
+y = (r-1)/r, k applications evaluate to E[(r*X - n)**k]; k=1 vanishes
+(the mean is killed by construction) and k=4 has a closed quadratic
+form in n whose coefficient bound C turns the fourth moment into the
+D/n**2 tail bound that drives all the measure estimates.
 
 All coefficients and values are exact; the only floats anywhere are the
-display columns of the CSV rows.  The hot sums run on ints: evaluation
-puts every term over one common denominator and builds a single
-Fraction at the end, and the direct moment sums come from one pass over
-n that adds a digit per step and carries five power sums of the digit
-string counts, so a sweep up to n_max costs O(n_max) big-int steps.
+display columns of the CSV rows.  The hot sums run on ints: a
+polynomial is one dense row of n + 1 coefficients, an operator step
+multiplies that row by a range of factors, evaluation is one Horner
+pass over the row and builds a single Fraction at the end, and the
+direct moment sums come from one pass over n that adds a digit per step
+and carries five power sums of the digit string counts, so a sweep up
+to n_max costs O(n_max) big-int steps.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 from .exact import binomial_row, decimal_approx, format_rational
 from .radix import validate_base
@@ -32,97 +35,80 @@ from .radix import validate_base
 
 @dataclass(frozen=True)
 class MomentPolynomial:
-    """Sparse polynomial sum of c[p,q] * (x**s)**p * y**q.
+    """Dense row: coeffs[p] multiplies (x**s)**p * y**(n-p), p = 0..n.
 
-    Keys are (p, q) pairs; the x-exponent of a term is s*p, so p counts
-    powers of U = x**s.  Zero coefficients are never stored.  For the
-    polynomials this package builds, every key satisfies 0 <= p <= n and
-    q = n - p, and coefficients stay integers.
+    Every polynomial this package builds is homogeneous of degree n in
+    U = x**s and y, so the y-exponent n - p of a term follows from p and
+    one row of n + 1 integers holds the whole polynomial.  Zero
+    coefficients are stored like any other.
     """
 
     n: int
     s: int
-    coeffs: dict[tuple[int, int], int]
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) != self.n + 1:
+            raise ValueError(
+                f"need n + 1 coefficients for n = {self.n}, got {len(self.coeffs)}"
+            )
 
     def coefficient(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
+        return self.coeffs[p] if 0 <= p <= self.n and p + q == self.n else 0
 
     def evaluate(self, u: Fraction, y: Fraction) -> Fraction:
         """Exact value at U = u, y = y.
 
-        Writes u = a/d and y = b/d over d = lcm of their denominators and
-        sums c * a**p * b**q * d**(top-p-q) as one int, top being the
-        largest p+q; the value is that int over d**top.  One Fraction is
-        built instead of one per term.
+        Writes u = a/d and y = b/d over d = lcm of their denominators, so
+        the value is sum_p c[p] * a**p * b**(n-p) over d**n.  One
+        homogeneous Horner pass over the row builds that numerator as an
+        int, and one Fraction is built at the end.
         """
-        if not self.coeffs:
-            return Fraction(0)
         u = Fraction(u)
         y = Fraction(y)
         d = math.lcm(u.denominator, y.denominator)
         a = u.numerator * (d // u.denominator)
         b = y.numerator * (d // y.denominator)
-        top = max(p + q for p, q in self.coeffs)
-        a_pows = _power_table(a, max(p for p, _ in self.coeffs))
-        b_pows = _power_table(b, max(q for _, q in self.coeffs))
-        d_pows = _power_table(d, top)
-        total = sum(
-            c * a_pows[p] * b_pows[q] * d_pows[top - p - q]
-            for (p, q), c in self.coeffs.items()
-        )
-        return Fraction(total, d_pows[top])
-
-
-def _power_table(x: int, top: int) -> list[int]:
-    pows = [1]
-    for _ in range(top):
-        pows.append(pows[-1] * x)
-    return pows
+        total = 0
+        a_pow = 1
+        for c in self.coeffs:
+            total = total * b + c * a_pow
+            a_pow *= a
+        return Fraction(total, d**self.n)
 
 
 def binomial_power_polynomial(n: int, s: int) -> MomentPolynomial:
-    """The expansion of (x**s + y)**n: coefficient C(n,p) at (p, n-p)."""
+    """The expansion of (x**s + y)**n: the row C(n,0..n)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    row = binomial_row(n)
-    return MomentPolynomial(n, s, {(p, n - p): row[p] for p in range(n + 1)})
+    return MomentPolynomial(n, s, tuple(binomial_row(n)))
 
 
 def apply_euler_operator(poly: MomentPolynomial) -> MomentPolynomial:
     """One application of x*d/dx - y*d/dy.
 
-    A term c * x**(s*p) * y**q becomes c * (s*p - q) * the same monomial:
-    the operator is diagonal on monomials, which is the whole point.
-    Terms whose factor vanishes are dropped; the zero polynomial maps to
-    itself.
+    A term c * x**(s*p) * y**(n-p) becomes c * (s*p - (n-p)) * the same
+    monomial: the operator is diagonal on monomials, which is the whole
+    point, so one step multiplies the row by the factors, which run
+    from -n to s*n in steps of s + 1.
     """
-    coeffs = {}
-    s = poly.s
-    for (p, q), c in poly.coeffs.items():
-        factor = s * p - q
-        if factor and c:
-            coeffs[(p, q)] = c * factor
-    return MomentPolynomial(poly.n, poly.s, coeffs)
+    n, s = poly.n, poly.s
+    factors = range(-n, s * n + 1, s + 1)
+    return MomentPolynomial(n, s, tuple(map(mul, poly.coeffs, factors)))
 
 
-def operator_power_coefficients(n: int, s: int, k: int) -> dict[tuple[int, int], int]:
+def operator_power_coefficients(n: int, s: int, k: int) -> tuple[int, ...]:
     """Closed form for k operator applications to the binomial expansion.
 
-    The (p, n-p) coefficient is C(n,p) * ((s+1)*p - n)**k, since
-    s*p - (n-p) = (s+1)*p - n.  Zero entries are omitted to match the
-    iterated representation.
+    Entry p of the row is C(n,p) * ((s+1)*p - n)**k, since
+    s*p - (n-p) = (s+1)*p - n.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     row = binomial_row(n)
-    out = {}
-    for p in range(n + 1):
-        c = row[p] * ((s + 1) * p - n) ** k
-        if c:
-            out[(p, n - p)] = c
-    return out
+    return tuple(row[p] * ((s + 1) * p - n) ** k for p in range(n + 1))
 
 
 def verify_operator_closed_form(n: int, s: int, k: int) -> bool:
@@ -150,7 +136,8 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
 
 
 def fourth_moment_via_operator(n: int, r: int) -> Fraction:
-    """E[(r*X - n)**4] by four operator applications (the slow, honest route)."""
+    """E[(r*X - n)**4] by four operator applications to the row C(n,0..n)
+    and one Horner pass at the specialization (the honest route)."""
     return scaled_moment_via_operator(n, r, 4)
 
 

@@ -246,13 +246,20 @@ _RHO_BATCH = 128
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1."""
+    """{prime: exponent} for n >= 1.
+
+    Trial division stops as soon as the cofactor left is 1 or prime, so
+    a large prime cofactor does not run it on to _TRIAL_LIMIT.
+    """
     factors: dict[int, int] = {}
     f = 2
-    while f * f <= n and f <= _TRIAL_LIMIT:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
+    prime_left = n > 1 and _is_prime(n)
+    while not prime_left and f * f <= n and f <= _TRIAL_LIMIT:
+        if n % f == 0:
+            while n % f == 0:
+                factors[f] = factors.get(f, 0) + 1
+                n //= f
+            prime_left = n > 1 and _is_prime(n)
         f += 1 if f == 2 else 2
     rest = [n] if n > 1 else []
     while rest:

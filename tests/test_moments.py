@@ -25,6 +25,20 @@ from normality_lab.moments import (
 bases = st.integers(2, 12)
 
 
+def sparse_operator_moment(n, r, k):
+    """E[(r*X - n)**k] by the sparse-dict operator route the dense row
+    replaced: keys (p, q) with q = n - p, terms whose factor s*p - q
+    vanishes dropped, one Fraction per term at the specialization."""
+    s = r - 1
+    coeffs = {(p, n - p): comb(n, p) for p in range(n + 1)}
+    for _ in range(k):
+        coeffs = {
+            (p, q): c * (s * p - q) for (p, q), c in coeffs.items() if s * p - q
+        }
+    u, y = Fraction(1, r), Fraction(r - 1, r)
+    return sum((c * u**p * y**q for (p, q), c in coeffs.items()), Fraction(0))
+
+
 def horner_fourth_moment(n, r):
     """E[(X/n - 1/r)**4] from its own O(n) sum: the numerator
     sum_p C(n,p) (r-1)**(n-p) (r*p - n)**4 by Horner's rule in (r-1)."""
@@ -39,12 +53,14 @@ def horner_fourth_moment(n, r):
 class TestPolynomial:
     def test_square(self):
         poly = binomial_power_polynomial(2, 1)
-        assert poly.coeffs == {(0, 2): 1, (1, 1): 2, (2, 0): 1}
+        assert poly.coeffs == (1, 2, 1)
 
     def test_coefficient_lookup(self):
         poly = binomial_power_polynomial(3, 2)
         assert poly.coefficient(1, 2) == 3
         assert poly.coefficient(5, 5) == 0
+        assert poly.coefficient(1, 1) == 0
+        assert poly.coefficient(-1, 4) == 0
 
     def test_evaluate_is_power_of_sum(self):
         poly = binomial_power_polynomial(5, 3)
@@ -52,7 +68,12 @@ class TestPolynomial:
         assert poly.evaluate(u, y) == (u + y) ** 5
 
     def test_zero_polynomial_evaluates_to_zero(self):
-        assert MomentPolynomial(3, 1, {}).evaluate(Fraction(1), Fraction(1)) == 0
+        assert MomentPolynomial(3, 1, (0,) * 4).evaluate(Fraction(1), Fraction(1)) == 0
+
+    @pytest.mark.parametrize("n,coeffs", [(3, (1, 2, 3)), (3, (1,) * 5), (0, ())])
+    def test_row_length_must_be_n_plus_one(self, n, coeffs):
+        with pytest.raises(ValueError):
+            MomentPolynomial(n, 1, coeffs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,23 +90,24 @@ class TestPolynomial:
 
 def evaluate_term_by_term(poly, u, y):
     """The Fraction-per-term sum that MomentPolynomial.evaluate replaces."""
-    return sum((c * u**p * y**q for (p, q), c in poly.coeffs.items()), Fraction(0))
+    n = poly.n
+    return sum(
+        (c * u**p * y ** (n - p) for p, c in enumerate(poly.coeffs)), Fraction(0)
+    )
 
 
-sparse_coeffs = st.dictionaries(
-    st.tuples(st.integers(0, 9), st.integers(0, 9)),
-    st.integers(-10**12, 10**12).filter(bool),
-    max_size=12,
+# homogeneous rows of degree 0..12, zeros included
+rows = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(-10**12, 10**12), min_size=n + 1, max_size=n + 1)
 )
 points = st.fractions(min_value=-7, max_value=7, max_denominator=60)
 
 
 class TestIntegerEvaluation:
-    @given(sparse_coeffs, points, points)
+    @given(rows, st.integers(1, 9), points, points)
     @settings(max_examples=150)
-    def test_matches_term_by_term_sum(self, coeffs, u, y):
-        # keys are arbitrary (p, q), so p + q varies across terms
-        poly = MomentPolynomial(9, 2, coeffs)
+    def test_matches_term_by_term_sum(self, row, s, u, y):
+        poly = MomentPolynomial(len(row) - 1, s, tuple(row))
         assert poly.evaluate(u, y) == evaluate_term_by_term(poly, u, y)
 
     def test_accepts_ints(self):
@@ -99,18 +121,21 @@ class TestIntegerEvaluation:
         for _ in range(k):
             poly = apply_euler_operator(poly)
         u, y = Fraction(1, r), Fraction(r - 1, r)
-        assert poly.evaluate(u, y) == evaluate_term_by_term(poly, u, y)
+        value = poly.evaluate(u, y)
+        assert value == evaluate_term_by_term(poly, u, y)
+        assert value == sparse_operator_moment(n, r, k)
 
 
 class TestEulerOperator:
     def test_by_hand_on_square(self):
-        # (x + y)^2: term x^2 gets 2, xy gets 0 and drops, y^2 gets -2
+        # (x + y)^2: term y^2 gets -2, xy gets 0 and stays as a zero,
+        # x^2 gets 2
         poly = apply_euler_operator(binomial_power_polynomial(2, 1))
-        assert poly.coeffs == {(2, 0): 2, (0, 2): -2}
+        assert poly.coeffs == (-2, 0, 2)
 
     def test_zero_maps_to_zero(self):
-        zero = MomentPolynomial(2, 1, {})
-        assert apply_euler_operator(zero).coeffs == {}
+        zero = MomentPolynomial(2, 1, (0, 0, 0))
+        assert apply_euler_operator(zero).coeffs == (0, 0, 0)
 
     def test_closed_form_k0_is_expansion(self):
         assert operator_power_coefficients(4, 2, 0) == binomial_power_polynomial(4, 2).coeffs
@@ -132,6 +157,11 @@ class TestEulerOperator:
 
 
 class TestSpecializedMoments:
+    @given(st.integers(1, 60), st.integers(2, 16), st.integers(0, 6))
+    @settings(max_examples=80)
+    def test_matches_sparse_operator_route(self, n, r, k):
+        assert scaled_moment_via_operator(n, r, k) == sparse_operator_moment(n, r, k)
+
     @given(st.integers(1, 30), bases)
     @settings(max_examples=40)
     def test_first_moment_vanishes(self, n, r):

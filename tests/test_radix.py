@@ -284,6 +284,24 @@ class TestFactorize:
         assert _pollard_rho(p * q) in (p, q)
         assert len(calls) < 1000
 
+    def test_trial_division_stops_at_a_prime_cofactor(self):
+        # the `%` taken of the cofactor are counted, not timed: trial
+        # division that ran on to _TRIAL_LIMIT behind 2**127 - 1 would
+        # take about 500000 of them
+        class CountingInt(int):
+            mods = 0
+
+            def __mod__(self, other):
+                CountingInt.mods += 1
+                return int(self) % other
+
+            def __floordiv__(self, other):
+                return CountingInt(int(self) // other)
+
+        m127 = 2**127 - 1
+        assert _factorize(CountingInt(3 * m127)) == {3: 1, m127: 1}
+        assert CountingInt.mods < 100
+
     def test_rho_splits_small_semiprimes(self):
         # cycles this short close inside one batch, where the batch gcd is
         # often n itself and the step-by-step replay must find the factor
