@@ -8,7 +8,9 @@ sweep), measure (deviation-set measures and tail bounds), verify-paper
 Conventions: exact rationals print as "num/den"; any decimal column is
 explicitly a display approximation; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 failed checks or
-runtime errors, 2 usage errors.
+runtime errors, 2 usage errors.  Each option's own range is checked by
+its argparse type; a ValueError from a handler is a usage error (exit
+2), and a NormalityLabError or OSError exits 1.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import NormalityLabError
+from .errors import MalformedHeaderError, NormalityLabError
 from .exact import decimal_approx, format_rational, parse_rational
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -41,7 +43,6 @@ from .radix import (
     rational_period,
 )
 from .sources import (
-    SourceSpec,
     load_digit_file,
     parse_source_spec,
     stream_in_base,
@@ -57,6 +58,33 @@ MEASURE_SWEEP_CSV_HEADER = "n,exact_measure,bound,holds"
 STATS_JSON_MAX_BASE = 2**16
 
 
+def _at_least(low: int):
+    """An argparse type: an int >= low."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    check.__name__ = "int"  # argparse names it in "invalid int value"
+    return check
+
+
+def _rational(high: Fraction | None = None):
+    """An argparse type: an exact rational q > 0, and q <= high if given."""
+    def check(text: str) -> Fraction:
+        try:
+            value = parse_rational(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value <= 0 or (high is not None and value > high):
+            upper = "" if high is None else f" and <= {high}"
+            raise argparse.ArgumentTypeError(f"must be > 0{upper}, got {value}")
+        return value
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normality-lab",
@@ -65,45 +93,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
-        p.add_argument("--format", choices=formats, default=None,
+        p.add_argument("--format", choices=formats, default=formats[0],
                        help=f"output format (default {formats[0]})")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")
 
     p = sub.add_parser("expand", help="render digits of a source")
     p.add_argument("--source", required=True, help="rational:A/B, rational:<digits>-prefix, champernowne, file:<name>, random:<seed>")
-    p.add_argument("--base", type=int, default=None, help="target base (required unless the source is a file)")
-    p.add_argument("--digits", type=int, required=True, help="number of digits to render")
+    p.add_argument("--base", type=_at_least(2), default=None, help="target base (required unless the source is a file)")
+    p.add_argument("--digits", type=_at_least(1), required=True, help="number of digits to render")
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("stats", help="digit-frequency report over a prefix")
     p.add_argument("--source", required=True)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument("-n", type=int, required=True, help="prefix length")
+    p.add_argument("--base", type=_at_least(2), default=None)
+    p.add_argument("-n", type=_at_least(1), required=True, help="prefix length")
     p.add_argument("--digit", type=int, default=None, help="also report this digit's count")
     p.add_argument("--word", default=None, help="also count this digit block (overlaps included)")
     add_common(p, ("json", "text"))
 
     p = sub.add_parser("battery", help="simple normality over all (shift, power) views")
     p.add_argument("--source", required=True)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument("--max-power", type=int, required=True, help="largest grouping power N; views are 0 <= m < n <= N")
-    p.add_argument("-n", type=int, required=True, help="prefix length per view, in grouped digits")
+    p.add_argument("--base", type=_at_least(2), default=None)
+    p.add_argument("--max-power", type=_at_least(1), required=True, help="largest grouping power N; views are 0 <= m < n <= N")
+    p.add_argument("-n", type=_at_least(1), required=True, help="prefix length per view, in grouped digits")
     add_common(p, ("csv", "text"))
 
     p = sub.add_parser("verify-lemma", help="verify the fourth-moment bound up to n-max")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--base", type=_at_least(2), required=True)
+    p.add_argument("--n-max", type=_at_least(1), default=100)
     add_common(p, ("text", "csv"))
 
     p = sub.add_parser("measure", help="deviation-set measures, bounds, tails")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_at_least(2), required=True)
     p.add_argument("--digit", type=int, default=0)
-    p.add_argument("--epsilon", required=True, help="deviation threshold, exact (e.g. 1/10)")
-    p.add_argument("-n", type=int, default=None, help="prefix length for a single report")
-    p.add_argument("--n-max", type=int, default=None, help="sweep n = 1..n-max as CSV")
-    p.add_argument("--tail", type=int, default=None, metavar="M", help="bound the union of deviation sets over n >= M")
-    p.add_argument("--target", default=None, help="with --tail: also find the smallest m whose tail bound is <= this")
+    p.add_argument("--epsilon", type=_rational(high=Fraction(1)), required=True, help="deviation threshold in (0, 1], exact (e.g. 1/10)")
+    p.add_argument("-n", type=_at_least(1), default=None, help="prefix length for a single report")
+    p.add_argument("--n-max", type=_at_least(1), default=None, help="sweep n = 1..n-max as CSV")
+    p.add_argument("--tail", type=_at_least(1), default=None, metavar="M", help="bound the union of deviation sets over n >= M")
+    p.add_argument("--target", type=_rational(), default=None, help="with --tail: also find the smallest m whose tail bound is <= this")
     p.add_argument("--oracle", action="store_true", help="cross-check the measure by full enumeration")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET, help="enumeration budget for --oracle")
     add_common(p, ("json", "csv", "text"))
@@ -128,51 +156,27 @@ def main(argv: list[str] | None = None) -> int:
         "verify-paper": cmd_verify_paper,
     }[args.command]
     try:
-        code, text = handler(args, parser)
-    except NormalityLabError as exc:
+        code, text = handler(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    # a malformed header in the file --source names is a usage error too
+    except (ValueError, MalformedHeaderError) as exc:
+        parser.error(str(exc))  # prints usage to stderr and exits 2
+    except (NormalityLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
-
-
-def _fail_usage(parser: argparse.ArgumentParser, message: str):
-    parser.error(message)  # prints usage to stderr and exits 2
-
-
-def _parse_source(args, parser) -> SourceSpec:
-    try:
-        return parse_source_spec(args.source, args.base)
-    except (ValueError, NormalityLabError) as exc:
-        _fail_usage(parser, str(exc))
-
-
-def _target_base(args, source: SourceSpec, parser) -> int:
-    base = args.base if args.base is not None else source.base
-    if base < 2:
-        _fail_usage(parser, f"base must be >= 2, got {base}")
-    return base
-
-
-def _fmt(args, default: str) -> str:
-    return args.format or default
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_expand(args, parser) -> tuple[int, str]:
-    if args.digits < 1:
-        _fail_usage(parser, f"--digits must be >= 1, got {args.digits}")
-    source = _parse_source(args, parser)
-    base = _target_base(args, source, parser)
+def cmd_expand(args) -> tuple[int, str]:
+    source = parse_source_spec(args.source, args.base)
+    base = args.base or source.base
 
     if source.kind == "rational":
         expansion = expand_rational(source.value, base)
@@ -180,18 +184,14 @@ def cmd_expand(args, parser) -> tuple[int, str]:
         integer_value = 0
         if source.kind == "file":
             integer_value = load_digit_file(source.path).integer_value
-        try:
-            stream = stream_in_base(source, base)
-        except ValueError as exc:
-            _fail_usage(parser, str(exc))
         expansion = DigitExpansion(
             base=base,
             integer_digits=int_to_digits(integer_value, base),
-            fractional=stream,
+            fractional=stream_in_base(source, base),
         )
 
     display = format_bracket(expansion, args.digits)
-    if _fmt(args, "text") == "text":
+    if args.format == "text":
         return 0, display + "\n"
     payload = {"base": expansion.base, "digits": args.digits, "display": display}
     if source.kind == "rational":
@@ -199,38 +199,26 @@ def cmd_expand(args, parser) -> tuple[int, str]:
     return 0, json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_stats(args, parser) -> tuple[int, str]:
-    if args.n < 1:
-        _fail_usage(parser, f"-n must be >= 1, got {args.n}")
-    source = _parse_source(args, parser)
-    base = _target_base(args, source, parser)
-    fmt = _fmt(args, "json")
-    if fmt == "json" and base > STATS_JSON_MAX_BASE:
-        _fail_usage(
-            parser,
+def cmd_stats(args) -> tuple[int, str]:
+    source = parse_source_spec(args.source, args.base)
+    base = args.base or source.base
+    if args.format == "json" and base > STATS_JSON_MAX_BASE:
+        raise ValueError(
             f"--format json lists every digit of the base, so it needs base"
-            f" <= {STATS_JSON_MAX_BASE}, got {base}; use --format text",
+            f" <= {STATS_JSON_MAX_BASE}, got {base}; use --format text"
         )
     if args.digit is not None and not 0 <= args.digit < base:
-        _fail_usage(parser, f"digit {args.digit} out of range for base {base}")
-    word = None
-    if args.word is not None:
-        try:
-            word = Word.parse(args.word, base)
-        except ValueError as exc:
-            _fail_usage(parser, str(exc))
+        raise ValueError(f"digit {args.digit} out of range for base {base}")
+    word = None if args.word is None else Word.parse(args.word, base)
 
-    try:
-        stream = stream_in_base(source, base)
-    except ValueError as exc:
-        _fail_usage(parser, str(exc))
+    stream = stream_in_base(source, base)
     report = simple_normality_report(stream, args.n)
     digit_count = None if args.digit is None else report.counts.get(args.digit, 0)
     word_count = None
     if word is not None:
         word_count = count_block(stream_in_base(source, base), word, args.n)
 
-    if fmt == "json":
+    if args.format == "json":
         payload = report.to_json_dict()
         payload["counts"] = {str(d): report.counts.get(d, 0) for d in range(base)}
         if digit_count is not None:
@@ -254,19 +242,12 @@ def cmd_stats(args, parser) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def cmd_battery(args, parser) -> tuple[int, str]:
-    if args.max_power < 1:
-        _fail_usage(parser, f"--max-power must be >= 1, got {args.max_power}")
-    if args.n < 1:
-        _fail_usage(parser, f"-n must be >= 1, got {args.n}")
-    source = _parse_source(args, parser)
-    base = _target_base(args, source, parser)
-    try:
-        cells = normality_battery(source, args.max_power, args.n, base=base)
-    except ValueError as exc:
-        _fail_usage(parser, str(exc))
+def cmd_battery(args) -> tuple[int, str]:
+    source = parse_source_spec(args.source, args.base)
+    base = args.base or source.base
+    cells = normality_battery(source, args.max_power, args.n, base=base)
 
-    if _fmt(args, "csv") == "csv":
+    if args.format == "csv":
         rows = [BATTERY_CSV_HEADER]
         rows += [
             f"{c.shift},{c.power},{format_rational(c.report.max_deviation)}"
@@ -283,11 +264,7 @@ def cmd_battery(args, parser) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def cmd_verify_lemma(args, parser) -> tuple[int, str]:
-    if args.base < 2:
-        _fail_usage(parser, f"base must be >= 2, got {args.base}")
-    if args.n_max < 1:
-        _fail_usage(parser, f"--n-max must be >= 1, got {args.n_max}")
+def cmd_verify_lemma(args) -> tuple[int, str]:
     r = args.base
     constants = derive_constants(r)
 
@@ -314,45 +291,29 @@ def cmd_verify_lemma(args, parser) -> tuple[int, str]:
     table = [MOMENT_SWEEP_CSV_HEADER] + [row.to_csv_row() for row in rows]
 
     failed = bool(identity_failures or bound_failures)
-    if _fmt(args, "text") == "csv":
+    if args.format == "csv":
         print("\n".join(summary), file=sys.stderr)
         return (1 if failed else 0), "\n".join(table) + "\n"
     return (1 if failed else 0), "\n".join(summary + table) + "\n"
 
 
-def cmd_measure(args, parser) -> tuple[int, str]:
-    if args.base < 2:
-        _fail_usage(parser, f"base must be >= 2, got {args.base}")
-    try:
-        epsilon = parse_rational(args.epsilon)
-    except ValueError as exc:
-        _fail_usage(parser, str(exc))
-    if not 0 < epsilon <= 1:
-        _fail_usage(parser, f"epsilon must be in (0, 1], got {epsilon}")
+def cmd_measure(args) -> tuple[int, str]:
     if not 0 <= args.digit < args.base:
-        _fail_usage(parser, f"digit {args.digit} out of range for base {args.base}")
+        raise ValueError(f"digit {args.digit} out of range for base {args.base}")
 
     if args.tail is not None:
-        if args.tail < 1:
-            _fail_usage(parser, f"--tail must be >= 1, got {args.tail}")
-        bound = tail_measure_bound(args.base, epsilon, args.tail)
+        bound = tail_measure_bound(args.base, args.epsilon, args.tail)
         payload = {
             "r": args.base,
-            "epsilon": format_rational(epsilon),
+            "epsilon": format_rational(args.epsilon),
             "m": args.tail,
             "tail_bound": format_rational(bound),
             "tail_bound_decimal": decimal_approx(bound),
         }
         if args.target is not None:
-            try:
-                target = parse_rational(args.target)
-            except ValueError as exc:
-                _fail_usage(parser, str(exc))
-            if target <= 0:
-                _fail_usage(parser, f"--target must be > 0, got {target}")
-            payload["target"] = format_rational(target)
-            payload["witness_m"] = null_witness_index(args.base, epsilon, target)
-        if _fmt(args, "json") == "json":
+            payload["target"] = format_rational(args.target)
+            payload["witness_m"] = null_witness_index(args.base, args.epsilon, args.target)
+        if args.format == "json":
             return 0, json.dumps(payload, indent=2) + "\n"
         lines = [f"tail bound over n >= {args.tail}: {payload['tail_bound']}"
                  f" (~ {payload['tail_bound_decimal']})"]
@@ -364,12 +325,10 @@ def cmd_measure(args, parser) -> tuple[int, str]:
         return 0, "\n".join(lines) + "\n"
 
     if args.n_max is not None:
-        if args.n_max < 1:
-            _fail_usage(parser, f"--n-max must be >= 1, got {args.n_max}")
         rows = [MEASURE_SWEEP_CSV_HEADER]
         for n in range(1, args.n_max + 1):
             report = deviation_set_measure(
-                DeviationSetSpec(args.base, args.digit, n, epsilon)
+                DeviationSetSpec(args.base, args.digit, n, args.epsilon)
             )
             holds = report.exact_measure <= report.bound
             rows.append(
@@ -379,17 +338,15 @@ def cmd_measure(args, parser) -> tuple[int, str]:
         return 0, "\n".join(rows) + "\n"
 
     if args.n is None:
-        _fail_usage(parser, "need one of -n, --n-max, or --tail")
-    if args.n < 1:
-        _fail_usage(parser, f"-n must be >= 1, got {args.n}")
-    spec = DeviationSetSpec(args.base, args.digit, args.n, epsilon)
+        raise ValueError("need one of -n, --n-max, or --tail")
+    spec = DeviationSetSpec(args.base, args.digit, args.n, args.epsilon)
     report = deviation_set_measure(spec)
     payload = report.to_json_dict()
     if args.oracle:
         oracle = deviation_set_measure_bruteforce(spec, budget=args.budget)
         payload["oracle"] = format_rational(oracle)
         payload["oracle_matches"] = oracle == report.exact_measure
-    if _fmt(args, "json") == "json":
+    if args.format == "json":
         return 0, json.dumps(payload, indent=2) + "\n"
     lines = [
         f"measure of the deviation set: {payload['exact_measure']}",
@@ -404,16 +361,13 @@ def cmd_measure(args, parser) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def cmd_verify_paper(args, parser) -> tuple[int, str]:
+def cmd_verify_paper(args) -> tuple[int, str]:
     if args.list:
         return 0, "\n".join(check_ids()) + "\n"
     only = None
     if args.only:
         only = [part.strip() for part in args.only.split(",") if part.strip()]
-    try:
-        results = run_checks(only)
-    except ValueError as exc:
-        _fail_usage(parser, str(exc))
+    results = run_checks(only)
     lines = []
     for res in results:
         tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[res.status]

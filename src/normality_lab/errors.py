@@ -63,3 +63,20 @@ class EnumerationBudgetError(NormalityLabError):
         super().__init__(
             f"enumeration needs {required} strings, over the budget of {budget}"
         )
+
+
+class FactorizationBudgetError(NormalityLabError):
+    """Factoring a denominator for its period would exceed the work budget.
+
+    Attributes:
+        n: the denominator whose period was asked for.
+        budget: the modular multiplications Pollard's rho may spend.
+    """
+
+    def __init__(self, n: int, budget: int):
+        self.n = n
+        self.budget = budget
+        super().__init__(
+            f"factoring the denominator {n} for its period needs more than"
+            f" the budget of {budget} modular multiplications"
+        )

@@ -17,7 +17,9 @@ memory, one division per group of digits: it never ends in an infinite
 tail of (base-1), and a leading-digit index records where the expansion
 starts.  Its preperiod and period are computed separately, by
 :func:`rational_period`, from the factorization of a Carmichael
-function.  Bases are ints >= 2.
+function, within a budget of modular multiplications that makes a
+denominator too hard to factor a typed error instead of a hang.  Bases
+are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -33,7 +35,7 @@ from functools import lru_cache
 from itertools import chain, islice, tee
 from typing import Iterator
 
-from .errors import InsufficientDigitsError
+from .errors import FactorizationBudgetError, InsufficientDigitsError
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
@@ -214,24 +216,27 @@ def rational_period(q: Fraction, base: int) -> tuple[int, int]:
     denominator, the period the multiplicative order of base modulo what
     remains (1 for the all-zero tail).  The order is found by dividing
     primes out of the Carmichael function of that cofactor, so the cost
-    is that of factoring it, not of walking the period.
+    is that of factoring it, not of walking the period.  Raises
+    FactorizationBudgetError once the factoring would take more than
+    FACTORIZATION_BUDGET modular multiplications.
     """
     validate_base(base)
     den = Fraction(q).denominator
+    work = _WorkBudget(den)
     preperiod = 0
     while (g := math.gcd(den, base)) > 1:
         den //= g
         preperiod += 1
-    return preperiod, _multiplicative_order(base, den)
+    return preperiod, _multiplicative_order(base, den, work)
 
 
-def _multiplicative_order(a: int, n: int) -> int:
+def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
     """The least k >= 1 with a**k == 1 mod n, for a coprime to n."""
     order = 1  # Carmichael's lambda(n), the lcm of lambda over prime powers
-    for p, k in _factorize(n).items():
+    for p, k in _factorize(n, work).items():
         lam = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
         order = math.lcm(order, lam)
-    for p in _factorize(order):
+    for p in _factorize(order, work):
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p
     return order
@@ -243,14 +248,34 @@ _TRIAL_LIMIT = 10**6
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # rho steps between two gcds in Brent's search
 _RHO_BATCH = 128
+# modular multiplications Pollard's rho may spend in one rational_period
+# call: (2**61-1)(2**31-1)(10**12+39) takes about 2.7 * 10**6 of them, a
+# product of two primes near 10**13 about 1.7 * 10**7
+FACTORIZATION_BUDGET = 4 * 10**6
 
 
-def _factorize(n: int) -> dict[int, int]:
+class _WorkBudget:
+    """The modular multiplications spent so far on factoring n."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.spent = 0
+
+    def spend(self, count: int) -> None:
+        """Book count more, raising before the total passes the budget."""
+        self.spent += count
+        if self.spent > FACTORIZATION_BUDGET:
+            raise FactorizationBudgetError(self.n, FACTORIZATION_BUDGET)
+
+
+def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
     """{prime: exponent} for n >= 1.
 
     Trial division stops as soon as the cofactor left is 1 or prime, so
-    a large prime cofactor does not run it on to _TRIAL_LIMIT.
+    a large prime cofactor does not run it on to _TRIAL_LIMIT.  Rho books
+    its steps on work, a fresh budget for n unless one is shared.
     """
+    work = work or _WorkBudget(n)
     factors: dict[int, int] = {}
     f = 2
     prime_left = n > 1 and _is_prime(n)
@@ -267,7 +292,7 @@ def _factorize(n: int) -> dict[int, int]:
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
-            d = _pollard_rho(m)
+            d = _pollard_rho(m, work)
             rest += [d, m // d]
     return factors
 
@@ -294,15 +319,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, work: _WorkBudget | None = None) -> int:
     """A proper factor of a composite n with no prime factor below 37.
 
     Brent's cycle search on x -> x*x + c mod n, seeded from a fixed
     generator so the same n always takes the same steps.  The distances
     x - y are multiplied into one product mod n and a batch of
     _RHO_BATCH steps costs a single gcd; a batch whose gcd is n is
-    replayed one step at a time from its start.
+    replayed one step at a time from its start.  Every step is booked on
+    work (one modular multiplication, two inside a batch) before it runs.
     """
+    work = work or _WorkBudget(n)
     rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)
@@ -310,12 +337,15 @@ def _pollard_rho(n: int) -> int:
         d = power = product = 1
         while d == 1:
             x = y
+            work.spend(power)
             for _ in range(power):
                 y = (y * y + c) % n
             done = 0
             while done < power and d == 1:
                 start = y
-                for _ in range(min(_RHO_BATCH, power - done)):
+                steps = min(_RHO_BATCH, power - done)
+                work.spend(2 * steps)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     product = product * (x - y) % n
                 d = math.gcd(product, n)
@@ -324,6 +354,7 @@ def _pollard_rho(n: int) -> int:
         if d == n:
             d = 1
             while d == 1:
+                work.spend(1)
                 start = (start * start + c) % n
                 d = math.gcd(x - start, n)
         if d != n:

@@ -11,6 +11,7 @@ import pytest
 import normality_lab
 from normality_lab import verify
 from normality_lab.cli import main
+from normality_lab.radix import FACTORIZATION_BUDGET
 from normality_lab.sources import ASSETS_ENV
 
 
@@ -25,6 +26,29 @@ def run_usage_error(capsys, *argv):
         main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--source", "rational:1/3", "--base", "2", "-n", "0"),
+    ("stats", "--source", "rational:1/3", "--base", "1", "-n", "5"),
+    ("battery", "--source", "rational:1/3", "--base", "2", "--max-power", "0", "-n", "10"),
+    ("battery", "--source", "rational:1/3", "--base", "2", "--max-power", "2", "-n", "0"),
+    ("verify-lemma", "--base", "2", "--n-max", "0"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--n-max", "0"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "0"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "0"),
+    ("measure", "--base", "2", "--epsilon", "3/2", "-n", "2"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "2", "--target", "0"),
+    ("measure", "--base", "2", "--digit", "2", "--epsilon", "1/2", "--tail", "2"),
+    ("expand", "--source", "champernowne", "--base", "1", "--digits", "3"),
+])
+def test_rejected_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 class TestExpand:
@@ -94,6 +118,19 @@ class TestExpand:
         assert code == 0
         payload = json.loads(out)
         assert (payload["preperiod"], payload["period"]) == (0, 1000000006)
+
+    def test_period_past_the_factorization_budget_is_a_runtime_error(self, capsys):
+        # 1000000000000037 * 3000000000000037: rho would need about 3 * 10**7
+        # steps to split it, far past the budget
+        den = "3000000000000148000000000001369"
+        code, out, err = run(
+            capsys, "expand", "--source", f"rational:1/{den}", "--base", "10",
+            "--digits", "5", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert den in err and str(FACTORIZATION_BUDGET) in err
 
     def test_base_required_for_rational(self, capsys):
         run_usage_error(capsys, "expand", "--source", "rational:1/3",
@@ -416,6 +453,16 @@ class TestVerifyPaper:
         assert lines[0].startswith("PASS  operator-closed-form-sweep:")
         assert lines[-1] == "1 checks: 1 passed, 0 failed, 0 skipped"
 
+    def test_module_entry_point_lists_checks(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "normality_lab", "verify-paper", "--list"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == verify.check_ids()
+        assert len(verify.check_ids()) == 18
+
     def test_unknown_id(self, capsys):
         run_usage_error(capsys, "verify-paper", "--only", "no-such-check")
 
@@ -448,6 +495,15 @@ class TestOutputPlumbing:
         assert code == 0
         assert out == ""
         assert path.read_text(encoding="utf-8") == "0.1000\n"
+
+    def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "expand", "--source", "rational:1/10", "--base", "10",
+            "--digits", "4", "--output", str(tmp_path / "missing" / "out.txt"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_byte_identical_reruns(self, capsys):
         args = ("stats", "--source", "random:7", "--base", "10", "-n", "500")

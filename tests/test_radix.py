@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normality_lab.errors import InsufficientDigitsError
+from normality_lab import radix
+from normality_lab.errors import FactorizationBudgetError, InsufficientDigitsError
 from normality_lab.radix import (
+    FACTORIZATION_BUDGET,
     DigitExpansion,
     DigitStream,
+    _WorkBudget,
     _digit_table,
     _factorize,
     _is_prime,
@@ -263,10 +266,22 @@ class TestExpandRational:
 
 class TestFactorize:
     def test_three_large_primes(self):
+        # rho's modular multiplications are counted, not timed: about
+        # 2.7 * 10**6 of them split this number
         n = (2**61 - 1) * (2**31 - 1) * (10**12 + 39)
-        factors = _factorize(n)
+        work = _WorkBudget(n)
+        factors = _factorize(n, work)
         assert math.prod(p**k for p, k in factors.items()) == n
         assert all(_is_prime(p) for p in factors)
+        assert 0 < work.spent <= FACTORIZATION_BUDGET
+
+    def test_past_the_budget_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(radix, "FACTORIZATION_BUDGET", 1000)
+        n = (2**31 - 1) * (10**12 + 39)
+        with pytest.raises(FactorizationBudgetError) as exc:
+            rational_period(Fraction(1, 10 * n), 10)
+        assert (exc.value.n, exc.value.budget) == (10 * n, 1000)
+        assert str(10 * n) in str(exc.value) and "1000 " in str(exc.value)
 
     def test_rho_splits_a_large_semiprime_one_gcd_per_batch(self, monkeypatch):
         # the cycle modulo 2**31 - 1 spans many batches and doublings;
