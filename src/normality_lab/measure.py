@@ -137,14 +137,16 @@ def deviation_set_measure_bruteforce(
     """The same measure by enumerating all base**n digit strings.
 
     Exists purely as an independent oracle for deviation_set_measure; it
-    tests every string's own digit count against the threshold.  Strings
-    beyond `budget` raise EnumerationBudgetError instead of running
-    forever.
+    tests every string's own digit count c by the definition, in exact
+    Fractions, not by admissible_counts' integer rewrite.  Strings beyond
+    `budget` raise EnumerationBudgetError instead of running forever.
     """
     total = spec.base**spec.n
     if total > budget:
         raise EnumerationBudgetError(required=total, budget=budget)
-    admissible = set(admissible_counts(spec))
+    uniform = Fraction(1, spec.base)
+    n, eps = spec.n, spec.epsilon
+    admissible = {c for c in range(n + 1) if abs(Fraction(c, n) - uniform) >= eps}
     hits = sum(
         1
         for digits in itertools.product(range(spec.base), repeat=spec.n)

@@ -17,9 +17,10 @@ memory, one division per group of digits: it never ends in an infinite
 tail of (base-1), and a leading-digit index records where the expansion
 starts.  Its preperiod and period are computed separately, by
 :func:`rational_period`, from the factorization of a Carmichael
-function, within a budget of modular multiplications that makes a
-denominator too hard to factor a typed error instead of a hang.  Bases
-are ints >= 2.
+function (the primes up to 37 divided out, every composite cofactor
+split by Pollard's rho), within a budget of modular multiplications
+that makes a denominator too hard to factor a typed error instead of a
+hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -242,9 +243,8 @@ def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
     return order
 
 
-# trial division runs this far before Pollard's rho takes over
-_TRIAL_LIMIT = 10**6
-# Miller-Rabin with these bases is exact below 3.18 * 10**23
+# Miller-Rabin with these bases is exact below 3.18 * 10**23; _factorize
+# divides them out before Pollard's rho sees a cofactor
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # rho steps between two gcds in Brent's search
 _RHO_BATCH = 128
@@ -271,21 +271,17 @@ class _WorkBudget:
 def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
     """{prime: exponent} for n >= 1.
 
-    Trial division stops as soon as the cofactor left is 1 or prime, so
-    a large prime cofactor does not run it on to _TRIAL_LIMIT.  Rho books
-    its steps on work, a fresh budget for n unless one is shared.
+    The _WITNESSES primes are divided out first, which leaves no prime
+    factor below 37, and Pollard's rho splits every composite cofactor
+    left.  Rho books its steps on work, a fresh budget for n unless one
+    is shared.
     """
     work = work or _WorkBudget(n)
     factors: dict[int, int] = {}
-    f = 2
-    prime_left = n > 1 and _is_prime(n)
-    while not prime_left and f * f <= n and f <= _TRIAL_LIMIT:
-        if n % f == 0:
-            while n % f == 0:
-                factors[f] = factors.get(f, 0) + 1
-                n //= f
-            prime_left = n > 1 and _is_prime(n)
-        f += 1 if f == 2 else 2
+    for p in _WITNESSES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
@@ -299,10 +295,8 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin on the fixed witnesses, for n >= 2."""
-    if n in _WITNESSES:
-        return True
     if any(n % p == 0 for p in _WITNESSES):
-        return False
+        return n in _WITNESSES
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -3,7 +3,7 @@
 Counts are over the first n fractional digits; block occurrences may
 overlap and are counted at every start position that fits inside the
 prefix.  Deviations compare the observed frequency of a digit with the
-uniform 1/base, as exact rationals.
+uniform 1/base, as exact rationals derived from the counts.
 
 The battery runs one simple-normality report per (shift m, power n) pair
 with 0 <= m < n: digits m+1, m+2, ... of the source regrouped into base
@@ -92,22 +92,26 @@ def count_block(stream: DigitStream, word: Word, n: int) -> int:
 class NormalityReport:
     """Deviations from uniform frequency over an n-digit prefix.
 
-    `counts` and `deviations` are sparse: they hold only the digit values
-    that occur, in increasing order.  Every other digit of range(base) has
-    count 0 and deviation 1/base, which `deviation` fills in and
-    `max_deviation` already includes, so a report costs what its prefix
-    holds, not base entries.
+    `counts` is sparse: it holds only the digit values that occur, in
+    increasing order.  Each deviation |count/n - 1/base| comes from its
+    count on demand, and `max_deviation` from the largest and smallest
+    counts, so a report costs what its prefix holds, not base entries.
     """
 
     base: int
     n: int
     counts: dict[int, int]
-    deviations: dict[int, Fraction]
     max_deviation: Fraction
 
     def deviation(self, digit: int) -> Fraction:
         """|count/n - 1/base| for any digit of the base, seen or not."""
-        return self.deviations.get(digit, Fraction(1, self.base))
+        c = self.counts.get(digit, 0)
+        return Fraction(abs(c * self.base - self.n), self.n * self.base)
+
+    @property
+    def deviations(self) -> dict[int, Fraction]:
+        """The deviation of each digit that occurs, in digit order."""
+        return {d: self.deviation(d) for d in self.counts}
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,12 +140,10 @@ def _report(base: int, digits: list[int]) -> NormalityReport:
         counts = {d: c for d in range(base) if (c := data.count(d))}
     else:
         counts = dict(sorted(Counter(digits).items()))
-    uniform = Fraction(1, base)
-    deviations = {d: abs(Fraction(c, n) - uniform) for d, c in counts.items()}
-    max_deviation = max(deviations.values())
-    if len(counts) < base:
-        max_deviation = max(max_deviation, uniform)
-    return NormalityReport(base, n, counts, deviations, max_deviation)
+    high = max(counts.values())
+    low = min(counts.values()) if len(counts) == base else 0  # an unseen digit counts 0
+    max_deviation = Fraction(max(high * base - n, n - low * base), n * base)
+    return NormalityReport(base, n, counts, max_deviation)
 
 
 def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from normality_lab import measure
 from normality_lab.errors import EnumerationBudgetError
 from normality_lab.measure import (
     DeviationSetSpec,
@@ -160,6 +161,20 @@ class TestDeviationSetMeasure:
     def test_bruteforce_oracle_agrees(self, base, n, eps):
         s = spec(base, 0, n, eps)
         assert deviation_set_measure(s).exact_measure == deviation_set_measure_bruteforce(s)
+
+    def test_bruteforce_oracle_does_not_use_the_integer_rule(self, monkeypatch):
+        # |3/4 - 1/2| = 1/4 sits on the boundary, which a strict > rule drops
+        s = spec(2, 1, 4, "1/4")
+        expected = deviation_set_measure_bruteforce(s)
+        monkeypatch.setattr(
+            measure,
+            "admissible_counts",
+            lambda sp: [
+                p for p in range(sp.n + 1)
+                if abs(Fraction(p, sp.n) - Fraction(1, sp.base)) > sp.epsilon
+            ],
+        )
+        assert deviation_set_measure_bruteforce(s) == expected == Fraction(10, 16)
 
     def test_budget_error_reports_requirement(self):
         s = spec(10, 0, 9, "1/10")

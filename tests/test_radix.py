@@ -264,7 +264,33 @@ class TestExpandRational:
         assert all(d == 0 for d in digits[: k - 1])
 
 
+def trial_division_factors(n):
+    factors, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+small_primes = [p for p in range(2, 2 * 10**4) if _is_prime(p)]
+
+
 class TestFactorize:
+    @given(
+        st.dictionaries(
+            st.sampled_from(small_primes), st.integers(1, 3), min_size=1, max_size=4
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_trial_division(self, powers):
+        # prime powers above 37 reach Pollard's rho whole
+        n = math.prod(p**k for p, k in powers.items())
+        assert _factorize(n) == trial_division_factors(n) == powers
+
     def test_three_large_primes(self):
         # rho's modular multiplications are counted, not timed: about
         # 2.7 * 10**6 of them split this number
@@ -300,9 +326,8 @@ class TestFactorize:
         assert len(calls) < 1000
 
     def test_trial_division_stops_at_a_prime_cofactor(self):
-        # the `%` taken of the cofactor are counted, not timed: trial
-        # division that ran on to _TRIAL_LIMIT behind 2**127 - 1 would
-        # take about 500000 of them
+        # the `%` taken of the cofactor are counted, not timed: odd trial
+        # divisors up to 10**6 behind 2**127 - 1 would take about 500000
         class CountingInt(int):
             mods = 0
 

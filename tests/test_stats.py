@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normality_lab import stats
 from normality_lab.radix import regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
@@ -142,7 +143,7 @@ def assert_report_matches_counter(report, base, digits):
     deviations = {d: abs(Fraction(counts[d], n) - Fraction(1, base)) for d in range(base)}
     assert report.n == n
     assert list(report.counts.items()) == sorted(counts.items())
-    assert list(report.deviations) == sorted(counts)
+    assert list(report.deviations.items()) == [(d, deviations[d]) for d in sorted(counts)]
     assert {d: report.deviation(d) for d in range(base)} == deviations
     assert report.max_deviation == max(deviations.values())
 
@@ -170,6 +171,21 @@ class TestTallyPaths:
         report = _report(base, [base - 1])
         assert_report_matches_counter(report, base, [base - 1])
         assert report.max_deviation == 1 - Fraction(1, base)
+
+    def test_report_builds_a_constant_number_of_fractions(self, monkeypatch):
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(stats, "Fraction", counting_fraction)
+        base = 2**16
+        digits = [(7919 * i) % base for i in range(5000)] * 2
+        report = _report(base, digits)
+        assert len(built) <= 2
+        assert len(report.counts) == 5000
+        assert report.max_deviation == Fraction(2, len(digits)) - Fraction(1, base)
 
     def test_battery_views_either_side_of_the_crossover(self):
         spec = parse_source_spec("random:11", 2)
