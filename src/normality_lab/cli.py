@@ -42,11 +42,7 @@ from .radix import (
     int_to_digits,
     rational_period,
 )
-from .sources import (
-    load_digit_file,
-    parse_source_spec,
-    stream_in_base,
-)
+from .sources import load_digit_file, parse_source_spec
 from .stats import Word, count_block, normality_battery, simple_normality_report
 from .verify import check_ids, run_checks
 
@@ -128,12 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_at_least(2), required=True)
     p.add_argument("--digit", type=int, default=0)
     p.add_argument("--epsilon", type=_rational(high=Fraction(1)), required=True, help="deviation threshold in (0, 1], exact (e.g. 1/10)")
-    p.add_argument("-n", type=_at_least(1), default=None, help="prefix length for a single report")
-    p.add_argument("--n-max", type=_at_least(1), default=None, help="sweep n = 1..n-max as CSV")
-    p.add_argument("--tail", type=_at_least(1), default=None, metavar="M", help="bound the union of deviation sets over n >= M")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("-n", type=_at_least(1), default=None, help="prefix length for a single report")
+    mode.add_argument("--n-max", type=_at_least(1), default=None, help="sweep n = 1..n-max as CSV")
+    mode.add_argument("--tail", type=_at_least(1), default=None, metavar="M", help="bound the union of deviation sets over n >= M")
     p.add_argument("--target", type=_rational(), default=None, help="with --tail: also find the smallest m whose tail bound is <= this")
-    p.add_argument("--oracle", action="store_true", help="cross-check the measure by full enumeration")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET, help="enumeration budget for --oracle")
+    p.add_argument("--oracle", action="store_true", help="with -n: cross-check the measure by full enumeration")
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_ENUMERATION_BUDGET, help="enumeration budget for --oracle")
     add_common(p, ("json", "csv", "text"))
 
     p = sub.add_parser("verify-paper", help="run the whole self-verification battery")
@@ -176,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_expand(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    base = args.base or source.base
+    base = source.base
 
     if source.kind == "rational":
         expansion = expand_rational(source.value, base)
@@ -187,7 +184,7 @@ def cmd_expand(args) -> tuple[int, str]:
         expansion = DigitExpansion(
             base=base,
             integer_digits=int_to_digits(integer_value, base),
-            fractional=stream_in_base(source, base),
+            fractional=source.stream(),
         )
 
     display = format_bracket(expansion, args.digits)
@@ -201,7 +198,7 @@ def cmd_expand(args) -> tuple[int, str]:
 
 def cmd_stats(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    base = args.base or source.base
+    base = source.base
     if args.format == "json" and base > STATS_JSON_MAX_BASE:
         raise ValueError(
             f"--format json lists every digit of the base, so it needs base"
@@ -211,12 +208,12 @@ def cmd_stats(args) -> tuple[int, str]:
         raise ValueError(f"digit {args.digit} out of range for base {base}")
     word = None if args.word is None else Word.parse(args.word, base)
 
-    stream = stream_in_base(source, base)
+    stream = source.stream()
     report = simple_normality_report(stream, args.n)
     digit_count = None if args.digit is None else report.counts.get(args.digit, 0)
     word_count = None
     if word is not None:
-        word_count = count_block(stream_in_base(source, base), word, args.n)
+        word_count = count_block(source.stream(), word, args.n)
 
     if args.format == "json":
         payload = report.to_json_dict()
@@ -244,8 +241,7 @@ def cmd_stats(args) -> tuple[int, str]:
 
 def cmd_battery(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    base = args.base or source.base
-    cells = normality_battery(source, args.max_power, args.n, base=base)
+    cells = normality_battery(source, args.max_power, args.n)
 
     if args.format == "csv":
         rows = [BATTERY_CSV_HEADER]
@@ -254,7 +250,7 @@ def cmd_battery(args) -> tuple[int, str]:
             for c in cells
         ]
         return 0, "\n".join(rows) + "\n"
-    lines = [f"battery of {args.source} in base {base}, {args.n} digits per view"]
+    lines = [f"battery of {args.source} in base {source.base}, {args.n} digits per view"]
     for c in cells:
         dev = c.report.max_deviation
         lines.append(
@@ -300,6 +296,10 @@ def cmd_verify_lemma(args) -> tuple[int, str]:
 def cmd_measure(args) -> tuple[int, str]:
     if not 0 <= args.digit < args.base:
         raise ValueError(f"digit {args.digit} out of range for base {args.base}")
+    if args.target is not None and args.tail is None:
+        raise ValueError("--target needs --tail")
+    if args.oracle and args.n is None:
+        raise ValueError("--oracle needs -n")
 
     if args.tail is not None:
         bound = tail_measure_bound(args.base, args.epsilon, args.tail)
@@ -337,8 +337,6 @@ def cmd_measure(args) -> tuple[int, str]:
             )
         return 0, "\n".join(rows) + "\n"
 
-    if args.n is None:
-        raise ValueError("need one of -n, --n-max, or --tail")
     spec = DeviationSetSpec(args.base, args.digit, args.n, args.epsilon)
     report = deviation_set_measure(spec)
     payload = report.to_json_dict()
@@ -365,8 +363,10 @@ def cmd_verify_paper(args) -> tuple[int, str]:
     if args.list:
         return 0, "\n".join(check_ids()) + "\n"
     only = None
-    if args.only:
+    if args.only is not None:
         only = [part.strip() for part in args.only.split(",") if part.strip()]
+        if not only:
+            raise ValueError(f"--only {args.only!r} names no check")
     results = run_checks(only)
     lines = []
     for res in results:

@@ -13,7 +13,8 @@ Four kinds, all deterministic:
   rejection sampling, so equal seeds give equal streams everywhere.
 
 A :class:`SourceSpec` is the parsed, reusable description; every call to
-:meth:`SourceSpec.stream` starts a fresh stream from digit one.
+:meth:`SourceSpec.stream` starts a fresh stream from digit one, in the
+spec's base (for a file, its header base or a power of it, regrouped).
 
 Champernowne digits come a block of integers at a time, file digits a
 line at a time and random digits a block of xorshift states at a time,
@@ -70,16 +71,17 @@ def champernowne_stream(base: int) -> DigitStream:
     """Concatenated digits of 1, 2, 3, ... in the given base.
 
     With t and its table from `_digit_table`, the integers below base**t
-    come first, then one chunk per high part hi: the integers hi*base**t
-    up to (hi+1)*base**t - 1, each the digits of hi followed by t table
-    digits.
+    come first, each its table entry without the leading zeros.  Then comes
+    one chunk per high part hi: the integers hi*base**t up to
+    (hi+1)*base**t - 1, each the digits of hi followed by t table digits.
     """
     validate_base(base)
     t, table = _digit_table(base)
     pack = type(table[0])
 
     def chunks() -> Iterator:
-        yield pack(d for k in range(1, base**t) for d in int_to_digits(k, base))
+        yield pack(chain.from_iterable(  # the k-digit integers, t-k zeros cut
+            e[t - k :] for k in range(1, t + 1) for e in table[base ** (k - 1) : base**k]))
         for hi in count(1):
             head = pack(int_to_digits(hi, base))
             if pack is bytes:
@@ -445,7 +447,8 @@ def resolve_digit_path(name: str) -> Path:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Parsed description of a digit source; stream() restarts it."""
+    """Parsed description of a digit source; stream() restarts it in
+    `base` (for a file, its header base or a power of it, regrouped)."""
 
     kind: str
     base: int
@@ -467,6 +470,8 @@ class SourceSpec:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.spelled:
             s.description = self.spelled
+        if s.base != self.base:
+            s = regroup_to_power_base(s, power_exponent(s.base, self.base))
         return s
 
 
@@ -481,24 +486,6 @@ def power_exponent(root: int, power: int) -> int | None:
     return n if value == power else None
 
 
-def stream_in_base(spec: SourceSpec, base: int) -> DigitStream:
-    """A fresh stream of this source in `base`.
-
-    File sources carry their own base; requesting a power of it regroups
-    the stream, anything else is an error.
-    """
-    validate_base(base)
-    if base == spec.base:
-        return spec.stream()
-    n = power_exponent(spec.base, base)
-    if n is None:
-        raise ValueError(
-            f"source is base {spec.base}; {base} is neither equal to it"
-            " nor a power of it"
-        )
-    return regroup_to_power_base(spec.stream(), n)
-
-
 def parse_prefix_digits(text: str, base: int) -> Fraction:
     """Value of an explicit digit prefix: sum of d_j * base**-j."""
     digits = parse_digit_text(text, base)
@@ -510,7 +497,8 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
 
     "rational:1/3", "rational:0.25", "rational:11010111011-prefix",
     "champernowne", "file:pi_base10.digits", "random:42".  All kinds but
-    "file" need an explicit base; a file's base comes from its header.
+    "file" need an explicit base; a file's is its header base, or `base`
+    when given, which must be the header base or a power of it.
     """
     text = text.strip()
     kind, _, arg = text.partition(":")
@@ -519,10 +507,13 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
         if not arg:
             raise ValueError("file source needs a path: file:<name>")
         path = resolve_digit_path(arg)
-        meta = load_digit_file(path)
-        # the file's header base wins; stream_in_base regroups if a
-        # caller wants a power of it
-        return SourceSpec(kind="file", base=meta.base, path=path, spelled=text)
+        header = load_digit_file(path).base
+        base = header if base is None else base
+        if power_exponent(header, base) is None:
+            raise ValueError(
+                f"source is base {header}; {base} is neither equal to it nor a power of it"
+            )
+        return SourceSpec(kind="file", base=base, path=path, spelled=text)
 
     if base is None:
         raise ValueError(f"source {text!r} needs an explicit base")

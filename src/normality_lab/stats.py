@@ -28,7 +28,7 @@ from .radix import (
     digits_to_int,
     parse_digit_text,
 )
-from .sources import SourceSpec, stream_in_base
+from .sources import SourceSpec
 
 
 @dataclass(frozen=True)
@@ -178,14 +178,14 @@ class BatteryCell:
 
 
 def normality_battery(
-    source: SourceSpec, max_power: int, prefix_len: int, base: int | None = None
+    source: SourceSpec, max_power: int, prefix_len: int
 ) -> list[BatteryCell]:
     """Simple-normality reports for every view (m, n), 0 <= m < n <= max_power.
 
     Each view shifts the source by m digits and regroups by n, then reads
-    prefix_len digits of the resulting base-r**n stream.  r is the
-    source's own base unless `base` regroups it first (for digit files
-    viewed in a power of their base).  The source is read once, for the
+    prefix_len digits of the resulting base-r**n stream, with r the
+    source's base (for a file, its header base or the power of it the
+    spec was parsed for).  The source is read once, for the
     max_power*(prefix_len+1) - 1 digits the widest view needs.  Cells
     come back ordered by power, then shift.
     """
@@ -193,9 +193,8 @@ def normality_battery(
         raise ValueError(f"max power must be >= 1, got {max_power}")
     if prefix_len < 1:
         raise ValueError(f"prefix length must be >= 1, got {prefix_len}")
-    if base is None:
-        base = source.base
-    digits = stream_in_base(source, base).take(max_power * (prefix_len + 1) - 1)
+    base = source.base
+    digits = source.stream().take(max_power * (prefix_len + 1) - 1)
     cells = []
     for n, values in enumerate(_power_values(digits, base, max_power), 1):
         for m in range(n):

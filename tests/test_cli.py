@@ -40,6 +40,16 @@ def run_usage_error(capsys, *argv):
     ("measure", "--base", "2", "--epsilon", "3/2", "-n", "2"),
     ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "2", "--target", "0"),
     ("measure", "--base", "2", "--digit", "2", "--epsilon", "1/2", "--tail", "2"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--n-max", "3"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--n-max", "3", "--tail", "2"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--target", "1"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--n-max", "3", "--oracle"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "2", "--oracle"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--oracle", "--budget", "-3"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--oracle", "--budget", "0"),
+    ("verify-paper", "--only", ","),
+    ("verify-paper", "--only", ""),
+    ("stats", "--source", "file:pi_base10.digits", "--base", "7", "-n", "5"),
     ("expand", "--source", "champernowne", "--base", "1", "--digits", "3"),
 ])
 def test_rejected_input_is_a_usage_error(capsys, argv):
@@ -465,6 +475,10 @@ class TestVerifyPaper:
 
     def test_unknown_id(self, capsys):
         run_usage_error(capsys, "verify-paper", "--only", "no-such-check")
+
+    def test_only_naming_no_check(self, capsys):
+        err = run_usage_error(capsys, "verify-paper", "--only", " , ")
+        assert "names no check" in err
 
     def test_missing_asset_skips(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(ASSETS_ENV, str(tmp_path))

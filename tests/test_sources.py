@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normality_lab import sources
 from normality_lab.errors import (
     InsufficientDigitsError,
     InvalidDigitError,
@@ -36,7 +37,6 @@ from normality_lab.sources import (
     random_stream,
     rational_stream,
     resolve_digit_path,
-    stream_in_base,
     xorshift64_step,
 )
 
@@ -73,6 +73,17 @@ class TestChampernowne:
     @given(st.integers(2, 16))
     def test_all_digits_in_range(self, base):
         assert all(d < base for d in champernowne_stream(base).take(500))
+
+    def test_first_chunk_comes_from_the_digit_table(self, monkeypatch):
+        calls = []
+
+        def counting(value, base):
+            calls.append(value)
+            return int_to_digits(value, base)
+
+        monkeypatch.setattr(sources, "int_to_digits", counting)
+        assert champernowne_stream(2).take(1) == [1]
+        assert len(calls) <= 1
 
 
 class TestRandomStream:
@@ -325,22 +336,50 @@ class TestStreamInBase:
         assert power_exponent(2, 6) is None
         assert power_exponent(10, 5) is None
 
-    def test_same_base_passthrough(self):
-        spec = parse_source_spec("rational:1/3", 2)
-        assert stream_in_base(spec, 2).take(4) == [0, 1, 0, 1]
+    def test_same_base_passthrough(self, tmp_path):
+        p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
+        s = parse_source_spec(f"file:{p}", 10).stream()
+        assert s.base == 10
+        assert s.take(6) == [1, 4, 1, 5, 9, 2]
 
     def test_regroups_file_to_power_base(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
-        spec = parse_source_spec(f"file:{p}")
-        s = stream_in_base(spec, 100)
+        spec = parse_source_spec(f"file:{p}", 100)
+        assert spec.base == 100
+        s = spec.stream()
         assert s.base == 100
         assert s.take(3) == [14, 15, 92]
 
     def test_rejects_non_power(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
-        spec = parse_source_spec(f"file:{p}")
+        with pytest.raises(ValueError, match="neither equal to it nor a power of it"):
+            parse_source_spec(f"file:{p}", 7)
+
+    def test_file_streams_in_the_base_it_was_parsed_for(self, tmp_path):
+        p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
+        assert parse_source_spec(f"file:{p}", 100).stream().take(3) == [14, 15, 92]
+        assert parse_source_spec(f"file:{p}", 1000).stream().take(2) == [141, 592]
         with pytest.raises(ValueError):
-            stream_in_base(spec, 7)
+            parse_source_spec(f"file:{p}", 7)
+
+    @pytest.mark.parametrize(
+        "text, base",
+        [
+            ("rational:1/3", 2),
+            ("rational:101-prefix", 2),
+            ("champernowne", 12),
+            ("random:5", 7),
+            ("file:pi_base10.digits", 10),
+            ("file:pi_base10.digits", 100),
+            ("file:pi_base10.digits", 10**4),
+        ],
+    )
+    def test_every_kind_streams_in_its_parsed_base(self, text, base):
+        spec = parse_source_spec(text, base)
+        assert spec.base == base
+        s = spec.stream()
+        assert s.base == base
+        assert all(0 <= d < base for d in s.take(20))
 
 
 # one source of each kind; the packaged pi file holds 1000 digits, more

@@ -13,7 +13,6 @@ from normality_lab.sources import (
     champernowne_stream,
     parse_source_spec,
     random_stream,
-    stream_in_base,
 )
 from normality_lab.stats import (
     _BYTES_TALLY_MAX_BASE,
@@ -36,11 +35,12 @@ def prefix_spec(text, base):
 # with dense per-digit deviations over the whole power base.
 
 
-def reference_battery(source, max_power, prefix_len, base):
+def reference_battery(source, max_power, prefix_len):
+    base = source.base
     cells = []
     for n in range(1, max_power + 1):
         for m in range(n):
-            stream = stream_in_base(source, base)
+            stream = source.stream()
             stream.take(m)
             digits = regroup_to_power_base(stream, n).take(prefix_len)
             view_base = base**n
@@ -268,8 +268,7 @@ class TestBattery:
     def test_explicit_base_regroups_first(self, tmp_path):
         path = tmp_path / "f.digits"
         path.write_text("base=10\n" + "1415926535" * 10 + "\n", encoding="ascii")
-        spec = parse_source_spec(f"file:{path}")
-        cells = normality_battery(spec, 1, 20, base=100)
+        cells = normality_battery(parse_source_spec(f"file:{path}", 100), 1, 20)
         assert cells[0].report.base == 100
 
     def test_validation(self):
@@ -294,7 +293,7 @@ class TestBattery:
             )
             for c in cells
         ]
-        assert got == reference_battery(spec, max_power, prefix_len, base)
+        assert got == reference_battery(spec, max_power, prefix_len)
         for c in cells:
             assert 0 not in c.report.counts.values()
 
