@@ -35,14 +35,8 @@ from .moments import (
     derive_constants,
     verify_operator_closed_form,
 )
-from .radix import (
-    DigitExpansion,
-    expand_rational,
-    format_bracket,
-    int_to_digits,
-    rational_period,
-)
-from .sources import load_digit_file, parse_source_spec
+from .radix import format_bracket, rational_period
+from .sources import parse_source_spec
 from .stats import Word, count_block, normality_battery, simple_normality_report
 from .verify import check_ids, run_checks
 
@@ -173,26 +167,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_expand(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    base = source.base
-
-    if source.kind == "rational":
-        expansion = expand_rational(source.value, base)
-    else:
-        integer_value = 0
-        if source.kind == "file":
-            integer_value = load_digit_file(source.path).integer_value
-        expansion = DigitExpansion(
-            base=base,
-            integer_digits=int_to_digits(integer_value, base),
-            fractional=source.stream(),
-        )
-
-    display = format_bracket(expansion, args.digits)
+    display = format_bracket(source.expansion(), args.digits)
     if args.format == "text":
         return 0, display + "\n"
-    payload = {"base": expansion.base, "digits": args.digits, "display": display}
+    payload = {"base": source.base, "digits": args.digits, "display": display}
     if source.kind == "rational":
-        payload["preperiod"], payload["period"] = rational_period(source.value, base)
+        payload["preperiod"], payload["period"] = rational_period(source.value, source.base)
     return 0, json.dumps(payload, indent=2) + "\n"
 
 

@@ -18,9 +18,9 @@ tail of (base-1), and a leading-digit index records where the expansion
 starts.  Its preperiod and period are computed separately, by
 :func:`rational_period`, from the factorization of a Carmichael
 function (the primes up to 37 divided out, every composite cofactor
-split by Pollard's rho), within a budget of modular multiplications
-that makes a denominator too hard to factor a typed error instead of a
-hang.  Bases are ints >= 2.
+split by Pollard's rho, every cofactor tested by Baillie-PSW), within a
+budget of modular multiplications that makes a denominator too hard to
+factor a typed error instead of a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,9 +189,12 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
     elif int_part > 0:
         leading = len(integer_digits) - 1
     else:
-        # the digits before the first nonzero one are zeros, so the
-        # remainder just scales: at most about log_base(den) steps
-        leading, scaled = -1, rem * base
+        # the first nonzero digit is the k-th, k the least with
+        # rem * base**k >= den; the bit lengths give a lower bound at
+        # most four below k, and the scan steps up from there
+        bits = den.bit_length() - rem.bit_length() - 1
+        leading = -max(1, math.ceil(bits / math.log2(base)) - 1)
+        scaled = rem * base**-leading
         while scaled < den:
             leading, scaled = leading - 1, scaled * base
 
@@ -204,8 +208,9 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 
     # above base 4096 there is no table: each quotient is one digit
     groups = map(table.__getitem__, long_division()) if t else zip(long_division())
+    # the description leaves q out: its digits may be too many to print
     stream = DigitStream(
-        base, chain.from_iterable(groups), description=f"{q} in base {base}"
+        base, chain.from_iterable(groups), description=f"rational in base {base}"
     )
     return DigitExpansion(base, integer_digits, stream, leading)
 
@@ -213,22 +218,26 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 def rational_period(q: Fraction, base: int) -> tuple[int, int]:
     """(preperiod, period) of the fractional digits of q in base.
 
-    The preperiod is how often gcd(den, base) divides out of the reduced
-    denominator, the period the multiplicative order of base modulo what
-    remains (1 for the all-zero tail).  The order is found by dividing
-    primes out of the Carmichael function of that cofactor, so the cost
-    is that of factoring it, not of walking the period.  Raises
+    The preperiod is the least k with den // gcd(den, base**k) coprime to
+    base, found by bisection, the period the multiplicative order of base
+    modulo that cofactor (1 for the all-zero tail).  The order is found by
+    dividing primes out of the Carmichael function of the cofactor, so the
+    cost is that of factoring it, not of walking the period.  Raises
     FactorizationBudgetError once the factoring would take more than
     FACTORIZATION_BUDGET modular multiplications.
     """
     validate_base(base)
     den = Fraction(q).denominator
     work = _WorkBudget(den)
-    preperiod = 0
-    while (g := math.gcd(den, base)) > 1:
-        den //= g
-        preperiod += 1
-    return preperiod, _multiplicative_order(base, den, work)
+
+    def cofactor(k: int) -> int:  # den // gcd(den, base**k)
+        return den // math.gcd(den, pow(base, k, den))
+
+    # each step of the preperiod divides den by 2 or more
+    preperiod = bisect_left(
+        range(den.bit_length()), True, key=lambda k: math.gcd(cofactor(k), base) == 1
+    )
+    return preperiod, _multiplicative_order(base, cofactor(preperiod), work)
 
 
 def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
@@ -243,9 +252,10 @@ def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
     return order
 
 
-# Miller-Rabin with these bases is exact below 3.18 * 10**23; _factorize
-# divides them out before Pollard's rho sees a cofactor
+# Miller-Rabin with these bases is exact below _MILLER_RABIN_EXACT, the least
+# composite passing all of them; _factorize divides them out before rho runs
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_EXACT = 318665857834031151167461
 # rho steps between two gcds in Brent's search
 _RHO_BATCH = 128
 # modular multiplications Pollard's rho may spend in one rational_period
@@ -294,7 +304,9 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the fixed witnesses, for n >= 2."""
+    """Miller-Rabin on the fixed witnesses, for n >= 2; from
+    _MILLER_RABIN_EXACT on also a strong Lucas test, which with witness 2
+    is Baillie-PSW (Baillie and Wagstaff 1980, Math. Comp. 35)."""
     if any(n % p == 0 for p in _WITNESSES):
         return n in _WITNESSES
     d, s = n - 1, 0
@@ -310,7 +322,52 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MILLER_RABIN_EXACT or _is_strong_lucas_probable_prime(n)
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Selfridge's strong Lucas test, for odd n: P = 1, Q = (1 - D)/4 for D
+    the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, and n
+    passes when, with n + 1 = d * 2**s for odd d, U_d or V_(d * 2**r) for
+    some r < s is 0 mod n."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have symbol -1
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:
+            return False  # n > |D| shares a factor with D
+        D = -D - 2 if D > 0 else 2 - D
+    Q, s = (1 - D) // 4, ((n + 1) & -(n + 1)).bit_length() - 1
+
+    def half(x: int) -> int:  # x / 2 mod n
+        return (x + n * (x & 1)) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def _pollard_rho(n: int, work: _WorkBudget | None = None) -> int:

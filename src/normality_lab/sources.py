@@ -13,8 +13,9 @@ Four kinds, all deterministic:
   rejection sampling, so equal seeds give equal streams everywhere.
 
 A :class:`SourceSpec` is the parsed, reusable description; every call to
-:meth:`SourceSpec.stream` starts a fresh stream from digit one, in the
-spec's base (for a file, its header base or a power of it, regrouped).
+:meth:`SourceSpec.expansion` starts the source afresh in the spec's base,
+integer digits and fractional stream, and a file spec keeps the header
+`parse_source_spec` read, so nothing reads it twice.
 
 Champernowne digits come a block of integers at a time, file digits a
 line at a time and random digits a block of xorshift states at a time,
@@ -43,6 +44,7 @@ from .exact import parse_rational
 from .radix import (
     ALPHABET,
     CHAR_VALUE,
+    DigitExpansion,
     DigitStream,
     _digit_table,
     digits_to_int,
@@ -306,32 +308,21 @@ class DigitFile:
 def load_digit_file(path) -> DigitFile:
     path = Path(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        first = fh.readline()
-        if not first:
-            raise MalformedHeaderError(path, 1, "empty file, expected base=<r>")
-        m = re.fullmatch(r"base=(\d+)", first.strip())
-        if not m:
-            raise MalformedHeaderError(
-                path, 1, f"expected base=<r>, got {first.strip()!r}"
-            )
-        base = int(m.group(1))
-        if base < 2:
-            raise MalformedHeaderError(path, 1, f"base must be >= 2, got {base}")
-        header_lines = 1
-        integer_value = 0
-        pos = fh.tell()
-        second = fh.readline()
-        if second.strip().startswith("int="):
-            m2 = re.fullmatch(r"int=(\d+)", second.strip())
-            if not m2:
-                raise MalformedHeaderError(
-                    path, 2, f"expected int=<decimal>, got {second.strip()!r}"
-                )
-            integer_value = int(m2.group(1))
-            header_lines = 2
-        else:
-            fh.seek(pos)
-    return DigitFile(path, base, integer_value, header_lines)
+        first, second = fh.readline(), fh.readline().strip()
+    if not first:
+        raise MalformedHeaderError(path, 1, "empty file, expected base=<r>")
+    m = re.fullmatch(r"base=(\d+)", first.strip())
+    if not m:
+        raise MalformedHeaderError(path, 1, f"expected base=<r>, got {first.strip()!r}")
+    base = int(m.group(1))
+    if base < 2:
+        raise MalformedHeaderError(path, 1, f"base must be >= 2, got {base}")
+    if not second.startswith("int="):
+        return DigitFile(path, base, 0, 1)
+    m = re.fullmatch(r"int=(\d+)", second)
+    if not m:
+        raise MalformedHeaderError(path, 2, f"expected int=<decimal>, got {second!r}")
+    return DigitFile(path, base, int(m.group(1)), 2)
 
 
 # the characters str.isspace() accepts in a file read as ASCII
@@ -410,11 +401,6 @@ def _bad_token(path: Path, lineno: int, line: str, col: int) -> InvalidDigitErro
     )
 
 
-def file_digit_stream(path) -> DigitStream:
-    """Stream a digit file; the base comes from its header."""
-    return load_digit_file(path).stream()
-
-
 # --- asset resolution ------------------------------------------------------
 
 ASSETS_ENV = "NORMALITY_LAB_ASSETS"
@@ -447,23 +433,25 @@ def resolve_digit_path(name: str) -> Path:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Parsed description of a digit source; stream() restarts it in
-    `base` (for a file, its header base or a power of it, regrouped)."""
+    """Parsed description of a digit source, in `base`: for a file, its
+    header base or a power of it, regrouped; `file` is its header."""
 
     kind: str
     base: int
     value: Fraction | None = None
-    path: Path | None = None
+    file: DigitFile | None = None
     seed: int | None = None
     spelled: str = ""
 
-    def stream(self) -> DigitStream:
+    def expansion(self) -> DigitExpansion:
+        """The integer digits (a file's int= value, else none) and a fresh
+        fractional stream, both in `base`."""
         if self.kind == "rational":
             s = rational_stream(self.value, self.base)
         elif self.kind == "champernowne":
             s = champernowne_stream(self.base)
         elif self.kind == "file":
-            s = file_digit_stream(self.path)
+            s = self.file.stream()
         elif self.kind == "random":
             s = random_stream(self.base, self.seed)
         else:
@@ -472,7 +460,11 @@ class SourceSpec:
             s.description = self.spelled
         if s.base != self.base:
             s = regroup_to_power_base(s, power_exponent(s.base, self.base))
-        return s
+        integer = self.file.integer_value if self.file else 0
+        return DigitExpansion(self.base, int_to_digits(integer, self.base), s)
+
+    def stream(self) -> DigitStream:
+        return self.expansion().fractional
 
 
 def power_exponent(root: int, power: int) -> int | None:
@@ -506,14 +498,13 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
     if kind == "file":
         if not arg:
             raise ValueError("file source needs a path: file:<name>")
-        path = resolve_digit_path(arg)
-        header = load_digit_file(path).base
-        base = header if base is None else base
-        if power_exponent(header, base) is None:
+        file = load_digit_file(resolve_digit_path(arg))
+        base = file.base if base is None else base
+        if power_exponent(file.base, base) is None:
             raise ValueError(
-                f"source is base {header}; {base} is neither equal to it nor a power of it"
+                f"source is base {file.base}; {base} is neither equal to it nor a power of it"
             )
-        return SourceSpec(kind="file", base=base, path=path, spelled=text)
+        return SourceSpec(kind="file", base=base, file=file, spelled=text)
 
     if base is None:
         raise ValueError(f"source {text!r} needs an explicit base")

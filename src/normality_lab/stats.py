@@ -83,9 +83,10 @@ def count_block(stream: DigitStream, word: Word, n: int) -> int:
     if word.base != stream.base:
         raise ValueError(f"word base {word.base} != stream base {stream.base}")
     prefix = stream.take(n)
-    w = list(word.digits)
-    k = len(w)
-    return sum(1 for j in range(n - k + 1) if prefix[j : j + k] == w)
+    w = tuple(word.digits)
+    # the windows in one pass: the i-th iterator starts i digits in
+    windows = zip(*(islice(prefix, i, None) for i in range(len(w))))
+    return sum(map(w.__eq__, windows))
 
 
 @dataclass

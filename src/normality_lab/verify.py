@@ -35,19 +35,8 @@ from .moments import (
     scaled_moment_via_operator,
     verify_operator_closed_form,
 )
-from .radix import (
-    DigitExpansion,
-    expand_rational,
-    format_bracket,
-    int_to_digits,
-    regroup_to_power_base,
-)
-from .sources import (
-    SourceSpec,
-    load_digit_file,
-    parse_prefix_digits,
-    resolve_digit_path,
-)
+from .radix import expand_rational, format_bracket, regroup_to_power_base
+from .sources import SourceSpec, parse_source_spec
 from .stats import (
     Word,
     count_block,
@@ -120,15 +109,11 @@ def _require(condition: bool, detail: str):
         raise CheckFailed(detail)
 
 
-def _pi_source() -> SourceSpec:
-    path = resolve_digit_path(PI_FILE_NAME)
+def _pi_source(base: int = 10) -> SourceSpec:
     try:
-        meta = load_digit_file(path)
-    except (OSError, DigitFileError) as exc:
-        raise CheckSkipped(f"digit file {PI_FILE_NAME} unavailable: {exc}") from None
-    if meta.base != 10:
-        raise CheckSkipped(f"{path} is base {meta.base}, expected 10")
-    return SourceSpec(kind="file", base=10, path=path, spelled=f"file:{PI_FILE_NAME}")
+        return parse_source_spec(f"file:{PI_FILE_NAME}", base)
+    except (OSError, DigitFileError, ValueError) as exc:
+        raise CheckSkipped(f"digit file {PI_FILE_NAME} unusable: {exc}") from None
 
 
 # --- worked expansions ------------------------------------------------------
@@ -144,17 +129,7 @@ def _pi_digit_count() -> str:
 
 @_check("pi-bracket-display")
 def _pi_bracket_display() -> str:
-    source = _pi_source()
-    meta = load_digit_file(source.path)
-    _require(meta.integer_value == 3, f"integer part {meta.integer_value} != 3")
-    grouped = regroup_to_power_base(source.stream(), 2)
-    expansion = DigitExpansion(
-        base=100,
-        integer_digits=int_to_digits(meta.integer_value, 100),
-        fractional=grouped,
-        leading_index=0,
-    )
-    text = format_bracket(expansion, 4)
+    text = format_bracket(_pi_source(100).expansion(), 4)
     _require(text == "[3].[14][15][92]", f"got {text!r}")
     return "base-100 rendering is [3].[14][15][92]"
 
@@ -179,7 +154,7 @@ def _third_base4() -> str:
     digits = e.fractional.take(60)
     _require(digits == [1] * 60, "1/3 in base 4 must be all 1s")
 
-    base2 = SourceSpec(kind="rational", base=2, value=Fraction(1, 3))
+    base2 = parse_source_spec("rational:1/3", 2)
     ones = count_digit(base2.stream(), 1, 100)
     _require(ones == 50, f"1/3 in base 2: {ones} ones in 100 digits, expected 50")
 
@@ -192,9 +167,7 @@ def _third_base4() -> str:
 
 @_check("block-count-overlap")
 def _block_overlap() -> str:
-    source = SourceSpec(
-        kind="rational", base=2, value=parse_prefix_digits("11010111011", 2)
-    )
+    source = parse_source_spec("rational:11010111011-prefix", 2)
     got = count_block(source.stream(), Word.parse("101", 2), 11)
     _require(got == 3, f"word 101 counted {got} times, expected 3")
     return "101 occurs 3 times in 11010111011 (overlaps count)"
@@ -242,9 +215,7 @@ def _shift_regroup() -> str:
 @_check("power-base-block-decomposition")
 def _power_base_blocks() -> str:
     prefix = "001001000011101101111110000100000110101100011110001"
-    source = SourceSpec(
-        kind="rational", base=2, value=parse_prefix_digits(prefix, 2)
-    )
+    source = parse_source_spec(f"rational:{prefix}-prefix", 2)
     word = Word.parse("11", 2)
 
     direct = count_block(source.stream(), word, 51)
@@ -438,7 +409,7 @@ MONTE_CARLO_FRACTION = Fraction(6259, 12500)
 
 @_check("champernowne-frequency-regression")
 def _champernowne_regression() -> str:
-    source = SourceSpec(kind="champernowne", base=10)
+    source = parse_source_spec("champernowne", 10)
     report = simple_normality_report(source.stream(), 1_000_000)
     _require(
         report.max_deviation == CHAMPERNOWNE_MAX_DEVIATION_1M,
@@ -449,7 +420,7 @@ def _champernowne_regression() -> str:
         f"max deviation {report.max_deviation} not below 1/10",
     )
 
-    base2 = SourceSpec(kind="champernowne", base=2)
+    base2 = parse_source_spec("champernowne", 2)
     cells = normality_battery(base2, max_power=3, prefix_len=100_000)
     worst = max(c.report.max_deviation for c in cells)
     _require(

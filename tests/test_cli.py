@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import normality_lab
-from normality_lab import verify
+from normality_lab import sources, verify
 from normality_lab.cli import main
 from normality_lab.radix import FACTORIZATION_BUDGET
 from normality_lab.sources import ASSETS_ENV
@@ -141,6 +141,30 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:")
         assert den in err and str(FACTORIZATION_BUDGET) in err
+
+    def test_reads_the_digit_file_header_once(self, capsys, monkeypatch):
+        calls = []
+        load = sources.load_digit_file
+
+        def spy(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(sources, "load_digit_file", spy)
+        code = main(["expand", "--source", "file:pi_base10.digits", "--base", "100",
+                     "--digits", "30"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("[3].[14][15][92]")
+        assert len(calls) == 1
+
+    def test_denominator_past_the_int_str_digit_limit(self, capsys):
+        # 10**5000 has more digits than int-to-str converts by default
+        code, out, _ = run(
+            capsys, "expand", "--source", "rational:1e-5000", "--base", "10",
+            "--digits", "3",
+        )
+        assert code == 0
+        assert out == "0.000\n"
 
     def test_base_required_for_rational(self, capsys):
         run_usage_error(capsys, "expand", "--source", "rational:1/3",
@@ -482,11 +506,26 @@ class TestVerifyPaper:
 
     def test_missing_asset_skips(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(ASSETS_ENV, str(tmp_path))
-        code, out, _ = run(capsys, "verify-paper", "--only", "pi-digit-count")
+        self.assert_pi_checks_skip(capsys)
+
+    def test_asset_in_another_base_skips(self, capsys, tmp_path, monkeypatch):
+        # base 16 is neither base 10 nor a root of base 100
+        (tmp_path / verify.PI_FILE_NAME).write_text(
+            "base=16\nint=3\n243f6a8885a308d3\n", encoding="ascii"
+        )
+        monkeypatch.setenv(ASSETS_ENV, str(tmp_path))
+        self.assert_pi_checks_skip(capsys)
+
+    @staticmethod
+    def assert_pi_checks_skip(capsys):
+        code, out, _ = run(
+            capsys, "verify-paper", "--only", "pi-digit-count,pi-bracket-display"
+        )
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("SKIP  pi-digit-count:")
-        assert lines[-1] == "1 checks: 0 passed, 0 failed, 1 skipped"
+        assert lines[1].startswith("SKIP  pi-bracket-display:")
+        assert lines[-1] == "2 checks: 0 passed, 0 failed, 2 skipped"
 
     def test_tampering_turns_red(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -264,6 +264,66 @@ class TestExpandRational:
         assert all(d == 0 for d in digits[: k - 1])
 
 
+def leading_index_by_scan(q, base):
+    """The leading index of q in (0, 1), one multiplication per leading
+    zero: the reference for expand_rational's estimate."""
+    leading, scaled = -1, q.numerator * base
+    while scaled < q.denominator:
+        leading, scaled = leading - 1, scaled * base
+    return leading
+
+
+class TestLongDenominators:
+    @given(
+        st.integers(1, 10**20),
+        st.integers(1, 10**20),
+        st.integers(-1, 1),
+        st.integers(0, 300),
+        st.one_of(st.integers(2, 300), st.integers(2, 2**70)),
+    )
+    @settings(max_examples=400)
+    def test_leading_index_matches_the_scan(self, a, b, c, e, base):
+        # b = 1 puts q at or next to a power of the base, where the
+        # estimate from bit lengths needs its corrections
+        q = Fraction(a, a + b * base**e + c)
+        if q < 1:
+            assert expand_rational(q, base).leading_index == leading_index_by_scan(q, base)
+
+    def test_long_preperiod_costs_few_gcds(self, monkeypatch):
+        # gcds are counted, not timed: dividing gcd(den, 10) out once per
+        # preperiod step takes 40001 of them
+        calls = []
+        gcd = math.gcd
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting_gcd)
+        assert rational_period(Fraction(1, 7 * 10**40000), 10) == (40000, 6)
+        assert len(calls) <= 100
+
+
+# the least composite that passes Miller-Rabin on the primes up to 37
+STRONG_PSEUDOPRIME = 399165290221 * 798330580441
+
+
+class TestPrimality:
+    def test_strong_pseudoprime_is_composite(self):
+        assert STRONG_PSEUDOPRIME == 318665857834031151167461
+        assert not _is_prime(STRONG_PSEUDOPRIME)
+
+    def test_strong_pseudoprime_factors(self):
+        assert _factorize(STRONG_PSEUDOPRIME) == {399165290221: 1, 798330580441: 1}
+
+    def test_strong_pseudoprime_period(self):
+        # the order of 41 is lcm(399165290220, 798330580440), not n - 1
+        assert rational_period(Fraction(1, STRONG_PSEUDOPRIME), 41) == (0, 798330580440)
+
+    def test_mersenne_primes_stay_prime(self):
+        assert _is_prime(2**89 - 1) and _is_prime(2**127 - 1)
+
+
 def trial_division_factors(n):
     factors, f = {}, 2
     while f * f <= n:

@@ -29,7 +29,6 @@ from normality_lab.sources import (
     _STEPS,
     SourceSpec,
     champernowne_stream,
-    file_digit_stream,
     load_digit_file,
     parse_prefix_digits,
     parse_source_spec,
@@ -133,17 +132,17 @@ def write_digit_file(path, text):
 class TestDigitFiles:
     def test_round_trip(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=10\n14 15\n92\n")
-        s = file_digit_stream(p)
+        s = load_digit_file(p).stream()
         assert s.base == 10
         assert s.take(6) == [1, 4, 1, 5, 9, 2]
 
     def test_letters_for_larger_bases(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=16\n0f a\n")
-        assert file_digit_stream(p).take(3) == [0, 15, 10]
+        assert load_digit_file(p).stream().take(3) == [0, 15, 10]
 
     def test_bracketed_digits_above_36(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=100\n[14] [15]\n[92][0]\n")
-        s = file_digit_stream(p)
+        s = load_digit_file(p).stream()
         assert s.base == 100
         assert s.take(4) == [14, 15, 92, 0]
 
@@ -165,7 +164,7 @@ class TestDigitFiles:
 
     def test_exhaustion_reports_file_size(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=2\n" + "01" * 25 + "\n")
-        s = file_digit_stream(p)
+        s = load_digit_file(p).stream()
         with pytest.raises(InsufficientDigitsError) as exc:
             s.take(51)
         assert exc.value.available == 50
@@ -196,46 +195,46 @@ class TestDigitFiles:
     def test_digit_out_of_range_with_position(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=2\n0101\n0121\n")
         with pytest.raises(InvalidDigitError) as exc:
-            file_digit_stream(p).take(8)
+            load_digit_file(p).stream().take(8)
         assert exc.value.line == 3
         assert exc.value.column == 3
 
     def test_invalid_character(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=10\n12x4\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(4)
+            load_digit_file(p).stream().take(4)
 
     def test_uppercase_rejected(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=16\n0F\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(2)
+            load_digit_file(p).stream().take(2)
 
     def test_unterminated_bracket(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=100\n[14] [15\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(3)
+            load_digit_file(p).stream().take(3)
 
     def test_bracket_value_out_of_range(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=40\n[39][40]\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(2)
+            load_digit_file(p).stream().take(2)
 
     def test_empty_bracket(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=100\n[]\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(1)
+            load_digit_file(p).stream().take(1)
 
     def test_stray_character_in_bracket_mode(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=100\n[14] 15\n")
         with pytest.raises(InvalidDigitError):
-            file_digit_stream(p).take(2)
+            load_digit_file(p).stream().take(2)
 
     def test_non_ascii_byte_is_invalid_digit(self, tmp_path):
         # past the decoder's first 8 KiB chunk, so the header reads cleanly
         p = tmp_path / "t.digits"
         p.write_bytes(b"base=10\n" + (b"1" * 99 + b"\n") * 100 + "12\u00e9\n".encode())
         with pytest.raises(InvalidDigitError) as exc:
-            file_digit_stream(p).take(10**4)
+            load_digit_file(p).stream().take(10**4)
         assert (exc.value.line, exc.value.column) == (102, 3)
 
     def test_missing_file_is_os_error(self, tmp_path):
@@ -349,6 +348,17 @@ class TestStreamInBase:
         s = spec.stream()
         assert s.base == 100
         assert s.take(3) == [14, 15, 92]
+
+    def test_expansion_carries_the_integer_part(self, tmp_path):
+        p = write_digit_file(tmp_path / "f.digits", "base=10\nint=3\n141592\n")
+        e = parse_source_spec(f"file:{p}", 100).expansion()
+        assert (e.base, e.integer_digits) == (100, [3])
+        assert e.fractional.take(3) == [14, 15, 92]
+
+    def test_expansion_of_a_rational_has_no_integer_digits(self):
+        e = parse_source_spec("rational:1/3", 4).expansion()
+        assert (e.base, e.integer_digits) == (4, [])
+        assert e.fractional.take(3) == [1, 1, 1]
 
     def test_rejects_non_power(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")

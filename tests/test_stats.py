@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import stats
-from normality_lab.radix import regroup_to_power_base
+from normality_lab.radix import DigitStream, regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
     champernowne_stream,
@@ -223,6 +223,33 @@ class TestCountBlock:
         blocks = count_block(random_stream(2, seed), word, n)
         digits = count_digit(random_stream(2, seed), d, n)
         assert blocks == digits
+
+
+def count_block_by_slices(prefix, word):
+    """Block occurrences, one slice per start position: the reference
+    for count_block's one pass."""
+    w, k = list(word.digits), len(word)
+    return sum(1 for j in range(len(prefix) - k + 1) if prefix[j : j + k] == w)
+
+
+@st.composite
+def prefix_and_word(draw):
+    # small digit ranges inside a large base keep matches common
+    base = draw(st.integers(2, 300))
+    used = draw(st.integers(1, min(base, 3)))
+    digit = st.integers(0, used - 1).map(lambda d: d * (base - 1) // max(used - 1, 1))
+    word = Word(base, tuple(draw(st.lists(digit, min_size=1, max_size=6))))
+    prefix = draw(st.lists(digit, min_size=1, max_size=80))
+    return base, prefix, word
+
+
+class TestCountBlockOnePass:
+    @given(prefix_and_word())
+    @settings(max_examples=300)
+    def test_matches_slice_per_position(self, case):
+        base, prefix, word = case
+        got = count_block(DigitStream(base, prefix), word, len(prefix))
+        assert got == count_block_by_slices(prefix, word)
 
 
 class TestSimpleNormalityReport:
