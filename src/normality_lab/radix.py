@@ -5,11 +5,13 @@ source of base-r digits after the radix point.  Streams compose (a
 rational expansion and a regrouping into base r**n are both streams; a
 fractional shift by m is `take(m)`) and every consumer states up front
 how many digits it needs, so exhaustion is always reported with exact
-positions.  Every read is one `take` (an `islice` of the stream's
-iterator) and a fork is an `itertools.tee` of it.  Sources emit digits
-in chunks (a `bytes` or a tuple of digit values) and a stream flattens
-them with `itertools.chain.from_iterable`, so a read costs no Python
-frame per digit.
+positions.  A source's stream reads with an `islice` of its iterator
+and forks with an `itertools.tee` of it; a regrouped stream reads n
+times as many inner digits at once and packs them in n-1 passes over
+strided slices, and forks by regrouping a fork of the inner stream.
+Sources emit digits in chunks (a `bytes` or a tuple of digit values)
+and a stream flattens them with `itertools.chain.from_iterable`, so a
+read costs no Python frame per digit.
 
 Digits are plain ints in range(base).  The expansion produced for a
 rational is the standard long-division one, streamed lazily in constant
@@ -105,6 +107,8 @@ class DigitStream:
     underlying expansion since this stream's origin.  A fork shares the
     origin, so both copies report positions in the same coordinate
     system; its digits are kept only until both copies have read them.
+    `take` does all its reading through `_read`, which a regrouped
+    stream overrides (see `regroup_to_power_base`).
     """
 
     __slots__ = ("base", "position", "description", "_it")
@@ -417,25 +421,43 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
 
     Output digit k is the n consecutive input digits k*n..k*n+n-1 read as
     a base-r integer; consuming k output digits consumes exactly k*n input
-    digits.  n=1 returns the stream itself.  A short final group ends the
-    grouped stream, after consuming what is left of the input, so `take`
-    on the grouped stream reports the shortfall in grouped digits.
+    digits, in one read of the input.  n=1 returns the stream itself.  A
+    short final group ends the grouped stream, after consuming what is
+    left of the input, so `take` on the grouped stream reports the
+    shortfall in grouped digits.  A fork regroups a fork of the input, so
+    the twin's reads do not advance the input stream passed in here.
     """
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
-    if n == 1:
-        return stream
-    r = stream.base
+    return stream if n == 1 else _GroupedStream(stream, n)
 
-    def grouped() -> Iterator[int]:
-        while len(group := stream._read(n)) == n:
-            value = 0
-            for d in group:
-                value = value * r + d
-            yield value
 
-    inner = stream.description or f"base {r} stream"
-    return DigitStream(r**n, grouped(), description=f"{inner} grouped by {n}")
+class _GroupedStream(DigitStream):
+    """A base-r stream read n >= 2 digits at a time as base-r**n digits."""
+
+    __slots__ = ("_inner", "_n")
+
+    def __init__(self, inner: DigitStream, n: int):
+        label = inner.description or f"base {inner.base} stream"
+        self.base, self.position = inner.base**n, 0
+        self.description = f"{label} grouped by {n}"
+        self._inner, self._n = inner, n
+
+    def _read(self, count: int) -> list[int]:
+        r, n = self._inner.base, self._n
+        digits = self._inner._read(count * n)
+        # zip stops with the shortest slice, digits[n-1::n], which leaves a
+        # short final group out
+        values = digits[::n]
+        for i in range(1, n):
+            values = [v * r + d for v, d in zip(values, digits[i::n])]
+        self.position += len(values)
+        return values
+
+    def fork(self) -> DigitStream:
+        twin = _GroupedStream(self._inner.fork(), self._n)
+        twin.position = self.position
+        return twin
 
 
 def digit_token(d: int, base: int) -> str:

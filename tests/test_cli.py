@@ -229,6 +229,19 @@ class TestStats:
     def test_digit_out_of_range(self, capsys):
         run_usage_error(capsys, *self.ARGS, "--digit", "2")
 
+    def test_short_final_group_is_a_shortfall_in_grouped_digits(self, capsys):
+        # 1000 base-10 digits hold 333 whole groups of 3
+        code, out, err = run(
+            capsys, "stats", "--source", "file:pi_base10.digits", "--base", "1000",
+            "-n", "334",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: digit stream exhausted after 333 digits (requested 334)"
+            " [file:pi_base10.digits grouped by 3]\n"
+        )
+
     def test_word_must_parse(self, capsys):
         run_usage_error(capsys, *self.ARGS, "--word", "012")
 

@@ -86,6 +86,12 @@ GOLDEN = [
          "--format", "text"),
         "d4f5a0d1c5656aacfdaa8f26f34b786863c614c68cddb7e41405dc9bb48b0db8",
     ),
+    (
+        # every whole group of 3 of the 1000-digit pi file, the last digit left over
+        ("stats", "--source", "file:pi_base10.digits", "--base", "1000", "-n", "333",
+         "--format", "json"),
+        "0713e1e360c80041629f498d078d6353e385c7b625f7089ea8d3764826ad5b30",
+    ),
 ]
 
 

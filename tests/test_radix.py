@@ -28,7 +28,7 @@ from normality_lab.radix import (
     regroup_to_power_base,
     validate_base,
 )
-from normality_lab.sources import champernowne_stream
+from normality_lab.sources import champernowne_stream, parse_source_spec
 
 # a value q in [0, 1) with a modest denominator
 unit_fractions = st.integers(2, 5000).flatmap(
@@ -449,6 +449,42 @@ class TestRegroup:
     def test_group_size_validated(self):
         with pytest.raises(ValueError):
             regroup_to_power_base(DigitStream(2, iter([])), 0)
+
+    def test_take_is_one_bulk_read_of_the_input(self, monkeypatch):
+        reads = []
+        plain_read = DigitStream._read
+
+        def counting_read(self, count):
+            reads.append(count)
+            return plain_read(self, count)
+
+        monkeypatch.setattr(DigitStream, "_read", counting_read)
+        inner = parse_source_spec("file:pi_base10.digits").stream()
+        grouped = regroup_to_power_base(inner, 2)
+        assert len(grouped.take(400)) == 400
+        assert len(reads) <= 2  # a read per group would be 400
+        assert inner.position == 800
+
+    @given(unit_fractions, st.integers(2, 4), st.lists(st.integers(0, 9), max_size=5))
+    def test_nested_regroup_equals_one_regroup(self, q, base, sizes):
+        inner = expand_rational(q, base).fractional
+        nested = regroup_to_power_base(regroup_to_power_base(inner, 2), 2)
+        direct = regroup_to_power_base(expand_rational(q, base).fractional, 4)
+        assert nested.base == direct.base == base**4
+        for size in sizes:
+            assert nested.take(size) == direct.take(size)
+            assert inner.position == 4 * nested.position
+        assert nested.position == direct.position == sum(sizes)
+
+    def test_fork_reads_a_fork_of_the_input(self):
+        inner = DigitStream(2, iter([1, 1, 0, 1, 0, 0, 1, 0]))
+        grouped = regroup_to_power_base(inner, 2)
+        assert grouped.take(1) == [3]
+        twin = grouped.fork()
+        assert twin.take(3) == [1, 0, 2]
+        assert inner.position == 2  # the twin read a fork of the input
+        assert grouped.take(3) == [1, 0, 2]
+        assert inner.position == 8
 
     @given(unit_fractions, st.integers(2, 6), st.integers(1, 4))
     @settings(max_examples=100)
