@@ -26,6 +26,7 @@ from .measure import (
     DeviationSetSpec,
     deviation_set_measure,
     deviation_set_measure_bruteforce,
+    deviation_set_sweep,
     null_witness_index,
     tail_measure_bound,
 )
@@ -306,14 +307,10 @@ def cmd_measure(args) -> tuple[int, str]:
 
     if args.n_max is not None:
         rows = [MEASURE_SWEEP_CSV_HEADER]
-        for n in range(1, args.n_max + 1):
-            report = deviation_set_measure(
-                DeviationSetSpec(args.base, args.digit, n, args.epsilon)
-            )
-            holds = report.exact_measure <= report.bound
+        for n, exact, bound in deviation_set_sweep(args.base, args.epsilon, args.n_max):
             rows.append(
-                f"{n},{format_rational(report.exact_measure)},"
-                f"{format_rational(report.bound)},{'true' if holds else 'false'}"
+                f"{n},{format_rational(exact)},{format_rational(bound)},"
+                f"{'true' if exact <= bound else 'false'}"
             )
         return 0, "\n".join(rows) + "\n"
 

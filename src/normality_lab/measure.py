@@ -10,6 +10,10 @@ of the deviation set
 
 is the sum of those weights over the admissible counts p.  Membership
 uses the exact >= comparison, so boundary cases land inside the set.
+deviation_set_measure sums a binomial row for one n; deviation_set_sweep
+yields every n up to n_max in one pass, carrying the partial sums up to
+the two edges of the admissible counts from n to n + 1, so `measure
+--n-max` costs O(n_max) big-int steps, not O(n_max**2).
 
 The chain of bounds: exact measure <= D / (eps**4 n**2) pointwise (via
 the fourth moment), tails sum to (D/eps**4) * T(m) with T(1) = 2 and
@@ -129,6 +133,55 @@ def deviation_set_measure(spec: DeviationSetSpec) -> MeasureReport:
         bound=deviation_bound(spec.base, spec.epsilon, spec.n),
         admissible_p=tuple(admissible),
     )
+
+
+def _edge_sums(r: int, targets):
+    """F_n(t_n) for n = 1, 2, ..., where F_n(k) is the sum of
+    W_n(p) = C(n,p)(r-1)**(n-p) over p <= k, and the targets satisfy
+    t_n <= n and never fall: O(1) big-int steps per n plus one per rise."""
+    k, w, f = -1, 0, 0  # at n = 0: the empty sum, and W_0(-1) = 0
+    for n, target in enumerate(targets, start=1):
+        # appending a digit: F_n(k) = r F_{n-1}(k) - W_{n-1}(k), and
+        # W_n(k) = W_{n-1}(k) n(r-1)/(n-k), an exact division (0 at k = -1)
+        f = r * f - w
+        w = w * n * (r - 1) // (n - k)
+        while k < target:
+            w = (r - 1) ** n if k < 0 else w * (n - k) // ((k + 1) * (r - 1))
+            k += 1
+            f += w
+        yield f
+
+
+def deviation_set_sweep(base: int, epsilon: Fraction, n_max: int):
+    """Yield (n, exact measure of M(n, epsilon), its bound) for n = 1..n_max.
+
+    One pass, where deviation_set_measure builds a binomial row for each
+    n.  With epsilon = a/b the admissible counts are p <= lo(n) =
+    floor((b - a r) n / (b r)), when b >= a r, and p >= hi(n) =
+    ceil((b + a r) n / (b r)), so the numerator is
+    F_n(lo) + r**n - F_n(hi - 1), each edge carried by _edge_sums.  The
+    bound is D / epsilon**4, computed once, over n**2.  Independent of
+    the digit, by symmetry.
+    """
+    validate_base(base)
+    epsilon = Fraction(epsilon)
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    r, a, b = base, epsilon.numerator, epsilon.denominator
+    scale = derive_constants(r).d / epsilon**4
+    ns = range(1, n_max + 1)
+    if b >= a * r:
+        lows = _edge_sums(r, ((b - a * r) * n // (b * r) for n in ns))
+    else:
+        lows = itertools.repeat(0)
+    # hi(n) > n leaves the upper set empty: F_n(n) = r**n
+    highs = _edge_sums(r, (min(-(-(b + a * r) * n // (b * r)) - 1, n) for n in ns))
+    power = 1
+    for n, low, high in zip(ns, lows, highs):
+        power *= r
+        yield n, Fraction(low + power - high, power), scale / (n * n)
 
 
 def deviation_set_measure_bruteforce(

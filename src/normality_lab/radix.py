@@ -432,6 +432,11 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
     return stream if n == 1 else _GroupedStream(stream, n)
 
 
+#: groups a regrouped stream packs per read of its inner stream, which
+#: bounds the inner digits a large grouped take holds at once
+_GROUP_SLICE = 1 << 14
+
+
 class _GroupedStream(DigitStream):
     """A base-r stream read n >= 2 digits at a time as base-r**n digits."""
 
@@ -445,12 +450,18 @@ class _GroupedStream(DigitStream):
 
     def _read(self, count: int) -> list[int]:
         r, n = self._inner.base, self._n
-        digits = self._inner._read(count * n)
-        # zip stops with the shortest slice, digits[n-1::n], which leaves a
-        # short final group out
-        values = digits[::n]
-        for i in range(1, n):
-            values = [v * r + d for v, d in zip(values, digits[i::n])]
+        values: list[int] = []
+        while True:
+            want = min(count - len(values), _GROUP_SLICE)
+            digits = self._inner._read(want * n)
+            # zip stops with the shortest slice, digits[n-1::n], which
+            # leaves a short final group out
+            part = digits[::n]
+            for i in range(1, n):
+                part = [v * r + d for v, d in zip(part, digits[i::n])]
+            values += part
+            if len(part) < want or len(values) == count:
+                break
         self.position += len(values)
         return values
 

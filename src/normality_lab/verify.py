@@ -20,6 +20,7 @@ from .measure import (
     deviation_bound,
     deviation_set_measure,
     deviation_set_measure_bruteforce,
+    deviation_set_sweep,
     digit_count_measure,
     geometric_interval_cover,
     monte_carlo_deviation,
@@ -346,14 +347,17 @@ def _measure_chain() -> str:
 
     for r in (2, 3, 10):
         for eps in (Fraction(1, 10), Fraction(1, 2)):
-            for n in range(1, 201):
-                m = deviation_set_measure(
-                    DeviationSetSpec(base=r, digit=0, n=n, epsilon=eps)
-                ).exact_measure
-                _require(
-                    m <= deviation_bound(r, eps, n),
-                    f"chain breaks at r={r} eps={eps} n={n}",
-                )
+            for n, m, bound in deviation_set_sweep(r, eps, 200):
+                _require(m <= bound, f"chain breaks at r={r} eps={eps} n={n}")
+                if n in (1, 2, 17, 200):
+                    # the sweep against the per-n route it replaces
+                    per_n = deviation_set_measure(
+                        DeviationSetSpec(base=r, digit=0, n=n, epsilon=eps)
+                    )
+                    _require(
+                        (m, bound) == (per_n.exact_measure, per_n.bound),
+                        f"sweep disagrees with the per-n measure at r={r} eps={eps} n={n}",
+                    )
     spot = deviation_bound(2, Fraction(1, 10), 1000)
     _require(spot == Fraction(3, 1600), f"bound spot {spot} != 3/1600")
     spot10 = deviation_bound(10, Fraction(1, 10), 100)

@@ -550,6 +550,21 @@ class TestVerifyPaper:
         assert code == 1
         assert out.splitlines()[0].startswith("FAIL  fourth-moment-dual-computation:")
 
+    def test_measure_chain_cross_checks_the_sweep(self, capsys, monkeypatch):
+        sweep = verify.deviation_set_sweep
+
+        def off_at_17(base, epsilon, n_max):
+            for n, exact, bound in sweep(base, epsilon, n_max):
+                yield n, exact / 2 if n == 17 else exact, bound
+
+        monkeypatch.setattr(verify, "deviation_set_sweep", off_at_17)
+        code, out, _ = run(capsys, "verify-paper", "--only", "measure-bound-chain")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  measure-bound-chain: sweep disagrees with the per-n measure"
+            " at r=2 eps=1/10 n=17"
+        )
+
 
 class TestOutputPlumbing:
     def test_output_file(self, capsys, tmp_path):

@@ -4,7 +4,8 @@ The exact-arithmetic hashes were captured from the Fraction-per-term
 implementation of the moment and measure hot paths, the expand and stats
 hashes from the eager rational expansion and the per-module digit
 alphabets, the battery hashes (and the stats runs with unseen digits)
-from the rebuild-per-view battery with dense per-digit reports; any
+from the rebuild-per-view battery with dense per-digit reports, the
+longer measure sweeps from one deviation_set_measure call per n; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 """
 import hashlib
@@ -30,6 +31,24 @@ GOLDEN = [
         ("measure", "--base", "7", "--digit", "2", "--epsilon", "1/10",
          "--n-max", "200", "--format", "csv"),
         "989adf0bc19114b89090239e737b5cd1366f33837f1e00fe7793ee07fdefa639",
+    ),
+    (
+        # both tails non-empty
+        ("measure", "--base", "10", "--digit", "3", "--epsilon", "1/10",
+         "--n-max", "600", "--format", "csv"),
+        "34eabb871066bfcfbdb45e4ea8ca35a9f956ebcd1fccb10335a801d7fc611240",
+    ),
+    (
+        # epsilon above 1/r: no lower set
+        ("measure", "--base", "3", "--digit", "0", "--epsilon", "1/2",
+         "--n-max", "300", "--format", "csv"),
+        "a51184fb627c1b8e5efd955a15ee268f03b77211e21966ce9a4e7b0555007d8a",
+    ),
+    (
+        # epsilon = 1 - 1/r: only the counts 0 and n
+        ("measure", "--base", "2", "--digit", "1", "--epsilon", "1/2",
+         "--n-max", "50", "--format", "csv"),
+        "0e5183d1ad543a0d561ec1ae525a0f098b263f324fec3d0252d6cc7299f217a1",
     ),
     (
         ("expand", "--source", "rational:5/12", "--base", "10", "--digits", "40",

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normality_lab import measure
+from normality_lab.cli import main
 from normality_lab.errors import EnumerationBudgetError
 from normality_lab.measure import (
     DeviationSetSpec,
@@ -14,6 +15,7 @@ from normality_lab.measure import (
     deviation_bound,
     deviation_set_measure,
     deviation_set_measure_bruteforce,
+    deviation_set_sweep,
     digit_count_measure,
     geometric_interval_cover,
     monte_carlo_deviation,
@@ -182,6 +184,66 @@ class TestDeviationSetMeasure:
             deviation_set_measure_bruteforce(s, budget=2)
         assert exc.value.required == 10**9
         assert exc.value.budget == 2
+
+
+@st.composite
+def sweep_cases(draw):
+    """(r, epsilon, n_max): epsilon an edge value of the admissible rule
+    or a random a/b in (0, 1]."""
+    r = draw(st.integers(2, 12))
+    n_max = draw(st.integers(1, 60))
+    near = draw(st.integers(max(1, n_max - 3), n_max + 3))
+    edges = [
+        Fraction(1, r),
+        1 - Fraction(1, r),
+        Fraction(1),
+        Fraction(1, 2 * r),
+        Fraction(1, r) + Fraction(1, r * near),
+        Fraction(1, r) - Fraction(1, r * near),
+    ]
+    eps = draw(
+        st.sampled_from([e for e in edges if 0 < e <= 1])
+        | st.fractions(min_value=Fraction(1, 1000), max_value=1)
+    )
+    return r, eps, n_max
+
+
+class TestDeviationSetSweep:
+    @given(sweep_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_n_measure_and_bound(self, case):
+        r, eps, n_max = case
+        rows = list(deviation_set_sweep(r, eps, n_max))
+        assert [n for n, _, _ in rows] == list(range(1, n_max + 1))
+        for n, exact, bound in rows:
+            report = deviation_set_measure(spec(r, 0, n, eps))
+            assert exact == report.exact_measure
+            assert bound == report.bound == deviation_bound(r, eps, n)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            list(deviation_set_sweep(2, Fraction(0), 3))
+        with pytest.raises(ValueError):
+            list(deviation_set_sweep(2, Fraction(3, 2), 3))
+        with pytest.raises(ValueError):
+            list(deviation_set_sweep(2, Fraction(1, 2), 0))
+        with pytest.raises(ValueError):
+            list(deviation_set_sweep(1, Fraction(1, 2), 3))
+
+    def test_cli_sweep_builds_no_binomial_rows(self, capsys, monkeypatch):
+        calls = []
+        plain = measure.binomial_row
+
+        def counting_row(n):
+            calls.append(n)
+            return plain(n)
+
+        monkeypatch.setattr(measure, "binomial_row", counting_row)
+        argv = ["measure", "--base", "10", "--epsilon", "1/10", "--n-max", "300",
+                "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 301
+        assert len(calls) <= 1  # one row per n would be 300
 
 
 class TestDeviationBound:

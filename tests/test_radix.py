@@ -465,6 +465,34 @@ class TestRegroup:
         assert len(reads) <= 2  # a read per group would be 400
         assert inner.position == 800
 
+    def test_large_take_reads_bounded_slices(self, monkeypatch):
+        reads = []
+        plain_read = DigitStream._read
+
+        def counting_read(self, count):
+            reads.append(count)
+            return plain_read(self, count)
+
+        monkeypatch.setattr(DigitStream, "_read", counting_read)
+        k = 3 * radix._GROUP_SLICE + 7
+        digits = [(7 * i) % 10 for i in range(3 * k)]
+        inner = DigitStream(10, iter(digits))
+        grouped = regroup_to_power_base(inner, 3)
+        got = grouped.take(k)
+        assert got == [int("".join(map(str, digits[i : i + 3]))) for i in range(0, 3 * k, 3)]
+        assert inner.position == 3 * k
+        assert max(reads) <= 3 * radix._GROUP_SLICE
+        assert len(reads) == 4
+
+    def test_short_final_group_past_a_slice_ends_the_view(self):
+        k = radix._GROUP_SLICE + 5
+        inner = DigitStream(2, iter([1] * (2 * k + 1)))
+        grouped = regroup_to_power_base(inner, 2)
+        with pytest.raises(InsufficientDigitsError) as exc:
+            grouped.take(k + 1)
+        assert exc.value.available == k
+        assert inner.position == 2 * k + 1
+
     @given(unit_fractions, st.integers(2, 4), st.lists(st.integers(0, 9), max_size=5))
     def test_nested_regroup_equals_one_regroup(self, q, base, sizes):
         inner = expand_rational(q, base).fractional
