@@ -83,9 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
-        p.add_argument("--format", choices=formats, default=formats[0],
-                       help=f"output format (default {formats[0]})")
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...],
+                   per_mode: str | None = None):
+        # per_mode describes a default that the handler picks by mode
+        p.add_argument("--format", choices=formats,
+                       default=None if per_mode else formats[0],
+                       help=f"output format (default {per_mode or formats[0]})")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")
 
@@ -126,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_rational(), default=None, help="with --tail: also find the smallest m whose tail bound is <= this")
     p.add_argument("--oracle", action="store_true", help="with -n: cross-check the measure by full enumeration")
     p.add_argument("--budget", type=_at_least(1), default=DEFAULT_ENUMERATION_BUDGET, help="enumeration budget for --oracle")
-    add_common(p, ("json", "csv", "text"))
+    add_common(p, ("json", "csv", "text"), per_mode="csv for --n-max, else json")
 
     p = sub.add_parser("verify-paper", help="run the whole self-verification battery")
     p.add_argument("--only", default=None, help="comma-separated check ids to run")
@@ -281,6 +284,14 @@ def cmd_measure(args) -> tuple[int, str]:
         raise ValueError("--target needs --tail")
     if args.oracle and args.n is None:
         raise ValueError("--oracle needs -n")
+    mode, formats = (
+        ("--n-max", ("csv",)) if args.n_max is not None
+        else ("--tail", ("json", "text")) if args.tail is not None
+        else ("-n", ("json", "text"))
+    )
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise ValueError(f"{mode} prints {' or '.join(formats)}, not --format {fmt}")
 
     if args.tail is not None:
         bound = tail_measure_bound(args.base, args.epsilon, args.tail)
@@ -292,16 +303,17 @@ def cmd_measure(args) -> tuple[int, str]:
             "tail_bound_decimal": decimal_approx(bound),
         }
         if args.target is not None:
+            witness = null_witness_index(args.base, args.epsilon, args.target)
             payload["target"] = format_rational(args.target)
-            payload["witness_m"] = null_witness_index(args.base, args.epsilon, args.target)
-        if args.format == "json":
+            payload["witness_m"] = _json_int(witness)
+        if fmt == "json":
             return 0, json.dumps(payload, indent=2) + "\n"
         lines = [f"tail bound over n >= {args.tail}: {payload['tail_bound']}"
                  f" (~ {payload['tail_bound_decimal']})"]
-        if "witness_m" in payload:
+        if args.target is not None:
             lines.append(
                 f"smallest m with tail bound <= {payload['target']}:"
-                f" {payload['witness_m']}"
+                f" {format_rational(witness)}"
             )
         return 0, "\n".join(lines) + "\n"
 
@@ -321,7 +333,7 @@ def cmd_measure(args) -> tuple[int, str]:
         oracle = deviation_set_measure_bruteforce(spec, budget=args.budget)
         payload["oracle"] = format_rational(oracle)
         payload["oracle_matches"] = oracle == report.exact_measure
-    if args.format == "json":
+    if fmt == "json":
         return 0, json.dumps(payload, indent=2) + "\n"
     lines = [
         f"measure of the deviation set: {payload['exact_measure']}",
@@ -334,6 +346,14 @@ def cmd_measure(args) -> tuple[int, str]:
             f" ({'matches' if payload['oracle_matches'] else 'MISMATCH'})"
         )
     return 0, "\n".join(lines) + "\n"
+
+
+def _json_int(value: int) -> int | str:
+    """value for json.dumps, or its digits as a string once it is too long
+    for int-to-str conversion, which json.loads could not read back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    digits = format_rational(value)
+    return digits if 0 < limit < len(digits) else value
 
 
 def cmd_verify_paper(args) -> tuple[int, str]:

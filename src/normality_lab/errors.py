@@ -70,13 +70,18 @@ class FactorizationBudgetError(NormalityLabError):
 
     Attributes:
         n: the denominator whose period was asked for.
-        budget: the modular multiplications Pollard's rho may spend.
+        budget: the units of work the period may cost, one unit a modular
+            multiplication of short operands.
     """
 
     def __init__(self, n: int, budget: int):
         self.n = n
         self.budget = budget
+        try:
+            name = f"the denominator {n}"
+        except ValueError:  # too many digits for int-to-str conversion
+            name = f"a denominator of {n.bit_length()} bits"
         super().__init__(
-            f"factoring the denominator {n} for its period needs more than"
+            f"factoring {name} for its period needs more than"
             f" the budget of {budget} modular multiplications"
         )

@@ -9,17 +9,18 @@ of the deviation set
     M(n, eps) = { x : |count_b(n, x)/n - 1/r| >= eps }
 
 is the sum of those weights over the admissible counts p.  Membership
-uses the exact >= comparison, so boundary cases land inside the set.
-deviation_set_measure sums a binomial row for one n; deviation_set_sweep
-yields every n up to n_max in one pass, carrying the partial sums up to
-the two edges of the admissible counts from n to n + 1, so `measure
---n-max` costs O(n_max) big-int steps, not O(n_max**2).
+uses the exact >= comparison, so boundary cases land inside the set, and
+is decided in one place, _edges: p is admissible exactly when p <= lo or
+p >= hi.  deviation_set_measure sums a binomial row for one n;
+deviation_set_sweep yields every n up to n_max in one pass, carrying the
+partial sums up to lo and hi from n to n + 1, so `measure --n-max` costs
+O(n_max) big-int steps, not O(n_max**2).
 
 The chain of bounds: exact measure <= D / (eps**4 n**2) pointwise (via
 the fourth moment), tails sum to (D/eps**4) * T(m) with T(1) = 2 and
-T(m) = 1/(m-1), and a prefix of a geometric series of intervals covers
-any enumerated set of points with total length eps * (1 - 2**-k).
-Everything is an exact Fraction.
+T(m) = 1/(m-1); the one D/eps**4 comes from _moment_scale.  A prefix of
+a geometric series of intervals covers any enumerated set of points with
+total length eps * (1 - 2**-k).  Everything is an exact Fraction.
 """
 from __future__ import annotations
 
@@ -61,16 +62,19 @@ class DeviationSetSpec:
         object.__setattr__(self, "epsilon", eps)
 
 
-def admissible_counts(spec: DeviationSetSpec) -> list[int]:
-    """The counts p with |p/n - 1/base| >= epsilon (inclusive).
+def _edges(base: int, epsilon: Fraction, n: int) -> tuple[int, int]:
+    """(lo, hi): p in 0..n has |p/n - 1/base| >= epsilon iff p <= lo or
+    p >= hi.  With epsilon = a/b, lo = floor((b - a base) n / (b base)),
+    negative when no low count qualifies, and hi = ceil((b + a base) n /
+    (b base)), above n when no high count does."""
+    a, b = epsilon.numerator, epsilon.denominator
+    return (b - a * base) * n // (b * base), -(-(b + a * base) * n // (b * base))
 
-    With epsilon = a/b this is b*|base*p - n| >= a*base*n, compared in
-    ints.
-    """
-    r, n = spec.base, spec.n
-    a, b = spec.epsilon.numerator, spec.epsilon.denominator
-    threshold = a * r * n
-    return [p for p in range(n + 1) if b * abs(r * p - n) >= threshold]
+
+def admissible_counts(spec: DeviationSetSpec) -> list[int]:
+    """The counts p with |p/n - 1/base| >= epsilon (inclusive)."""
+    lo, hi = _edges(spec.base, spec.epsilon, spec.n)
+    return [*range(lo + 1), *range(hi, spec.n + 1)]
 
 
 def prefix_interval_measure(base: int, length: int) -> Fraction:
@@ -119,26 +123,25 @@ class MeasureReport:
 
 def deviation_set_measure(spec: DeviationSetSpec) -> MeasureReport:
     """Exact measure of M(n, epsilon), summed over admissible counts."""
-    admissible = admissible_counts(spec)
-    row = binomial_row(spec.n)
+    lo, hi = _edges(spec.base, spec.epsilon, spec.n)
     # sum of C(n,p) (r-1)**(n-p) over admissible p, by Horner's rule in (r-1)
-    wanted = set(admissible)
     rm1 = spec.base - 1
     numerator = 0
-    for p, count in enumerate(row):
-        numerator = numerator * rm1 + (count if p in wanted else 0)
+    for p, count in enumerate(binomial_row(spec.n)):
+        numerator = numerator * rm1 + (0 if lo < p < hi else count)
     return MeasureReport(
         spec=spec,
         exact_measure=Fraction(numerator, spec.base**spec.n),
         bound=deviation_bound(spec.base, spec.epsilon, spec.n),
-        admissible_p=tuple(admissible),
+        admissible_p=tuple(admissible_counts(spec)),
     )
 
 
 def _edge_sums(r: int, targets):
     """F_n(t_n) for n = 1, 2, ..., where F_n(k) is the sum of
     W_n(p) = C(n,p)(r-1)**(n-p) over p <= k, and the targets satisfy
-    t_n <= n and never fall: O(1) big-int steps per n plus one per rise."""
+    t_n <= n and never fall once >= 0 (F_n(t) = 0 for t < 0): O(1)
+    big-int steps per n plus one per rise."""
     k, w, f = -1, 0, 0  # at n = 0: the empty sum, and W_0(-1) = 0
     for n, target in enumerate(targets, start=1):
         # appending a digit: F_n(k) = r F_{n-1}(k) - W_{n-1}(k), and
@@ -156,31 +159,23 @@ def deviation_set_sweep(base: int, epsilon: Fraction, n_max: int):
     """Yield (n, exact measure of M(n, epsilon), its bound) for n = 1..n_max.
 
     One pass, where deviation_set_measure builds a binomial row for each
-    n.  With epsilon = a/b the admissible counts are p <= lo(n) =
-    floor((b - a r) n / (b r)), when b >= a r, and p >= hi(n) =
-    ceil((b + a r) n / (b r)), so the numerator is
-    F_n(lo) + r**n - F_n(hi - 1), each edge carried by _edge_sums.  The
-    bound is D / epsilon**4, computed once, over n**2.  Independent of
-    the digit, by symmetry.
+    n.  With (lo, hi) the _edges of n, the numerator is F_n(lo) + r**n -
+    F_n(hi - 1), each edge carried by _edge_sums.  The bound is the
+    _moment_scale over n**2.  Independent of the digit, by symmetry.
     """
-    validate_base(base)
+    scale = _moment_scale(base, epsilon)
     epsilon = Fraction(epsilon)
-    if not 0 < epsilon <= 1:
+    if epsilon > 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    r, a, b = base, epsilon.numerator, epsilon.denominator
-    scale = derive_constants(r).d / epsilon**4
     ns = range(1, n_max + 1)
-    if b >= a * r:
-        lows = _edge_sums(r, ((b - a * r) * n // (b * r) for n in ns))
-    else:
-        lows = itertools.repeat(0)
-    # hi(n) > n leaves the upper set empty: F_n(n) = r**n
-    highs = _edge_sums(r, (min(-(-(b + a * r) * n // (b * r)) - 1, n) for n in ns))
+    lows = _edge_sums(base, (_edges(base, epsilon, n)[0] for n in ns))
+    # hi > n leaves the upper set empty: F_n(n) = r**n
+    highs = _edge_sums(base, (min(_edges(base, epsilon, n)[1] - 1, n) for n in ns))
     power = 1
     for n, low, high in zip(ns, lows, highs):
-        power *= r
+        power *= base
         yield n, Fraction(low + power - high, power), scale / (n * n)
 
 
@@ -208,16 +203,21 @@ def deviation_set_measure_bruteforce(
     return Fraction(hits, total)
 
 
-def deviation_bound(base: int, epsilon: Fraction, n: int) -> Fraction:
-    """The moment bound D / (epsilon**4 n**2) on the deviation-set measure."""
+def _moment_scale(base: int, epsilon: Fraction) -> Fraction:
+    """D / epsilon**4, the fourth-moment bound's numerator."""
     validate_base(base)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return derive_constants(base).d / epsilon**4
+
+
+def deviation_bound(base: int, epsilon: Fraction, n: int) -> Fraction:
+    """The moment bound D / (epsilon**4 n**2) on the deviation-set measure."""
+    scale = _moment_scale(base, epsilon)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = derive_constants(base).d
-    return d / (epsilon**4 * n**2)
+    return scale / n**2
 
 
 def tail_sum_bound(m: int) -> Fraction:
@@ -238,12 +238,7 @@ def tail_measure_bound(base: int, epsilon: Fraction, m: int) -> Fraction:
     which tends to 0 as m grows: the heart of the almost-everywhere
     argument.
     """
-    validate_base(base)
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    d = derive_constants(base).d
-    return d / epsilon**4 * tail_sum_bound(m)
+    return _moment_scale(base, epsilon) * tail_sum_bound(m)
 
 
 def null_witness_index(base: int, epsilon: Fraction, target: Fraction) -> int:
@@ -255,10 +250,10 @@ def null_witness_index(base: int, epsilon: Fraction, target: Fraction) -> int:
     target = Fraction(target)
     if target <= 0:
         raise ValueError(f"target must be > 0, got {target}")
-    b = tail_measure_bound(base, epsilon, 2)  # = D / epsilon**4
-    if 2 * b <= target:
+    scale = _moment_scale(base, epsilon)
+    if 2 * scale <= target:
         return 1
-    return 1 + math.ceil(b / target)
+    return 1 + math.ceil(scale / target)
 
 
 def geometric_interval_cover(
@@ -297,10 +292,10 @@ def monte_carlo_deviation(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    admissible = set(admissible_counts(spec))
     n, total = spec.n, spec.n * samples
+    lo, hi = _edges(spec.base, spec.epsilon, n)
     digits = random_stream(spec.base, seed).take(total)
     hits = sum(
-        digits[i : i + n].count(spec.digit) in admissible for i in range(0, total, n)
+        not lo < digits[i : i + n].count(spec.digit) < hi for i in range(0, total, n)
     )
     return Fraction(hits, samples)

@@ -21,8 +21,9 @@ starts.  Its preperiod and period are computed separately, by
 :func:`rational_period`, from the factorization of a Carmichael
 function (the primes up to 37 divided out, every composite cofactor
 split by Pollard's rho, every cofactor tested by Baillie-PSW), within a
-budget of modular multiplications that makes a denominator too hard to
-factor a typed error instead of a hang.  Bases are ints >= 2.
+budget of work, weighed by operand size, that covers the whole period
+computation, so a denominator too long or too hard to factor is a typed
+error instead of a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,26 +222,31 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 def rational_period(q: Fraction, base: int) -> tuple[int, int]:
     """(preperiod, period) of the fractional digits of q in base.
 
-    The preperiod is the least k with den // gcd(den, base**k) coprime to
-    base, found by bisection, the period the multiplicative order of base
-    modulo that cofactor (1 for the all-zero tail).  The order is found by
-    dividing primes out of the Carmichael function of the cofactor, so the
-    cost is that of factoring it, not of walking the period.  Raises
-    FactorizationBudgetError once the factoring would take more than
-    FACTORIZATION_BUDGET modular multiplications.
+    The preperiod is the least k with c(k) = den // gcd(den, base**k)
+    coprime to base, the period the multiplicative order of base modulo
+    c(k) (1 for the all-zero tail).  The order is found by dividing primes
+    out of the Carmichael function of c(k), so the cost is that of
+    factoring it, not of walking the period.  Every big-int operation is
+    booked on one budget first, and FactorizationBudgetError is raised
+    once the total would pass FACTORIZATION_BUDGET units.
     """
     validate_base(base)
     den = Fraction(q).denominator
     work = _WorkBudget(den)
 
-    def cofactor(k: int) -> int:  # den // gcd(den, base**k)
-        return den // math.gcd(den, pow(base, k, den))
+    def lift(c: int, s: int) -> int:  # c(k + s) from c = c(k)
+        return work.div(c, work.gcd(c, work.pow(base, s, c)))
 
-    # each step of the preperiod divides den by 2 or more
-    preperiod = bisect_left(
-        range(den.bit_length()), True, key=lambda k: math.gcd(cofactor(k), base) == 1
-    )
-    return preperiod, _multiplicative_order(base, cofactor(preperiod), work)
+    # each step of the preperiod divides den by 2 or more, so the last k
+    # before it is below den's bit length; binary lifting finds that k in
+    # cofactors that shrink as it grows
+    preperiod, c = 0, den
+    if work.gcd(c, base) != 1:
+        for i in reversed(range(den.bit_length().bit_length())):
+            if work.gcd(nxt := lift(c, 1 << i), base) != 1:
+                preperiod, c = preperiod + (1 << i), nxt
+        preperiod, c = preperiod + 1, lift(c, 1)
+    return preperiod, _multiplicative_order(base, c, work)
 
 
 def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
@@ -249,9 +254,10 @@ def _multiplicative_order(a: int, n: int, work: _WorkBudget) -> int:
     order = 1  # Carmichael's lambda(n), the lcm of lambda over prime powers
     for p, k in _factorize(n, work).items():
         lam = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
+        work.spend(3, order, lam)  # a gcd, a product and a division
         order = math.lcm(order, lam)
     for p in _factorize(order, work):
-        while order % p == 0 and pow(a, order // p, n) == 1:
+        while order % p == 0 and work.pow(a, order // p, n) == 1:
             order //= p
     return order
 
@@ -262,24 +268,52 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_EXACT = 318665857834031151167461
 # rho steps between two gcds in Brent's search
 _RHO_BATCH = 128
-# modular multiplications Pollard's rho may spend in one rational_period
-# call: (2**61-1)(2**31-1)(10**12+39) takes about 2.7 * 10**6 of them, a
+# units of work one rational_period call may spend, a unit being one
+# modular multiplication of operands up to _UNIT_BITS bits: rho on
+# (2**61-1)(2**31-1)(10**12+39) takes about 2.7 * 10**6 of them, on a
 # product of two primes near 10**13 about 1.7 * 10**7
 FACTORIZATION_BUDGET = 4 * 10**6
+_UNIT_BITS = 512
+
+
+def _words(x: int) -> int:
+    return max(1, -(-x.bit_length() // _UNIT_BITS))
 
 
 class _WorkBudget:
-    """The modular multiplications spent so far on factoring n."""
+    """The work spent so far on the period of n.
+
+    Long multiplication, division and gcd cost about the product of the
+    operand lengths on CPython, so an operation on a and b books
+    _words(a) * _words(b) units: one for operands up to _UNIT_BITS bits.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.spent = 0
 
-    def spend(self, count: int) -> None:
-        """Book count more, raising before the total passes the budget."""
-        self.spent += count
+    def spend(self, count: int, a: int, b: int | None = None) -> None:
+        """Book count operations on a and b (b = a if omitted), raising
+        before the total passes the budget."""
+        self.spent += count * _words(a) * _words(a if b is None else b)
         if self.spent > FACTORIZATION_BUDGET:
             raise FactorizationBudgetError(self.n, FACTORIZATION_BUDGET)
+
+    def gcd(self, a: int, b: int) -> int:
+        self.spend(1, a, b)
+        return math.gcd(a, b)
+
+    def div(self, a: int, b: int) -> int:
+        self.spend(1, a, b)
+        return a // b
+
+    def pow(self, a: int, e: int, m: int) -> int:
+        """pow(a, e, m), booked as one squaring mod m per bit of e once
+        a**(leading bits of e) may reach m's length, and two for the
+        shorter squarings before, which at least double in length."""
+        short = -(-m.bit_length() // a.bit_length())
+        self.spend(max(0, e.bit_length() - short.bit_length()) + 2, m)
+        return pow(a, e, m)
 
 
 def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
@@ -287,19 +321,20 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
 
     The _WITNESSES primes are divided out first, which leaves no prime
     factor below 37, and Pollard's rho splits every composite cofactor
-    left.  Rho books its steps on work, a fresh budget for n unless one
+    left.  Every step is booked on work, a fresh budget for n unless one
     is shared.
     """
     work = work or _WorkBudget(n)
     factors: dict[int, int] = {}
     for p in _WITNESSES:
         while n % p == 0:
+            work.spend(2, n, p)
             factors[p] = factors.get(p, 0) + 1
             n //= p
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
-        if _is_prime(m):
+        if _is_prime(m, work):
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _pollard_rho(m, work)
@@ -307,17 +342,20 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
     return factors
 
 
-def _is_prime(n: int) -> bool:
+def _is_prime(n: int, work: _WorkBudget | None = None) -> bool:
     """Miller-Rabin on the fixed witnesses, for n >= 2; from
     _MILLER_RABIN_EXACT on also a strong Lucas test, which with witness 2
-    is Baillie-PSW (Baillie and Wagstaff 1980, Math. Comp. 35)."""
+    is Baillie-PSW (Baillie and Wagstaff 1980, Math. Comp. 35).  Each
+    test is booked on work before it runs."""
+    work = work or _WorkBudget(n)
     if any(n % p == 0 for p in _WITNESSES):
         return n in _WITNESSES
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in _WITNESSES:
-        x = pow(a, d, n)
+        work.spend(s - 1, n)
+        x = work.pow(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -326,7 +364,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MILLER_RABIN_EXACT or _is_strong_lucas_probable_prime(n)
+    if n < _MILLER_RABIN_EXACT:
+        return True
+    work.spend(6 * n.bit_length(), n)  # the Lucas chain's multiplications
+    return _is_strong_lucas_probable_prime(n)
 
 
 def _is_strong_lucas_probable_prime(n: int) -> bool:
@@ -382,7 +423,8 @@ def _pollard_rho(n: int, work: _WorkBudget | None = None) -> int:
     x - y are multiplied into one product mod n and a batch of
     _RHO_BATCH steps costs a single gcd; a batch whose gcd is n is
     replayed one step at a time from its start.  Every step is booked on
-    work (one modular multiplication, two inside a batch) before it runs.
+    work (one modular multiplication of n, two inside a batch) before it
+    runs.
     """
     work = work or _WorkBudget(n)
     rng = random.Random(n)
@@ -392,14 +434,14 @@ def _pollard_rho(n: int, work: _WorkBudget | None = None) -> int:
         d = power = product = 1
         while d == 1:
             x = y
-            work.spend(power)
+            work.spend(power, n)
             for _ in range(power):
                 y = (y * y + c) % n
             done = 0
             while done < power and d == 1:
                 start = y
                 steps = min(_RHO_BATCH, power - done)
-                work.spend(2 * steps)
+                work.spend(2 * steps, n)
                 for _ in range(steps):
                     y = (y * y + c) % n
                     product = product * (x - y) % n
@@ -409,7 +451,7 @@ def _pollard_rho(n: int, work: _WorkBudget | None = None) -> int:
         if d == n:
             d = 1
             while d == 1:
-                work.spend(1)
+                work.spend(1, n)
                 start = (start * start + c) % n
                 d = math.gcd(x - start, n)
         if d != n:

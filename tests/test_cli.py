@@ -47,6 +47,10 @@ def run_usage_error(capsys, *argv):
     ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "2", "--oracle"),
     ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--oracle", "--budget", "-3"),
     ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--oracle", "--budget", "0"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--n-max", "2", "--format", "json"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--n-max", "2", "--format", "text"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "-n", "2", "--format", "csv"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "2", "--format", "csv"),
     ("verify-paper", "--only", ","),
     ("verify-paper", "--only", ""),
     ("stats", "--source", "file:pi_base10.digits", "--base", "7", "-n", "5"),
@@ -141,6 +145,15 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error:")
         assert den in err and str(FACTORIZATION_BUDGET) in err
+
+    def test_period_of_a_long_smooth_denominator_is_a_runtime_error(self, capsys):
+        # 10**6000 has too many digits to print: the error names its length
+        code, out, err = run(
+            capsys, "expand", "--source", "rational:1e-6000", "--base", "3",
+            "--digits", "3", "--format", "json",
+        )
+        assert (code, out) == (1, "")
+        assert "a denominator of 19932 bits" in err
 
     def test_reads_the_digit_file_header_once(self, capsys, monkeypatch):
         calls = []
@@ -436,6 +449,23 @@ class TestMeasure:
             "3,1/4,1/3,true",
         ]
 
+    def test_sweep_prints_csv_by_default(self, capsys):
+        _, out, _ = run(
+            capsys, "measure", "--base", "2", "--epsilon", "1/2", "--n-max", "3",
+        )
+        assert out.splitlines()[0] == "n,exact_measure,bound,holds"
+
+    @pytest.mark.parametrize("mode, fmt, allowed", [
+        (("--n-max", "2"), "json", "--n-max prints csv"),
+        (("-n", "2"), "csv", "-n prints json or text"),
+        (("--tail", "2"), "csv", "--tail prints json or text"),
+    ])
+    def test_format_must_suit_the_mode(self, capsys, mode, fmt, allowed):
+        err = run_usage_error(
+            capsys, "measure", "--base", "2", "--epsilon", "1/2", *mode, "--format", fmt
+        )
+        assert allowed in err
+
     def test_tail_bound(self, capsys):
         _, out, _ = run(
             capsys, "measure", "--base", "2", "--epsilon", "1/2", "--tail", "4",
@@ -451,6 +481,28 @@ class TestMeasure:
         payload = json.loads(out)
         assert payload["tail_bound"] == "6"
         assert payload["witness_m"] == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_witness_past_int_str_digit_limit(self, capsys, fmt):
+        # the witness 3 * 10**5000 + 1 has 5001 digits; JSON gives them as a
+        # string, which json.loads reads back where a literal would fail
+        code, out, _ = run(
+            capsys, "measure", "--base", "2", "--epsilon", "1/2", "--tail", "1",
+            "--target", "1e-5000", "--format", fmt,
+        )
+        assert code == 0
+        digits = "3" + "0" * 4999 + "1"
+        if fmt == "json":
+            assert json.loads(out)["witness_m"] == digits
+        else:
+            assert out.endswith(f": {digits}\n")
+
+    def test_witness_within_int_str_digit_limit_stays_an_int(self, capsys):
+        _, out, _ = run(
+            capsys, "measure", "--base", "2", "--epsilon", "1/2", "--tail", "1",
+            "--target", "1e-4299",
+        )
+        assert json.loads(out)["witness_m"] == 3 * 10**4299 + 1
 
     def test_target_must_be_exact(self, capsys):
         err = run_usage_error(capsys, "measure", "--base", "2", "--epsilon",

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import measure
@@ -24,6 +24,7 @@ from normality_lab.measure import (
     tail_measure_bound,
     tail_sum_bound,
 )
+from normality_lab.sources import random_stream
 
 small_eps = st.fractions(min_value=Fraction(1, 100), max_value=1)
 
@@ -36,6 +37,30 @@ def admissible_by_fractions(base, n, eps):
     """The Fraction comparison that admissible_counts replaces."""
     target = Fraction(1, base)
     return [p for p in range(n + 1) if abs(Fraction(p, n) - target) >= Fraction(eps)]
+
+
+def edge_epsilons(r, n):
+    """Epsilons where one side of the admissible rule empties or an edge
+    falls just beside a count: 1/r, 1 - 1/r, 1 and 1/r +- 1/(r n)."""
+    edges = [
+        Fraction(1, r),
+        1 - Fraction(1, r),
+        Fraction(1),
+        Fraction(1, r) + Fraction(1, r * n),
+        Fraction(1, r) - Fraction(1, r * n),
+    ]
+    return [e for e in edges if 0 < e <= 1]
+
+
+@st.composite
+def boundary_cases(draw, n_max=300):
+    """(r, n, p, epsilon): epsilon is count p's own deviation or one of
+    the edge_epsilons of n."""
+    r, n = draw(st.integers(2, 12)), draw(st.integers(1, n_max))
+    p = draw(st.integers(0, n))
+    own = abs(Fraction(p, n) - Fraction(1, r))
+    eps = draw(st.sampled_from(edge_epsilons(r, n) + ([own] if own else [])))
+    return r, n, p, eps
 
 
 class TestSpecValidation:
@@ -110,15 +135,13 @@ class TestDeviationSetMeasure:
             base, n, eps
         )
 
-    @given(st.integers(2, 12), st.integers(1, 80), st.data())
+    @given(boundary_cases())
     @settings(max_examples=150)
-    def test_admissible_on_exact_boundaries(self, base, n, data):
+    def test_admissible_on_exact_boundaries(self, case):
         # epsilon equal to some count's own deviation: that count must stay in
-        p = data.draw(st.integers(0, n))
-        eps = abs(Fraction(p, n) - Fraction(1, base))
-        assume(eps != 0)
+        base, n, p, eps = case
         counts = admissible_counts(spec(base, 0, n, eps))
-        assert p in counts
+        assert (p in counts) == (abs(Fraction(p, n) - Fraction(1, base)) >= eps)
         assert counts == admissible_by_fractions(base, n, eps)
 
     @given(st.integers(2, 12), st.integers(1, 300), st.data())
@@ -176,6 +199,7 @@ class TestDeviationSetMeasure:
                 if abs(Fraction(p, sp.n) - Fraction(1, sp.base)) > sp.epsilon
             ],
         )
+        monkeypatch.setattr(measure, "_edges", lambda base, eps, n: (0, n))
         assert deviation_set_measure_bruteforce(s) == expected == Fraction(10, 16)
 
     def test_budget_error_reports_requirement(self):
@@ -191,18 +215,10 @@ def sweep_cases(draw):
     """(r, epsilon, n_max): epsilon an edge value of the admissible rule
     or a random a/b in (0, 1]."""
     r = draw(st.integers(2, 12))
-    n_max = draw(st.integers(1, 60))
+    n_max = draw(st.integers(1, 300))
     near = draw(st.integers(max(1, n_max - 3), n_max + 3))
-    edges = [
-        Fraction(1, r),
-        1 - Fraction(1, r),
-        Fraction(1),
-        Fraction(1, 2 * r),
-        Fraction(1, r) + Fraction(1, r * near),
-        Fraction(1, r) - Fraction(1, r * near),
-    ]
     eps = draw(
-        st.sampled_from([e for e in edges if 0 < e <= 1])
+        st.sampled_from(edge_epsilons(r, near) + [Fraction(1, 2 * r)])
         | st.fractions(min_value=Fraction(1, 1000), max_value=1)
     )
     return r, eps, n_max
@@ -364,6 +380,19 @@ class TestMonteCarlo:
     def test_seed_changes_result(self):
         s = spec(2, 0, 2, "1/2")
         assert monte_carlo_deviation(s, 1000, seed=43) == Fraction(1, 2)
+
+    @given(boundary_cases(n_max=12), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_counts_samples_by_the_definition(self, case, samples, seed):
+        r, n, _, eps = case
+        digits = random_stream(r, seed).take(n * samples)
+        hits = sum(
+            abs(Fraction(digits[i : i + n].count(0), n) - Fraction(1, r)) >= eps
+            for i in range(0, n * samples, n)
+        )
+        assert monte_carlo_deviation(spec(r, 0, n, eps), samples, seed) == Fraction(
+            hits, samples
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Digit streams, rational expansions, regrouping, shifting, rendering."""
+import builtins
 import math
 import tracemalloc
 from fractions import Fraction
@@ -303,6 +304,29 @@ class TestLongDenominators:
         assert rational_period(Fraction(1, 7 * 10**40000), 10) == (40000, 6)
         assert len(calls) <= 100
 
+    @pytest.mark.parametrize("exponent, base, bits", [
+        (6000, 3, 19932),  # the order needs 20000-bit pows mod 10**6000
+        (1000000, 10, 3321929),  # the preperiod needs pows mod 10**1000000
+    ])
+    def test_long_smooth_denominator_is_refused_before_its_pows(
+        self, monkeypatch, exponent, base, bits
+    ):
+        # pows are counted, not timed: each is booked by operand size
+        # before it runs, so none of the long ones runs
+        den, long_pows = 10**exponent, []
+
+        def counting_pow(a, e, m):
+            if m.bit_length() > 10000 and e.bit_length() > 1000:
+                long_pows.append(e)
+            return builtins.pow(a, e, m)
+
+        monkeypatch.setattr(radix, "pow", counting_pow, raising=False)
+        with pytest.raises(FactorizationBudgetError) as exc:
+            rational_period(Fraction(1, den), base)
+        assert long_pows == []
+        assert exc.value.n == den
+        assert f"a denominator of {bits} bits" in str(exc.value)
+
 
 # the least composite that passes Miller-Rabin on the primes up to 37
 STRONG_PSEUDOPRIME = 399165290221 * 798330580441
@@ -360,6 +384,15 @@ class TestFactorize:
         assert math.prod(p**k for p, k in factors.items()) == n
         assert all(_is_prime(p) for p in factors)
         assert 0 < work.spent <= FACTORIZATION_BUDGET
+
+    def test_work_is_weighed_by_operand_size(self):
+        work = _WorkBudget(1)
+        work.spend(3, 2**511)  # operands up to 512 bits book one unit each
+        assert work.spent == 3
+        work.spend(1, 2**1024)  # 1025 bits: three words squared
+        assert work.spent == 3 + 9
+        work.spend(2, 2**5000, 7)  # ten words by one
+        assert work.spent == 3 + 9 + 20
 
     def test_past_the_budget_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(radix, "FACTORIZATION_BUDGET", 1000)
