@@ -42,8 +42,8 @@ show(Fraction(355, 113), 10, 12)
 print()
 print("The same number, grouped")
 stream = expand_rational(Fraction(1, 3), 2).fractional
-print("  1/3 base 2 :", stream.fork().take(16))
-print("  grouped by 2:", regroup_to_power_base(stream, 2).take(8), "(base 4)")
+print("  1/3 base 2 :", list(stream.fork().take(16)))
+print("  grouped by 2:", list(regroup_to_power_base(stream, 2).take(8)), "(base 4)")
 
 print()
 print("Shifting = multiplying")
@@ -57,7 +57,7 @@ show(10**7 * alpha, 1000, 5)
 # the two operations commute: drop m digits then group by n, or
 # expand r**m * alpha in base r**n directly; same stream either way
 stream = expand_rational(alpha, 10).fractional
-print("  dropped head:", stream.take(1))
+print("  dropped head:", list(stream.take(1)))
 print("  then grouped:", regroup_to_power_base(stream, 3).take(6))
 direct = expand_rational(10 * alpha - 1, 1000).fractional
 print("  direct      :", direct.take(6))

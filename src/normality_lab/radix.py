@@ -5,25 +5,27 @@ source of base-r digits after the radix point.  Streams compose (a
 rational expansion and a regrouping into base r**n are both streams; a
 fractional shift by m is `take(m)`) and every consumer states up front
 how many digits it needs, so exhaustion is always reported with exact
-positions.  A source's stream reads with an `islice` of its iterator
-and forks with an `itertools.tee` of it; a regrouped stream reads n
-times as many inner digits at once and packs them in n-1 passes over
-strided slices, and forks by regrouping a fork of the inner stream.
-Sources emit digits in chunks (a `bytes` or a tuple of digit values)
-and a stream flattens them with `itertools.chain.from_iterable`, so a
-read costs no Python frame per digit.
+positions.  Sources emit digits in chunks, a `bytes` up to base 256 and
+a sequence of ints above, and a stream keeps them as they come: a read
+is one join of the chunks it spans, the first and last of them sliced,
+and returns `bytes` up to base 256 and a list above, so it costs no
+Python frame per digit.  A fork tees the chunk iterator and shares the
+unread rest of the current chunk.  A regrouped stream reads n times as
+many inner digits at once and packs them in n-1 passes over strided
+slices, and forks by regrouping a fork of the inner stream.
 
-Digits are plain ints in range(base).  The expansion produced for a
-rational is the standard long-division one, streamed lazily in constant
-memory, one division per group of digits: it never ends in an infinite
-tail of (base-1), and a leading-digit index records where the expansion
-starts.  Its preperiod and period are computed separately, by
-:func:`rational_period`, from the factorization of a Carmichael
-function (the primes up to 37 divided out, every composite cofactor
-split by Pollard's rho, every cofactor tested by Baillie-PSW), within a
-budget of work, weighed by operand size, that covers the whole period
-computation, so a denominator too long or too hard to factor is a typed
-error instead of a hang.  Bases are ints >= 2.
+Digits are ints in range(base), read out of a `bytes` or a list.  The
+expansion produced for a rational is the standard long-division one,
+streamed lazily in constant memory, one division per group of digits:
+it never ends in an infinite tail of (base-1), and a leading-digit
+index records where the expansion starts.  Its preperiod and period
+are computed separately, by :func:`rational_period`, from the
+factorization of a Carmichael function (the primes up to 37 divided
+out, every composite cofactor split by Pollard's rho, every cofactor
+tested by Baillie-PSW), within a budget of work, weighed by operand
+size, that covers the whole period computation, so a denominator too
+long or too hard to factor is a typed error instead of a hang.  Bases
+are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -36,13 +38,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, tee
+from itertools import chain, tee
 from typing import Iterator
 
 from .errors import FactorizationBudgetError, InsufficientDigitsError
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
+# byte digits 0-35 to their ALPHABET characters, for one bytes.translate
+_TO_ALPHABET = bytes.maketrans(bytes(range(36)), ALPHABET.encode())
 
 
 def validate_base(base: int) -> int:
@@ -68,6 +72,8 @@ def int_to_digits(value: int, base: int) -> list[int]:
 
 # the largest digit table a stream builds: base**t entries of t digits
 _TABLE_LIMIT = 4096
+# the most long-division groups a rational stream joins into one chunk
+_RATIONAL_BATCH = 1024
 
 
 @lru_cache(maxsize=32)
@@ -100,35 +106,83 @@ def digits_to_int(digits, base: int) -> int:
     return value
 
 
+def _join(base: int, parts: list):
+    """Chunk parts as one run of digits: `bytes` up to base 256, a list
+    above."""
+    return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))
+
+
+def _mul_add(high, base: int, low, small: bool):
+    """high[s] * base + low[s] for s < len(low) <= len(high).
+
+    With `small` every result fits a byte and the digits come as `bytes`:
+    the results are then one big-int sum, each digit a byte of a
+    little-endian int, where no byte carries into the next.  Otherwise
+    they are a list.
+    """
+    if small:
+        size = len(low)
+        packed = int.from_bytes(high[:size], "little") * base + int.from_bytes(low, "little")
+        return packed.to_bytes(size, "little")
+    return [v * base + d for v, d in zip(high, low)]
+
+
 class DigitStream:
     """Single-consumer stream of base-r digits after the radix point.
 
-    An iterator plus a `position`: the count of digits consumed from the
-    underlying expansion since this stream's origin.  A fork shares the
-    origin, so both copies report positions in the same coordinate
-    system; its digits are kept only until both copies have read them.
+    An iterator of chunks (`bytes` up to base 256, sequences of ints
+    above; empty ones allowed), the chunk being read and the offset of
+    its next digit, plus a `position`: the count of digits consumed from
+    the underlying expansion since this stream's origin.  A fork shares
+    the origin, so both copies report positions in the same coordinate
+    system; its chunks are kept only until both copies have read them.
     `take` does all its reading through `_read`, which a regrouped
     stream overrides (see `regroup_to_power_base`).
     """
 
-    __slots__ = ("base", "position", "description", "_it")
+    __slots__ = ("base", "position", "description", "_chunks", "_chunk", "_offset")
 
-    def __init__(self, base: int, digits, description: str = ""):
+    def __init__(self, base: int, chunks, description: str = ""):
         self.base = validate_base(base)
         self.position = 0
         self.description = description
-        self._it: Iterator[int] = iter(digits)
+        self._chunks: Iterator = iter(chunks)
+        self._chunk, self._offset = b"", 0
 
-    def _read(self, count: int) -> list[int]:
-        """Up to `count` digits, fewer only once the source is dry."""
-        digits = list(islice(self._it, count))
+    def _read(self, count: int):
+        """Up to `count` digits, fewer only once the source is dry: a
+        `bytes` up to base 256, a list above."""
+        chunk, start = self._chunk, self._offset
+        end = start + count
+        if end <= len(chunk):
+            parts = [chunk[start:end]]
+        else:
+            parts = [chunk[start:]]
+            end -= len(chunk)
+            try:
+                for chunk in self._chunks:
+                    if end <= len(chunk):
+                        parts.append(chunk[:end])
+                        break
+                    parts.append(chunk)
+                    end -= len(chunk)
+                else:
+                    chunk, end = b"", 0
+            except Exception:
+                # a source failed (a bad digit in a file): the digits
+                # pulled before it stay for the next read
+                self._chunk, self._offset = _join(self.base, parts), 0
+                raise
+        digits = _join(self.base, parts)
+        self._chunk, self._offset = chunk, end
         self.position += len(digits)
         return digits
 
-    def take(self, count: int) -> list[int]:
+    def take(self, count: int):
         """Exactly `count` digits, or InsufficientDigitsError telling how
         many were available in total, both counted in this stream's
-        digits (a regrouped stream counts whole groups)."""
+        digits (a regrouped stream counts whole groups).  The digits are
+        a `bytes` up to base 256 and a list above."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         goal = self.position + count
@@ -143,8 +197,9 @@ class DigitStream:
         Both copies may be consumed in any interleaving and see identical
         digits.
         """
-        self._it, twin_it = tee(self._it)
-        twin = DigitStream(self.base, twin_it, self.description)
+        self._chunks, twin_chunks = tee(self._chunks)
+        twin = DigitStream(self.base, twin_chunks, self.description)
+        twin._chunk, twin._offset = self._chunk, self._offset
         twin.position = self.position
         return twin
 
@@ -175,7 +230,9 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 
     The fractional stream is infinite and lazy: each group of t digits
     (see `_digit_table`) is one step of long division by base**t on the
-    remainder, so memory stays constant however long the period.  The
+    remainder, so memory stays constant however long the period.  Its
+    chunks hold 1, 2, 4, ... groups, up to _RATIONAL_BATCH, so a short
+    read of a huge denominator still does only a few divisions.  The
     expansion produced is the one whose truncations round down, so it
     never ends in an infinite tail of (base-1): 1/2 in base 2 is
     0.1000..., not 0.0111... .
@@ -205,17 +262,19 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
     t, table = _digit_table(base)
     step = base ** max(t, 1)
 
-    def long_division(r: int = rem) -> Iterator[int]:
+    def chunks(r: int = rem) -> Iterator:
+        size = 1
         while True:
-            g, r = divmod(r * step, den)
-            yield g
+            quotients = []
+            for _ in range(size):
+                g, r = divmod(r * step, den)
+                quotients.append(g)
+            # above base 4096 there is no table: each quotient is one digit
+            yield _join(base, map(table.__getitem__, quotients)) if t else quotients
+            size = min(2 * size, _RATIONAL_BATCH)
 
-    # above base 4096 there is no table: each quotient is one digit
-    groups = map(table.__getitem__, long_division()) if t else zip(long_division())
     # the description leaves q out: its digits may be too many to print
-    stream = DigitStream(
-        base, chain.from_iterable(groups), description=f"rational in base {base}"
-    )
+    stream = DigitStream(base, chunks(), description=f"rational in base {base}")
     return DigitExpansion(base, integer_digits, stream, leading)
 
 
@@ -490,22 +549,23 @@ class _GroupedStream(DigitStream):
         self.description = f"{label} grouped by {n}"
         self._inner, self._n = inner, n
 
-    def _read(self, count: int) -> list[int]:
+    def _read(self, count: int):
         r, n = self._inner.base, self._n
-        values: list[int] = []
+        parts, got = [], 0
         while True:
-            want = min(count - len(values), _GROUP_SLICE)
+            want = min(count - got, _GROUP_SLICE)
             digits = self._inner._read(want * n)
-            # zip stops with the shortest slice, digits[n-1::n], which
-            # leaves a short final group out
+            # each pass keeps the length of its shorter slice, which ends
+            # at digits[n-1::n] and so leaves a short final group out
             part = digits[::n]
             for i in range(1, n):
-                part = [v * r + d for v, d in zip(part, digits[i::n])]
-            values += part
-            if len(part) < want or len(values) == count:
+                part = _mul_add(part, r, digits[i::n], self.base <= 256)
+            parts.append(part)
+            got += len(part)
+            if len(part) < want or got == count:
                 break
-        self.position += len(values)
-        return values
+        self.position += got
+        return _join(self.base, parts)
 
     def fork(self) -> DigitStream:
         twin = _GroupedStream(self._inner.fork(), self._n)
@@ -553,5 +613,8 @@ def format_bracket(expansion: DigitExpansion, count: int) -> str:
     int_text = "".join(digit_token(d, base) for d in ints) if ints else "0"
     frac_needed = max(0, count - len(ints))
     frac = expansion.fractional.take(frac_needed)
-    frac_text = "".join(digit_token(d, base) for d in frac)
+    if base <= 36:
+        frac_text = frac.translate(_TO_ALPHABET).decode("ascii")
+    else:
+        frac_text = "".join(digit_token(d, base) for d in frac)
     return f"{int_text}.{frac_text}"

@@ -20,9 +20,9 @@ integer digits and fractional stream, and a file spec keeps the header
 Champernowne digits come a block of integers at a time, file digits a
 line at a time and random digits a block of xorshift states at a time,
 each block one `bytes` (a tuple or list above base 256) that the
-:class:`DigitStream` flattens.  The random blocks come from many
-xorshift states stepped together in the lanes of one int; see
-`_random_chunks`.
+:class:`DigitStream` reads as one chunk, with no per-digit step.  The
+random blocks come from many xorshift states stepped together in the
+lanes of one int; see `_random_chunks`.
 """
 from __future__ import annotations
 
@@ -91,9 +91,7 @@ def champernowne_stream(base: int) -> DigitStream:
             else:
                 yield tuple(d for low in table for d in head + low)
 
-    return DigitStream(
-        base, chain.from_iterable(chunks()), description=f"champernowne base {base}"
-    )
+    return DigitStream(base, chunks(), description=f"champernowne base {base}")
 
 
 def xorshift64_step(state: int) -> int:
@@ -122,9 +120,7 @@ def random_stream(base: int, seed: int) -> DigitStream:
     if state == 0:
         state = _SEED_SUBSTITUTE
     return DigitStream(
-        base,
-        chain.from_iterable(_random_chunks(base, state)),
-        description=f"xorshift64 seed {seed}",
+        base, _random_chunks(base, state), description=f"xorshift64 seed {seed}"
     )
 
 
@@ -300,7 +296,7 @@ class DigitFile:
     def stream(self) -> DigitStream:
         return DigitStream(
             self.base,
-            chain.from_iterable(_scan_digits(self.path, self.base, self.header_lines)),
+            _scan_digits(self.path, self.base, self.header_lines),
             description=str(self.path.name),
         )
 
@@ -332,15 +328,21 @@ _TOKEN = re.compile(r"\[([0-9]+)\]")
 
 
 def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
-    """The digit section of a file, one chunk of digit values per line.
+    """The digit section of a file, one chunk of digit values per line, a
+    `bytes` up to base 256 and a list above.
 
-    A line is cut at the end of its longest well-formed prefix.  That
-    prefix becomes one chunk (one `bytes.translate` up to base 36, one
-    `re.findall` of bracket tokens above); if the cut is short of the end
-    of the line, or a bracket token is out of range, the digits before the
-    first bad character come out and then the InvalidDigitError for it.
+    A line of bracket tokens up to base 256 is first tried by
+    `_bracket_line`.  Every other line is cut at the end of its longest
+    well-formed prefix.  That prefix becomes one chunk (one
+    `bytes.translate` up to base 36, one `re.findall` of bracket tokens
+    above); if the cut is short of the end of the line, or a bracket token
+    is out of range, the digits before the first bad character come out
+    and then the InvalidDigitError for it.
     """
     space = re.escape(_SPACE)
+    # the canonical text of each digit inside its brackets
+    tokens = {str(d).encode(): d for d in range(base)} if 36 < base <= 256 else None
+    pack = bytes if base <= 256 else list
     if base <= 36:
         well_formed = re.compile(f"[{space}{ALPHABET[:base]}]*")
         values = bytes.maketrans(ALPHABET[:base].encode(), bytes(range(base)))
@@ -349,6 +351,9 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= header_lines:
+                continue
+            if tokens and (chunk := _bracket_line(line, tokens)) is not None:
+                yield chunk
                 continue
             cut = well_formed.match(line).end()
             if base <= 36:
@@ -359,15 +364,37 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
                 digits = list(map(int, _TOKEN.findall(line, 0, cut)))
                 if digits and max(digits) >= base:
                     k = next(k for k, d in enumerate(digits) if d >= base)
-                    yield digits[:k]
+                    yield pack(digits[:k])
                     token = list(_TOKEN.finditer(line, 0, cut))[k]
                     raise InvalidDigitError(
                         path, lineno, token.start() + 2,
                         f"digit [{digits[k]}] out of range for base {base}",
                     )
-                yield digits
+                yield pack(digits)
                 if cut < len(line):
                     raise _bad_token(path, lineno, line, cut)
+
+
+def _bracket_line(line: str, tokens: dict[bytes, int]) -> bytes | None:
+    """The digits of a line of canonical bracket tokens, or None.
+
+    The line is taken as `bytes` with the whitespace at its ends cut off,
+    must start with "[" and end with "]", and each text between "][" must
+    be a key of `tokens`, which maps it to its digit.  Anything else (a token like [007] or [300] in
+    base 100, whitespace between or inside tokens, a stray or non-ASCII
+    character) gives None, and the regex scan reads the line instead.
+    """
+    if not line.isascii():
+        return None
+    data = line.encode("ascii").strip(_SPACE_BYTES)
+    if not data:
+        return data
+    if data[:1] != b"[" or data[-1:] != b"]":
+        return None
+    try:
+        return bytes(map(tokens.__getitem__, data[1:-1].split(b"][")))
+    except KeyError:
+        return None
 
 
 def _bad_character(

@@ -24,6 +24,7 @@ from typing import Iterator
 from .exact import decimal_approx, format_rational
 from .radix import (
     DigitStream,
+    _mul_add,
     digit_token,
     digits_to_int,
     parse_digit_text,
@@ -126,19 +127,20 @@ class NormalityReport:
         }
 
 
-# Up to this base a tally is one `bytes.count` per digit value.  Measured
-# on a shared 2-core Xeon VM with Python 3.11 over 200000 digits:
-# bytes(list) costs about 28 ns per digit and each count about 0.85 ns per
-# digit, against 45-76 ns per digit for a Counter, so they cross near 48.
-_BYTES_TALLY_MAX_BASE = 48
+# Up to this base a tally is one `bytes.count` per digit value over the
+# `bytes` a stream or a battery view hands in.  Measured on a shared 2-core
+# Xeon VM with Python 3.11 over 200000 digits: the counts cost about
+# 13 + 0.45 * base ns per digit, a Counter 35-55 ns per digit, so they
+# cross near 60.
+_BYTES_TALLY_MAX_BASE = 60
 
 
-def _report(base: int, digits: list[int]) -> NormalityReport:
-    """The report over a prefix of base-`base` digits, built from those seen."""
+def _report(base: int, digits) -> NormalityReport:
+    """The report over a prefix of base-`base` digits (a `bytes` up to base
+    256, a list above), built from those seen."""
     n = len(digits)
     if base <= _BYTES_TALLY_MAX_BASE:
-        data = bytes(digits)
-        counts = {d: c for d in range(base) if (c := data.count(d))}
+        counts = {d: c for d in range(base) if (c := digits.count(d))}
     else:
         counts = dict(sorted(Counter(digits).items()))
     high = max(counts.values())
@@ -154,18 +156,19 @@ def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:
     return _report(stream.base, stream.take(n))
 
 
-def _power_values(digits: list[int], base: int, max_power: int) -> Iterator[list[int]]:
-    """For n = 1 .. max_power, the list whose entry s is digits s .. s+n-1
-    read as one base**n digit.
+def _power_values(digits, base: int, max_power: int) -> Iterator:
+    """For n = 1 .. max_power, the sequence whose entry s is digits
+    s .. s+n-1 read as one base**n digit: a `bytes` while base**n <= 256,
+    a list above.
 
     Digit k of the view shifted by m and grouped by n is entry m + k*n of
-    list n, so every view is a stride-n slice.  Each list is built from
-    the previous one in one pass and replaces it.
+    sequence n, so every view is a stride-n slice.  Each sequence is built
+    from the previous one in one pass (see `_mul_add`) and replaces it.
     """
     values = digits
     yield values
     for n in range(2, max_power + 1):
-        values = [v * base + d for v, d in zip(values, islice(digits, n - 1, None))]
+        values = _mul_add(values, base, digits[n - 1 :], base**n <= 256)
         yield values
 
 

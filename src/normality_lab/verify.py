@@ -138,7 +138,7 @@ def _pi_bracket_display() -> str:
 @_check("half-expansion-tail-free")
 def _half_expansion() -> str:
     e = expand_rational(Fraction(1, 2), 2)
-    digits = e.fractional.take(20)
+    digits = list(e.fractional.take(20))
     _require(
         digits == [1] + [0] * 19,
         f"1/2 in base 2 starts {digits[:6]}..., expected 1,0,0,0,...",
@@ -152,7 +152,7 @@ def _half_expansion() -> str:
 @_check("third-base4-constant-digit")
 def _third_base4() -> str:
     e = expand_rational(Fraction(1, 3), 4)
-    digits = e.fractional.take(60)
+    digits = list(e.fractional.take(60))
     _require(digits == [1] * 60, "1/3 in base 4 must be all 1s")
 
     base2 = parse_source_spec("rational:1/3", 2)
@@ -180,7 +180,7 @@ def _shift_regroup() -> str:
 
     e10 = expand_rational(alpha, 10)
     _require(
-        e10.fractional.take(9) == [1, 2, 3, 3, 4, 5, 0, 4, 2],
+        list(e10.fractional.take(9)) == [1, 2, 3, 3, 4, 5, 0, 4, 2],
         "base-10 digits of the example value are wrong",
     )
 
@@ -225,12 +225,12 @@ def _power_base_blocks() -> str:
     _require(direct == 13, f"direct count {direct}, expected 13")
     _require(sum(per_shift) == direct, "decomposition must equal direct count")
 
-    grouped0 = regroup_to_power_base(source.stream(), 2).take(25)
+    grouped0 = list(regroup_to_power_base(source.stream(), 2).take(25))
     expected0 = [0,2,1,0,0,3,2,3,1,3,3,2,0,1,0,0,1,2,2,3,0,1,3,2,0]
     _require(grouped0 == expected0, "shift-0 base-4 view is wrong")
     s1 = source.stream()
     s1.take(1)
-    grouped1 = regroup_to_power_base(s1, 2).take(25)
+    grouped1 = list(regroup_to_power_base(s1, 2).take(25))
     expected1 = [1,0,2,0,1,3,1,2,3,3,3,0,0,2,0,0,3,1,1,2,0,3,3,0,1]
     _require(grouped1 == expected1, "shift-1 base-4 view is wrong")
     return "11-count 13 = 6 (shift 0) + 7 (shift 1), views decoded exactly"

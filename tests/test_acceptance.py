@@ -75,7 +75,7 @@ def test_criterion_02_block_count():
 def test_criterion_03_one_third_expansion_and_battery():
     t0 = time.monotonic()
     digits = expand_rational(Fraction(1, 3), 4).fractional.take(40)
-    all_ones = digits == [1] * 40
+    all_ones = list(digits) == [1] * 40
     spec = parse_source_spec("rational:1/3", 2)
     cells = normality_battery(spec, 2, 30)
     cell = next(c for c in cells if (c.shift, c.power) == (0, 2))

@@ -77,12 +77,12 @@ class TestIntDigits:
 
 class TestDigitStream:
     def test_take_and_position(self):
-        s = DigitStream(10, iter([1, 2, 3, 4, 5]))
-        assert s.take(3) == [1, 2, 3]
+        s = DigitStream(10, [bytes([1, 2, 3, 4, 5])])
+        assert list(s.take(3)) == [1, 2, 3]
         assert s.position == 3
 
     def test_exhaustion_reports_positions(self):
-        s = DigitStream(10, iter([7] * 50), description="fifty sevens")
+        s = DigitStream(10, [bytes([7] * 50)], description="fifty sevens")
         s.take(10)
         with pytest.raises(InsufficientDigitsError) as exc:
             s.take(41)
@@ -91,24 +91,24 @@ class TestDigitStream:
         assert "fifty sevens" in str(exc.value)
 
     def test_fork_sees_same_digits(self):
-        s = DigitStream(10, iter(range(10)))
+        s = DigitStream(10, [bytes(range(10))])
         s.take(2)
         twin = s.fork()
-        assert s.take(3) == [2, 3, 4]
-        assert twin.take(3) == [2, 3, 4]
+        assert list(s.take(3)) == [2, 3, 4]
+        assert list(twin.take(3)) == [2, 3, 4]
         assert twin.position == s.position == 5
 
     def test_interleaved_forks(self):
-        s = DigitStream(2, iter([1, 0, 1, 1, 0, 0, 1]))
+        s = DigitStream(2, [bytes([1, 0, 1, 1, 0, 0, 1])])
         a = s.fork()
         b = a.fork()
-        assert s.take(1) == [1]
-        assert a.take(2) == [1, 0]
-        assert b.take(3) == [1, 0, 1]
-        assert s.take(2) == [0, 1]
+        assert list(s.take(1)) == [1]
+        assert list(a.take(2)) == [1, 0]
+        assert list(b.take(3)) == [1, 0, 1]
+        assert list(s.take(2)) == [0, 1]
 
     def test_forked_exhaustion_counts_from_origin(self):
-        s = DigitStream(10, iter([1, 2, 3]))
+        s = DigitStream(10, [bytes([1, 2, 3])])
         twin = s.fork()
         twin.take(3)
         with pytest.raises(InsufficientDigitsError) as exc:
@@ -133,6 +133,70 @@ class TestDigitStream:
         assert peak < 2**20
 
 
+@st.composite
+def chunked_digits(draw):
+    """(base, digits, chunks): a flat digit list and the same digits cut
+    into chunks, empty ones included, of the type a source of that base
+    yields."""
+    base = draw(st.sampled_from([2, 10, 256, 257, 2**40]))
+    digits = draw(st.lists(st.integers(0, base - 1), max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(digits)), max_size=10)))
+    pack = bytes if base <= 256 else draw(st.sampled_from([list, tuple]))
+    bounds = [0, *cuts, len(digits)]
+    return base, digits, [pack(digits[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestChunkedReads:
+    """Reads of a chunked stream against the flat list of its digits."""
+
+    @given(chunked_digits(), st.lists(st.integers(0, 70), max_size=12))
+    @settings(max_examples=300)
+    def test_takes_match_the_flat_list(self, case, sizes):
+        base, digits, chunks = case
+        s = DigitStream(base, chunks)
+        at = 0
+        for size in sizes:
+            if at + size > len(digits):
+                with pytest.raises(InsufficientDigitsError) as exc:
+                    s.take(size)
+                assert (exc.value.available, exc.value.requested) == (len(digits), at + size)
+                at = len(digits)
+            else:
+                got = s.take(size)
+                assert type(got) is (bytes if base <= 256 else list)
+                assert list(got) == digits[at : at + size]
+                at += size
+            assert s.position == at
+
+    @given(
+        chunked_digits(),
+        st.integers(0, 60),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 25)), max_size=16),
+    )
+    @settings(max_examples=300)
+    def test_forks_read_interleaved(self, case, head, reads):
+        # copy k > 0 is forked from copy k-1 when first read, wherever
+        # that copy stands, often inside a chunk
+        base, digits, chunks = case
+        head = min(head, len(digits))
+        s = DigitStream(base, chunks)
+        s.take(head)
+        copies, at = [s], [head]
+        for which, size in reads:
+            if which >= len(copies):
+                copies.append(copies[-1].fork())
+                at.append(at[-1])
+                which = len(copies) - 1
+            size = min(size, len(digits) - at[which])
+            assert list(copies[which].take(size)) == digits[at[which] : at[which] + size]
+            at[which] += size
+            assert copies[which].position == at[which]
+        for copy, position in zip(copies, at):
+            with pytest.raises(InsufficientDigitsError) as exc:
+                copy.take(len(digits) - position + 1)
+            assert exc.value.available == len(digits)
+
+
 class TestDigitTable:
     @pytest.mark.parametrize("base", [2, 10, 256, 257, 4096, 4097])
     def test_kept_per_base(self, base):
@@ -153,41 +217,41 @@ class TestDigitTable:
 class TestExpandRational:
     def test_half_base_two_round_down_form(self):
         e = expand_rational(Fraction(1, 2), 2)
-        assert e.fractional.take(8) == [1, 0, 0, 0, 0, 0, 0, 0]
+        assert list(e.fractional.take(8)) == [1, 0, 0, 0, 0, 0, 0, 0]
         assert e.leading_index == -1
         assert rational_period(Fraction(1, 2), 2) == (1, 1)
 
     def test_third_base_two_alternates(self):
         e = expand_rational(Fraction(1, 3), 2)
-        assert e.fractional.take(6) == [0, 1, 0, 1, 0, 1]
+        assert list(e.fractional.take(6)) == [0, 1, 0, 1, 0, 1]
         assert rational_period(Fraction(1, 3), 2) == (0, 2)
         assert e.leading_index == -2
 
     def test_third_base_four_constant(self):
         e = expand_rational(Fraction(1, 3), 4)
-        assert e.fractional.take(6) == [1] * 6
+        assert list(e.fractional.take(6)) == [1] * 6
 
     def test_zero(self):
         e = expand_rational(Fraction(0), 7)
-        assert e.fractional.take(3) == [0, 0, 0]
+        assert list(e.fractional.take(3)) == [0, 0, 0]
         assert e.leading_index == -1
         assert e.integer_digits == []
 
     def test_value_above_one(self):
         e = expand_rational(Fraction(7, 2), 10)
         assert e.integer_digits == [3]
-        assert e.fractional.take(3) == [5, 0, 0]
+        assert list(e.fractional.take(3)) == [5, 0, 0]
         assert e.leading_index == 0
 
     def test_integer_value(self):
         e = expand_rational(Fraction(42), 10)
         assert e.integer_digits == [4, 2]
         assert e.leading_index == 1
-        assert e.fractional.take(2) == [0, 0]
+        assert list(e.fractional.take(2)) == [0, 0]
 
     def test_sixth_base_ten_preperiod(self):
         e = expand_rational(Fraction(1, 6), 10)
-        assert e.fractional.take(4) == [1, 6, 6, 6]
+        assert list(e.fractional.take(4)) == [1, 6, 6, 6]
         assert rational_period(Fraction(1, 6), 10) == (1, 1)
 
     def test_negative_rejected(self):
@@ -203,7 +267,7 @@ class TestExpandRational:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert digits[:6] == [0, 0, 0, 0, 0, 1]
+        assert list(digits[:6]) == [0, 0, 0, 0, 0, 1]
         assert peak < 2**20
         assert rational_period(Fraction(1, 998651), 10) == (0, 998650)
 
@@ -447,25 +511,25 @@ class TestFactorize:
 
 class TestRegroup:
     def test_identity_returns_same_stream(self):
-        s = DigitStream(2, iter([1, 0, 1]))
+        s = DigitStream(2, [bytes([1, 0, 1])])
         assert regroup_to_power_base(s, 1) is s
 
     def test_pairs_of_bits(self):
-        s = DigitStream(2, iter([0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1]))
+        s = DigitStream(2, [bytes([0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1])])
         g = regroup_to_power_base(s, 2)
         assert g.base == 4
-        assert g.take(6) == [0, 2, 1, 0, 0, 3]
+        assert list(g.take(6)) == [0, 2, 1, 0, 0, 3]
 
     def test_lazy_consumption(self):
-        s = DigitStream(2, iter([1, 1, 0, 0, 1, 1, 0, 0]))
+        s = DigitStream(2, [bytes([1, 1, 0, 0, 1, 1, 0, 0])])
         g = regroup_to_power_base(s, 2)
         g.take(2)
         assert s.position == 4  # exactly k*n inputs for k outputs
 
     def test_exhaustion_mid_group_propagates(self):
-        s = DigitStream(2, iter([1, 0, 1]))
+        s = DigitStream(2, [bytes([1, 0, 1])])
         g = regroup_to_power_base(s, 2)
-        assert g.take(1) == [2]
+        assert list(g.take(1)) == [2]
         with pytest.raises(InsufficientDigitsError) as exc:
             g.take(1)
         assert exc.value.available == 1  # grouped coordinates
@@ -473,7 +537,7 @@ class TestRegroup:
         assert s.position == 3  # the short group was read to the end
 
     def test_take_exhaustion_counts_grouped_digits(self):
-        g = regroup_to_power_base(DigitStream(2, iter([1, 0, 1])), 2)
+        g = regroup_to_power_base(DigitStream(2, [bytes([1, 0, 1])]), 2)
         with pytest.raises(InsufficientDigitsError) as exc:
             g.take(2)
         assert exc.value.available == 1
@@ -481,7 +545,7 @@ class TestRegroup:
 
     def test_group_size_validated(self):
         with pytest.raises(ValueError):
-            regroup_to_power_base(DigitStream(2, iter([])), 0)
+            regroup_to_power_base(DigitStream(2, [b""]), 0)
 
     def test_take_is_one_bulk_read_of_the_input(self, monkeypatch):
         reads = []
@@ -509,7 +573,7 @@ class TestRegroup:
         monkeypatch.setattr(DigitStream, "_read", counting_read)
         k = 3 * radix._GROUP_SLICE + 7
         digits = [(7 * i) % 10 for i in range(3 * k)]
-        inner = DigitStream(10, iter(digits))
+        inner = DigitStream(10, [bytes(digits)])
         grouped = regroup_to_power_base(inner, 3)
         got = grouped.take(k)
         assert got == [int("".join(map(str, digits[i : i + 3]))) for i in range(0, 3 * k, 3)]
@@ -519,7 +583,7 @@ class TestRegroup:
 
     def test_short_final_group_past_a_slice_ends_the_view(self):
         k = radix._GROUP_SLICE + 5
-        inner = DigitStream(2, iter([1] * (2 * k + 1)))
+        inner = DigitStream(2, [bytes([1] * (2 * k + 1))])
         grouped = regroup_to_power_base(inner, 2)
         with pytest.raises(InsufficientDigitsError) as exc:
             grouped.take(k + 1)
@@ -538,13 +602,13 @@ class TestRegroup:
         assert nested.position == direct.position == sum(sizes)
 
     def test_fork_reads_a_fork_of_the_input(self):
-        inner = DigitStream(2, iter([1, 1, 0, 1, 0, 0, 1, 0]))
+        inner = DigitStream(2, [bytes([1, 1, 0, 1, 0, 0, 1, 0])])
         grouped = regroup_to_power_base(inner, 2)
-        assert grouped.take(1) == [3]
+        assert list(grouped.take(1)) == [3]
         twin = grouped.fork()
-        assert twin.take(3) == [1, 0, 2]
+        assert list(twin.take(3)) == [1, 0, 2]
         assert inner.position == 2  # the twin read a fork of the input
-        assert grouped.take(3) == [1, 0, 2]
+        assert list(grouped.take(3)) == [1, 0, 2]
         assert inner.position == 8
 
     @given(unit_fractions, st.integers(2, 6), st.integers(1, 4))
@@ -557,7 +621,7 @@ class TestRegroup:
     @given(st.lists(st.integers(0, 1), min_size=12, max_size=12), st.integers(1, 4))
     def test_value_preserved(self, bits, n):
         k = 12 // n
-        grouped = regroup_to_power_base(DigitStream(2, iter(bits)), n)
+        grouped = regroup_to_power_base(DigitStream(2, [bytes(bits)]), n)
         assert digits_to_int(grouped.take(k), 2**n) == digits_to_int(
             bits[: k * n], 2
         )
@@ -568,17 +632,17 @@ class TestShift:
 
     def test_splits_integer_digits(self):
         s = expand_rational(Fraction(1, 3), 10).fractional
-        assert s.take(3) == [3, 3, 3]
-        assert s.take(2) == [3, 3]
+        assert list(s.take(3)) == [3, 3, 3]
+        assert list(s.take(2)) == [3, 3]
 
     def test_zero_shift(self):
-        s = DigitStream(10, iter([9, 8]))
-        assert s.take(0) == []
-        assert s.take(2) == [9, 8]
+        s = DigitStream(10, [bytes([9, 8])])
+        assert list(s.take(0)) == []
+        assert list(s.take(2)) == [9, 8]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            DigitStream(10, iter([])).take(-1)
+            DigitStream(10, [b""]).take(-1)
 
     @given(unit_fractions, bases, st.integers(0, 8))
     @settings(max_examples=100)
@@ -644,7 +708,7 @@ class TestFormatBracket:
 
     def test_expansion_for_opaque_stream(self):
         e = DigitExpansion(
-            base=10, integer_digits=[], fractional=DigitStream(10, iter([1, 2, 3]))
+            base=10, integer_digits=[], fractional=DigitStream(10, [bytes([1, 2, 3])])
         )
         assert e.leading_index is None
         assert format_bracket(e, 3) == "0.123"

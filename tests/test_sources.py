@@ -4,7 +4,8 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from unittest import mock
+from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,10 +45,10 @@ from normality_lab.sources import (
 
 class TestRationalStream:
     def test_half(self):
-        assert rational_stream(Fraction(1, 2), 2).take(4) == [1, 0, 0, 0]
+        assert list(rational_stream(Fraction(1, 2), 2).take(4)) == [1, 0, 0, 0]
 
     def test_zero(self):
-        assert rational_stream(Fraction(0), 5).take(3) == [0, 0, 0]
+        assert list(rational_stream(Fraction(0), 5).take(3)) == [0, 0, 0]
 
     def test_domain_is_unit_interval(self):
         with pytest.raises(ValueError):
@@ -61,15 +62,15 @@ class TestRationalStream:
 class TestChampernowne:
     def test_base_ten_prefix(self):
         s = champernowne_stream(10)
-        assert s.take(13) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 1, 1]
+        assert list(s.take(13)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 1, 1]
 
     def test_base_two_prefix(self):
         # 1, 10, 11, 100, 101 concatenated
-        assert champernowne_stream(2).take(11) == [1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
+        assert list(champernowne_stream(2).take(11)) == [1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 
     def test_first_digits_enumerate_single_digit_numbers(self):
         s = champernowne_stream(7)
-        assert s.take(6) == [1, 2, 3, 4, 5, 6]
+        assert list(s.take(6)) == [1, 2, 3, 4, 5, 6]
 
     @given(st.integers(2, 16))
     def test_all_digits_in_range(self, base):
@@ -83,23 +84,23 @@ class TestChampernowne:
             return int_to_digits(value, base)
 
         monkeypatch.setattr(sources, "int_to_digits", counting)
-        assert champernowne_stream(2).take(1) == [1]
+        assert list(champernowne_stream(2).take(1)) == [1]
         assert len(calls) <= 1
 
 
 class TestRandomStream:
     def test_frozen_seed_42_base_10(self):
-        assert random_stream(10, 42).take(20) == [
+        assert list(random_stream(10, 42).take(20)) == [
             4, 1, 4, 6, 2, 7, 5, 4, 6, 7, 7, 8, 3, 3, 5, 1, 2, 7, 1, 2,
         ]
 
     def test_frozen_seed_42_base_2(self):
-        assert random_stream(2, 42).take(20) == [
+        assert list(random_stream(2, 42).take(20)) == [
             0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0,
         ]
 
     def test_frozen_seed_7_base_100(self):
-        assert random_stream(100, 7).take(8) == [27, 52, 43, 7, 50, 25, 65, 48]
+        assert list(random_stream(100, 7).take(8)) == [27, 52, 43, 7, 50, 25, 65, 48]
 
     def test_same_seed_same_stream(self):
         assert random_stream(10, 123).take(100) == random_stream(10, 123).take(100)
@@ -136,24 +137,24 @@ class TestDigitFiles:
         p = write_digit_file(tmp_path / "t.digits", "base=10\n14 15\n92\n")
         s = load_digit_file(p).stream()
         assert s.base == 10
-        assert s.take(6) == [1, 4, 1, 5, 9, 2]
+        assert list(s.take(6)) == [1, 4, 1, 5, 9, 2]
 
     def test_letters_for_larger_bases(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=16\n0f a\n")
-        assert load_digit_file(p).stream().take(3) == [0, 15, 10]
+        assert list(load_digit_file(p).stream().take(3)) == [0, 15, 10]
 
     def test_bracketed_digits_above_36(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=100\n[14] [15]\n[92][0]\n")
         s = load_digit_file(p).stream()
         assert s.base == 100
-        assert s.take(4) == [14, 15, 92, 0]
+        assert list(s.take(4)) == [14, 15, 92, 0]
 
     def test_int_header(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=10\nint=3\n1415\n")
         meta = load_digit_file(p)
         assert meta.base == 10
         assert meta.integer_value == 3
-        assert meta.stream().take(4) == [1, 4, 1, 5]
+        assert list(meta.stream().take(4)) == [1, 4, 1, 5]
 
     def test_int_header_optional(self, tmp_path):
         p = write_digit_file(tmp_path / "t.digits", "base=10\n1415\n")
@@ -274,7 +275,7 @@ class TestSourceSpecs:
         spec = parse_source_spec("rational:1/3", 2)
         assert spec.kind == "rational"
         assert spec.value == Fraction(1, 3)
-        assert spec.stream().take(4) == [0, 1, 0, 1]
+        assert list(spec.stream().take(4)) == [0, 1, 0, 1]
 
     def test_decimal_spelling_is_exact(self):
         assert parse_source_spec("rational:0.25", 10).value == Fraction(1, 4)
@@ -282,8 +283,8 @@ class TestSourceSpecs:
     def test_prefix_spelling(self):
         spec = parse_source_spec("rational:11010111011-prefix", 2)
         assert spec.value == Fraction(0b11010111011, 2**11)
-        assert spec.stream().take(11) == [1, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1]
-        assert spec.stream().take(13)[-2:] == [0, 0]  # zero-extended
+        assert list(spec.stream().take(11)) == [1, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1]
+        assert list(spec.stream().take(13)[-2:]) == [0, 0]  # zero-extended
 
     def test_prefix_digits_validated(self):
         with pytest.raises(ValueError):
@@ -293,18 +294,18 @@ class TestSourceSpecs:
 
     def test_champernowne_spelling(self):
         spec = parse_source_spec("champernowne", 10)
-        assert spec.stream().take(3) == [1, 2, 3]
+        assert list(spec.stream().take(3)) == [1, 2, 3]
 
     def test_random_spelling(self):
         spec = parse_source_spec("random:42", 10)
         assert spec.seed == 42
-        assert spec.stream().take(5) == [4, 1, 4, 6, 2]
+        assert list(spec.stream().take(5)) == [4, 1, 4, 6, 2]
 
     def test_file_spelling_reads_header_base(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=7\n123\n")
         spec = parse_source_spec(f"file:{p}")
         assert spec.base == 7
-        assert spec.stream().take(3) == [1, 2, 3]
+        assert list(spec.stream().take(3)) == [1, 2, 3]
 
     def test_rational_needs_unit_interval(self):
         with pytest.raises(ValueError):
@@ -341,7 +342,7 @@ class TestStreamInBase:
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
         s = parse_source_spec(f"file:{p}", 10).stream()
         assert s.base == 10
-        assert s.take(6) == [1, 4, 1, 5, 9, 2]
+        assert list(s.take(6)) == [1, 4, 1, 5, 9, 2]
 
     def test_regroups_file_to_power_base(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
@@ -349,18 +350,18 @@ class TestStreamInBase:
         assert spec.base == 100
         s = spec.stream()
         assert s.base == 100
-        assert s.take(3) == [14, 15, 92]
+        assert list(s.take(3)) == [14, 15, 92]
 
     def test_expansion_carries_the_integer_part(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\nint=3\n141592\n")
         e = parse_source_spec(f"file:{p}", 100).expansion()
         assert (e.base, e.integer_digits) == (100, [3])
-        assert e.fractional.take(3) == [14, 15, 92]
+        assert list(e.fractional.take(3)) == [14, 15, 92]
 
     def test_expansion_of_a_rational_has_no_integer_digits(self):
         e = parse_source_spec("rational:1/3", 4).expansion()
         assert (e.base, e.integer_digits) == (4, [])
-        assert e.fractional.take(3) == [1, 1, 1]
+        assert list(e.fractional.take(3)) == [1, 1, 1]
 
     def test_rejects_non_power(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
@@ -369,7 +370,7 @@ class TestStreamInBase:
 
     def test_file_streams_in_the_base_it_was_parsed_for(self, tmp_path):
         p = write_digit_file(tmp_path / "f.digits", "base=10\n141592\n")
-        assert parse_source_spec(f"file:{p}", 100).stream().take(3) == [14, 15, 92]
+        assert list(parse_source_spec(f"file:{p}", 100).stream().take(3)) == [14, 15, 92]
         assert parse_source_spec(f"file:{p}", 1000).stream().take(2) == [141, 592]
         with pytest.raises(ValueError):
             parse_source_spec(f"file:{p}", 7)
@@ -420,17 +421,17 @@ def available(spec):
 
 def one_by_one(spec, count):
     """The oracle: the first `count` digits of a fresh stream, pulled from
-    its iterator one next() at a time.  A file read in a power of its
-    header base has no per-digit iterator: its header-base digits are
+    its flattened chunks one next() at a time.  A file read in a power of
+    its header base has no chunks of its own: its header-base digits are
     pulled one at a time and grouped by hand."""
     if spec.kind == "file" and spec.base != spec.file.base:
         n = power_exponent(spec.file.base, spec.base)
-        it = spec.file.stream()._it
+        it = chain.from_iterable(spec.file.stream()._chunks)
         return [
             digits_to_int([next(it) for _ in range(n)], spec.file.base)
             for _ in range(count)
         ]
-    it = spec.stream()._it
+    it = chain.from_iterable(spec.stream()._chunks)
     return [next(it) for _ in range(count)]
 
 
@@ -445,7 +446,7 @@ class TestStreamSplitting:
             pieces += stream.take(size)
             assert stream.position == len(pieces)
         total = sum(sizes)
-        assert pieces == spec.stream().take(total) == one_by_one(spec, total)
+        assert pieces == list(spec.stream().take(total)) == one_by_one(spec, total)
 
     @given(
         split_sources,
@@ -564,7 +565,7 @@ def champernowne_chunk_edge(base, j):
 
 
 def read_in_pieces(stream, head, sizes):
-    digits = stream.take(head)
+    digits = list(stream.take(head))
     for size in sizes:
         digits += stream.take(size)
         assert stream.position == len(digits)
@@ -669,7 +670,7 @@ class TestRandomLanes:
     def test_full_blocks_match_per_digit(self, base):
         # past the lane doubling, into blocks reached by the jump matrix
         n = random_block_edge(10)
-        assert random_stream(base, 99).take(n) == list(
+        assert list(random_stream(base, 99).take(n)) == list(
             islice(xorshift_by_digit(base, 99), n)
         )
 
@@ -767,10 +768,80 @@ class TestChunkedFiles:
             body = "".join(pieces[:spot] + [bad] + pieces[spot:])
             path.write_bytes((header + body).encode("utf-8"))
             meta = load_digit_file(path)
-            reference = DigitStream(
-                base, scan_by_character(path, base, meta.header_lines), path.name
-            )
+            pack = bytes if base <= 256 else list
+            digits = scan_by_character(path, base, meta.header_lines)
+            reference = DigitStream(base, (pack([d]) for d in digits), path.name)
             stream = meta.stream()
             # then digit by digit, so the digits before a bad one must come out
             for size in [*sizes, *[1] * 62, 10**4]:
                 assert outcome(stream, size) == outcome(reference, size), body
+
+
+def outcomes(path, sizes):
+    """Each take's outcome over a fresh stream of the file, then one take
+    past its end."""
+    stream = load_digit_file(path).stream()
+    return [outcome(stream, size) for size in [*sizes, 10**6]]
+
+
+def regex_outcomes(path, sizes):
+    """The same with every line read by the regex scanner."""
+    with mock.patch.object(sources, "_bracket_line", lambda line, tokens: None):
+        return outcomes(path, sizes)
+
+
+@st.composite
+def bracket_sections(draw):
+    """A base from 37 to 256 and digit lines of canonical tokens, some with
+    whitespace at their ends, between tokens or making up the whole line."""
+    base = draw(st.integers(37, 256))
+    lines = []
+    for values in draw(st.lists(st.lists(st.integers(0, base - 1), max_size=12), max_size=8)):
+        gap = draw(st.sampled_from(["", "", " ", "\t"]))
+        body = gap.join(f"[{v}]" for v in values)
+        lines.append(draw(st.sampled_from(["", " ", "\x0c"])) + body + draw(
+            st.sampled_from(["\n", " \n", "\r\n", "\r"])))
+    return base, lines
+
+
+class TestBracketFastPath:
+    """Lines of canonical bracket tokens skip the regex scanner; every
+    other line still goes through it."""
+
+    @given(bracket_sections(), st.lists(st.integers(0, 40), max_size=6))
+    @settings(max_examples=150)
+    def test_matches_the_regex_scan_on_valid_files(self, tmp_path_factory, section, sizes):
+        base, lines = section
+        path = tmp_path_factory.mktemp("brackets") / "f.digits"
+        path.write_text(f"base={base}\n" + "".join(lines), encoding="ascii")
+        assert outcomes(path, sizes) == regex_outcomes(path, sizes)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[1][2][007][3]", "[1][2][300][3]", "[1][2]\u00e9[3]", "[1][2]x[3]", "[1][2][3",
+         "[1][2][3 4]", "[1] [2]\t[3]", "[1][2][][3]", "[1][2]][3]"],
+    )
+    def test_lines_it_cannot_read_give_the_regex_result(self, tmp_path, line):
+        path = tmp_path / "f.digits"
+        path.write_bytes(f"base=100\n[5][6]\n{line}\n[7]\n".encode("utf-8"))
+        sizes = [1] * 12
+        assert outcomes(path, sizes) == regex_outcomes(path, sizes)
+
+    @pytest.mark.parametrize(
+        "line, digits",
+        [("[14][15][92]\n", b"\x0e\x0f\x5c"), ("  [0][99] \r\n", b"\x00\x63"), ("\n", b""),
+         (" \t\n", b""), ("[007]\n", None), ("[100]\n", None), ("[1] [2]\n", None),
+         ("[1 2]\n", None), ("[]\n", None), ("[1][\n", None), ("\u00e9\n", None)],
+    )
+    def test_line_reader(self, line, digits):
+        tokens = {str(d).encode(): d for d in range(100)}
+        assert sources._bracket_line(line, tokens) == digits
+
+    def test_an_invalid_line_reports_its_line_and_column(self, tmp_path):
+        path = tmp_path / "f.digits"
+        path.write_text("base=100\n[5][6]\n[1][2][300][3]\n", encoding="ascii")
+        stream = load_digit_file(path).stream()
+        assert list(stream.take(4)) == [5, 6, 1, 2]
+        with pytest.raises(InvalidDigitError) as exc:
+            stream.take(1)
+        assert (exc.value.line, exc.value.column) == (3, 8)

@@ -248,7 +248,8 @@ class TestCountBlockOnePass:
     @settings(max_examples=300)
     def test_matches_slice_per_position(self, case):
         base, prefix, word = case
-        got = count_block(DigitStream(base, prefix), word, len(prefix))
+        chunk = bytes(prefix) if base <= 256 else prefix
+        got = count_block(DigitStream(base, [chunk]), word, len(prefix))
         assert got == count_block_by_slices(prefix, word)
 
 
