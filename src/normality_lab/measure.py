@@ -16,6 +16,16 @@ deviation_set_sweep yields every n up to n_max in one pass, carrying the
 partial sums up to lo and hi from n to n + 1, so `measure --n-max` costs
 O(n_max) big-int steps, not O(n_max**2).
 
+deviation_set_measure_bruteforce is the independent oracle: it visits
+every one of the r**n strings as a count byte, the number of times digit
+b occurs in it, and decides membership from that count by the
+definition, in Fractions, through a table of n + 1 bytes; neither _edges
+nor a binomial takes part.  The strings of the last k digits (r**k <=
+2**16) form one block of count bytes, and each leading prefix maps the
+block through the table with one translate and tallies it with one count,
+so the enumeration costs a few ns a string and holds one block, 64 KiB at
+most, whatever the budget.
+
 The chain of bounds: exact measure <= D / (eps**4 n**2) pointwise (via
 the fourth moment), tails sum to (D/eps**4) * T(m) with T(1) = 2 and
 T(m) = 1/(m-1); the one D/eps**4 comes from _moment_scale.  A prefix of
@@ -37,6 +47,10 @@ from .sources import random_stream
 
 #: ceiling on r**n for honest string-by-string enumeration
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
+# strings in one block of the oracle's count bytes, at most
+_BLOCK = 2**16
+# adds 1 to every count byte
+_BUMP = bytes(range(1, 256)) + b"\0"
 
 
 @dataclass(frozen=True)
@@ -184,22 +198,40 @@ def deviation_set_measure_bruteforce(
 ) -> Fraction:
     """The same measure by enumerating all base**n digit strings.
 
-    Exists purely as an independent oracle for deviation_set_measure; it
-    tests every string's own digit count c by the definition, in exact
-    Fractions, not by admissible_counts' integer rewrite.  Strings beyond
-    `budget` raise EnumerationBudgetError instead of running forever.
+    Exists purely as an independent oracle for deviation_set_measure.
+    Each string is one count byte, the number of times spec.digit occurs
+    in it, and its membership is looked up in a table built by the
+    definition, |c/n - 1/base| >= epsilon in exact Fractions, not by
+    _edges or admissible_counts.  The r**k strings of the last k digits,
+    k the largest with r**k <= 2**16, are one block of count bytes, built
+    by k joins of r copies with the digit's copy bumped; for each of the
+    r**(n-k) leading prefixes, one translate maps the block through the
+    table shifted by the prefix's own count and one count tallies the
+    members.  Memory stays at one block whatever the budget.  Strings
+    beyond `budget` raise EnumerationBudgetError instead of running
+    forever.
     """
-    total = spec.base**spec.n
+    r, n, digit = spec.base, spec.n, spec.digit
+    total = r**n
     if total > budget:
         raise EnumerationBudgetError(required=total, budget=budget)
-    uniform = Fraction(1, spec.base)
-    n, eps = spec.n, spec.epsilon
-    admissible = {c for c in range(n + 1) if abs(Fraction(c, n) - uniform) >= eps}
-    hits = sum(
-        1
-        for digits in itertools.product(range(spec.base), repeat=spec.n)
-        if digits.count(spec.digit) in admissible
-    )
+    uniform = Fraction(1, r)
+    # padded so that each slice member[c : c + 256] is a whole table
+    member = bytes(
+        abs(Fraction(c, n) - uniform) >= spec.epsilon for c in range(n + 1)
+    ) + bytes(256)
+    k = 0
+    while k < n and r ** (k + 1) <= _BLOCK:
+        k += 1
+    block = b"\0"  # the one empty string, with no hits
+    for _ in range(k):
+        block = b"".join(
+            (block * digit, block.translate(_BUMP), block * (r - 1 - digit))
+        )
+    hits = 0
+    for prefix in itertools.product(range(r), repeat=n - k):
+        c = prefix.count(digit)
+        hits += block.translate(member[c : c + 256]).count(1)
     return Fraction(hits, total)
 
 
@@ -287,15 +319,32 @@ def monte_carlo_deviation(
 
     Draws `samples` independent n-digit strings from the seeded xorshift
     source, as consecutive slices of one read of n * samples digits, and
-    tests each against the exact membership rule.  Same seed, same
-    result, on any machine.
+    tests each against the exact membership rule.  The digits become one
+    indicator byte each; for each offset j < n, the j-th digits of all
+    samples are read as one int with a lane per sample, and the n ints sum
+    to every sample's count at once: n steps, however many samples.  Each
+    lane has a spare top bit, so c <= lo and c >= hi are read off the top
+    bits after one subtraction and one addition over all lanes.  Same
+    seed, same result, on any machine.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    n, total = spec.n, spec.n * samples
+    n, digit = spec.n, spec.digit
     lo, hi = _edges(spec.base, spec.epsilon, n)
-    digits = random_stream(spec.base, seed).take(total)
-    hits = sum(
-        not lo < digits[i : i + n].count(spec.digit) < hi for i in range(0, total, n)
-    )
-    return Fraction(hits, samples)
+    digits = random_stream(spec.base, seed).take(n * samples)
+    if isinstance(digits, bytes):
+        hit = digits.translate(bytes(d == digit for d in range(256)))
+    else:
+        hit = bytes(map(digit.__eq__, digits))
+    width = n.bit_length() // 8 + 1  # bytes a lane, so that n < top
+    lanes, counts = bytearray(samples * width), 0
+    for j in range(n):
+        lanes[::width] = hit[j::n]
+        counts += int.from_bytes(lanes, "little")
+    top = 1 << (8 * width - 1)
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * samples, "little")
+    # lane-wise, lo + top - c reaches top iff c <= lo, and c + top - hi iff
+    # c >= hi; the clamped edges keep every lane in 0 .. 2 top - 1
+    low = (max(lo, -1) + top) * ones - counts
+    high = counts + (top - min(hi, n + 1)) * ones
+    return Fraction(((low | high) & top * ones).bit_count(), samples)

@@ -386,10 +386,9 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
     work = work or _WorkBudget(n)
     factors: dict[int, int] = {}
     for p in _WITNESSES:
-        while n % p == 0:
-            work.spend(2, n, p)
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        n, k = _divide_out(n, p, work)
+        if k:
+            factors[p] = k
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
@@ -399,6 +398,30 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
             d = _pollard_rho(m, work)
             rest += [d, m // d]
     return factors
+
+
+def _divide_out(n: int, p: int, work: _WorkBudget) -> tuple[int, int]:
+    """(n // p**k, k) for k the largest with p**k dividing n: n is divided
+    by p, p**2, p**4, ... while they divide it, then by the same powers
+    back down, so k costs O(log k) booked divisions, not k."""
+    powers, k, q = [], 0, p
+    while True:
+        work.spend(1, n, q)
+        if n % q:
+            break
+        work.spend(1, n, q)
+        n //= q
+        k += 1 << len(powers)
+        powers.append(q)
+        work.spend(1, q)
+        q *= q
+    for i in reversed(range(len(powers))):  # k left below 2**len(powers)
+        work.spend(1, n, powers[i])
+        if n % powers[i] == 0:
+            work.spend(1, n, powers[i])
+            n //= powers[i]
+            k += 1 << i
+    return n, k
 
 
 def _is_prime(n: int, work: _WorkBudget | None = None) -> bool:

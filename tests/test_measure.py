@@ -1,4 +1,6 @@
 """Deviation-set measures: exact values, bounds, tails, covers."""
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,40 @@ def edge_epsilons(r, n):
         Fraction(1, r) - Fraction(1, r * n),
     ]
     return [e for e in edges if 0 < e <= 1]
+
+
+def bruteforce_by_tuples(s):
+    """The oracle one tuple per digit string: each string's own count,
+    looked up among the counts that meet the definition in Fractions."""
+    uniform = Fraction(1, s.base)
+    admissible = {
+        c for c in range(s.n + 1) if abs(Fraction(c, s.n) - uniform) >= s.epsilon
+    }
+    hits = sum(
+        1
+        for digits in itertools.product(range(s.base), repeat=s.n)
+        if digits.count(s.digit) in admissible
+    )
+    return Fraction(hits, s.base**s.n)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(r, digit, n, epsilon) with r**n up to about 3 * 10**5, which crosses
+    the oracle's 2**16-string block; epsilon an edge of the count rule,
+    some count's own deviation or a random a/b in (0, 1]."""
+    r = draw(st.integers(2, 12))
+    n_top = 1
+    while r ** (n_top + 1) <= 300_000:
+        n_top += 1
+    n = draw(st.integers(1, n_top) | st.just(n_top))
+    p = draw(st.integers(0, n))
+    own = abs(Fraction(p, n) - Fraction(1, r))
+    eps = draw(
+        st.sampled_from(edge_epsilons(r, n) + ([own] if own else []))
+        | st.fractions(min_value=Fraction(1, 1000), max_value=1)
+    )
+    return r, draw(st.integers(0, r - 1)), n, eps
 
 
 @st.composite
@@ -186,6 +222,41 @@ class TestDeviationSetMeasure:
     def test_bruteforce_oracle_agrees(self, base, n, eps):
         s = spec(base, 0, n, eps)
         assert deviation_set_measure(s).exact_measure == deviation_set_measure_bruteforce(s)
+
+    @given(oracle_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bruteforce_oracle_matches_tuple_enumeration(self, case):
+        s = spec(*case)
+        assert deviation_set_measure_bruteforce(s) == bruteforce_by_tuples(s)
+
+    @pytest.mark.parametrize(
+        "base, digit, n, eps",
+        [
+            (300, 0, 1, "1/300"),
+            (300, 299, 2, "1/2"),
+            (300, 7, 2, "1/300"),
+            (300, 7, 2, "299/300"),
+            (70000, 69999, 1, "1/70000"),
+            (70000, 0, 1, "69999/70000"),
+        ],
+    )
+    def test_bruteforce_oracle_in_large_bases(self, base, digit, n, eps):
+        # base 300 fits one digit in a block; base 70000 fits none
+        s = spec(base, digit, n, eps)
+        expected = bruteforce_by_tuples(s)
+        assert deviation_set_measure_bruteforce(s) == expected
+        assert deviation_set_measure(s).exact_measure == expected
+
+    def test_bruteforce_oracle_memory_is_one_block(self):
+        s = spec(2, 1, 22, "1/10")
+        tracemalloc.start()
+        try:
+            got = deviation_set_measure_bruteforce(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == deviation_set_measure(s).exact_measure
+        assert peak < 2**20
 
     def test_bruteforce_oracle_does_not_use_the_integer_rule(self, monkeypatch):
         # |3/4 - 1/2| = 1/4 sits on the boundary, which a strict > rule drops
@@ -381,18 +452,48 @@ class TestMonteCarlo:
         s = spec(2, 0, 2, "1/2")
         assert monte_carlo_deviation(s, 1000, seed=43) == Fraction(1, 2)
 
-    @given(boundary_cases(n_max=12), st.integers(1, 40), st.integers(0, 2**32))
-    @settings(max_examples=60)
-    def test_counts_samples_by_the_definition(self, case, samples, seed):
-        r, n, _, eps = case
-        digits = random_stream(r, seed).take(n * samples)
+    @staticmethod
+    def sampled_by_the_definition(s, samples, seed):
+        n, uniform = s.n, Fraction(1, s.base)
+        digits = random_stream(s.base, seed).take(n * samples)
         hits = sum(
-            abs(Fraction(digits[i : i + n].count(0), n) - Fraction(1, r)) >= eps
+            abs(Fraction(digits[i : i + n].count(s.digit), n) - uniform) >= s.epsilon
             for i in range(0, n * samples, n)
         )
-        assert monte_carlo_deviation(spec(r, 0, n, eps), samples, seed) == Fraction(
-            hits, samples
+        return Fraction(hits, samples)
+
+    @given(
+        boundary_cases(n_max=12), st.data(), st.integers(1, 40), st.integers(0, 2**32)
+    )
+    @settings(max_examples=60)
+    def test_counts_samples_by_the_definition(self, case, data, samples, seed):
+        r, n, _, eps = case
+        s = spec(r, data.draw(st.integers(0, r - 1)), n, eps)
+        assert monte_carlo_deviation(s, samples, seed) == self.sampled_by_the_definition(
+            s, samples, seed
         )
+
+    @pytest.mark.parametrize(
+        "base, digit, n, eps, samples",
+        [
+            (300, 17, 3, "1/300", 400),  # digits come as a list above base 256
+            (70000, 5, 1, "1/2", 50),
+            (2, 1, 127, "1/20", 200),  # the widest count one byte lane holds
+            (2, 1, 128, "1/20", 200),
+            (2, 1, 300, "1/20", 20),  # fewer samples than digits a sample
+            (2, 0, 300, "1/20", 400),
+            (10, 3, 300, "1", 300),  # neither side has a count
+            (10, 9, 256, "1/10", 256),
+        ],
+    )
+    def test_counts_samples_by_the_definition_in_wide_cases(
+        self, base, digit, n, eps, samples
+    ):
+        s = spec(base, digit, n, eps)
+        for seed in (1, 2):
+            assert monte_carlo_deviation(s, samples, seed) == (
+                self.sampled_by_the_definition(s, samples, seed)
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -449,6 +449,21 @@ class TestFactorize:
         assert all(_is_prime(p) for p in factors)
         assert 0 < work.spent <= FACTORIZATION_BUDGET
 
+    def test_witness_powers_cost_log_steps(self):
+        # booked work is counted, not timed: one division per power of 2
+        # and of 5 took 572108 units on this number
+        work = _WorkBudget(10**6000)
+        assert _factorize(10**6000, work) == {2: 6000, 5: 6000}
+        assert work.spent == 4471
+
+    @given(
+        st.sampled_from(radix._WITNESSES), st.integers(0, 300), st.integers(1, 10**6)
+    )
+    def test_divide_out_finds_the_valuation(self, p, k, m):
+        while m % p == 0:
+            m //= p
+        assert radix._divide_out(m * p**k, p, _WorkBudget(1)) == (m, k)
+
     def test_work_is_weighed_by_operand_size(self):
         work = _WorkBudget(1)
         work.spend(3, 2**511)  # operands up to 512 bits book one unit each
