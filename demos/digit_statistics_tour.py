@@ -16,7 +16,6 @@ from fractions import Fraction
 from normality_lab import (
     Word,
     count_block,
-    count_block_via_power_base,
     normality_battery,
     parse_source_spec,
     power_base_shift_counts,
@@ -62,7 +61,7 @@ text = "001001000011101101111110000100000110101100011110001"
 spec = parse_source_spec(f"rational:{text}-prefix", 2)
 word = Word.parse("11", 2)
 contributions = power_base_shift_counts(spec, word, 25)
-total = count_block_via_power_base(spec, word, 25)
+total = sum(contributions)
 direct = count_block(spec.stream(), word, 51)
 print(f"  51-digit prefix, word {word}")
 print(f"  shift contributions {contributions}, total {total}")

@@ -193,11 +193,10 @@ def cmd_stats(args) -> tuple[int, str]:
     word = None if args.word is None else Word.parse(args.word, base)
 
     stream = source.stream()
+    twin = None if word is None else stream.fork()
     report = simple_normality_report(stream, args.n)
     digit_count = None if args.digit is None else report.counts.get(args.digit, 0)
-    word_count = None
-    if word is not None:
-        word_count = count_block(source.stream(), word, args.n)
+    word_count = None if twin is None else count_block(twin, word, args.n)
 
     if args.format == "json":
         payload = report.to_json_dict()

@@ -203,13 +203,15 @@ def deviation_set_measure_bruteforce(
     in it, and its membership is looked up in a table built by the
     definition, |c/n - 1/base| >= epsilon in exact Fractions, not by
     _edges or admissible_counts.  The r**k strings of the last k digits,
-    k the largest with r**k <= 2**16, are one block of count bytes, built
-    by k joins of r copies with the digit's copy bumped; for each of the
+    k >= 1 the largest with r**k <= 2**16, are one block of count bytes:
+    the last digit's row, 1 at spec.digit and 0 elsewhere, grown by k - 1
+    joins of r copies with the digit's copy bumped.  For each of the
     r**(n-k) leading prefixes, one translate maps the block through the
     table shifted by the prefix's own count and one count tallies the
-    members.  Memory stays at one block whatever the budget.  Strings
-    beyond `budget` raise EnumerationBudgetError instead of running
-    forever.
+    members.  Above base 2**16 the row comes in slices of 2**16, built
+    one at a time, so memory stays at one block whatever the base or the
+    budget.  Strings beyond `budget` raise EnumerationBudgetError instead
+    of running forever.
     """
     r, n, digit = spec.base, spec.n, spec.digit
     total = r**n
@@ -220,18 +222,20 @@ def deviation_set_measure_bruteforce(
     member = bytes(
         abs(Fraction(c, n) - uniform) >= spec.epsilon for c in range(n + 1)
     ) + bytes(256)
-    k = 0
+    k = 1
     while k < n and r ** (k + 1) <= _BLOCK:
         k += 1
-    block = b"\0"  # the one empty string, with no hits
-    for _ in range(k):
-        block = b"".join(
-            (block * digit, block.translate(_BUMP), block * (r - 1 - digit))
-        )
     hits = 0
-    for prefix in itertools.product(range(r), repeat=n - k):
-        c = prefix.count(digit)
-        hits += block.translate(member[c : c + 256]).count(1)
+    for start in range(0, r, _BLOCK):
+        size, at = min(_BLOCK, r - start), digit - start
+        block = bytes(at) + b"\1" + bytes(size - at - 1) if 0 <= at < size else bytes(size)
+        for _ in range(1, k):
+            block = b"".join(
+                (block * digit, block.translate(_BUMP), block * (r - 1 - digit))
+            )
+        for prefix in itertools.product(range(r), repeat=n - k):
+            c = prefix.count(digit)
+            hits += block.translate(member[c : c + 256]).count(1)
     return Fraction(hits, total)
 
 

@@ -12,6 +12,9 @@ simply normal, which is what makes the battery the right screen.  The
 source is read once; every view is a stride-n slice of the n-digit
 windows of that one read.  Reports are sparse, holding only the digit
 values that occur, so a view in base 2**40 costs what it reads.
+
+`stats --word` reads its source once too: the block count runs on a
+fork of the stream the report reads.
 """
 from __future__ import annotations
 
@@ -213,7 +216,10 @@ def power_base_shift_counts(source: SourceSpec, word: Word, k: int) -> list[int]
     Entry c counts how often the word, read as a single base-r**len digit,
     appears among the first k digits of the view shifted by c and grouped
     by len(word).  All shifts come from one read of len(word)*(k+1) - 1
-    source digits.
+    source digits.  An occurrence starting at s is seen only by shift
+    c = (s - 1) mod len(word), as grouped digit number ceil(s / len(word)),
+    so the shifts cover starts 1 .. k*len(word) once each: the sum equals
+    count_block over len(word)*(k+1) - 1 digits.
     """
     if k < 1:
         raise ValueError(f"prefix length must be >= 1, got {k}")
@@ -225,15 +231,3 @@ def power_base_shift_counts(source: SourceSpec, word: Word, k: int) -> list[int]
         pass  # keep list n only
     target = word.value()
     return [values[c : c + n * k : n].count(target) for c in range(n)]
-
-
-def count_block_via_power_base(source: SourceSpec, word: Word, k: int) -> int:
-    """Block occurrences recovered from single-digit counts in base r**n.
-
-    Sums the per-shift contributions.  An occurrence starting at s is
-    seen by exactly one shift, c = (s - 1) mod len(word), as grouped
-    digit number ceil(s / len(word)); with k grouped digits per shift
-    the union covers starts 1 .. k*len(word) exactly once, so the total
-    equals a direct count_block over len(word)*(k+1) - 1 digits.
-    """
-    return sum(power_base_shift_counts(source, word, k))

@@ -11,8 +11,9 @@ import pytest
 import normality_lab
 from normality_lab import sources, verify
 from normality_lab.cli import main
-from normality_lab.radix import FACTORIZATION_BUDGET
-from normality_lab.sources import ASSETS_ENV
+from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
+from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
+from normality_lab.stats import Word, count_block
 
 
 def run(capsys, *argv):
@@ -254,6 +255,37 @@ class TestStats:
             "error: digit stream exhausted after 333 digits (requested 334)"
             " [file:pi_base10.digits grouped by 3]\n"
         )
+
+    @pytest.mark.parametrize("source, base, word, grouped", [
+        ("random:7", 2, "101", False),
+        ("file:pi_base10.digits", None, "14", False),
+        ("bits", 4, "13", True),  # a base-2 file read in base 4
+    ])
+    def test_word_count_reads_source_once(
+        self, capsys, monkeypatch, tmp_path, source, base, word, grouped
+    ):
+        if source == "bits":
+            p = tmp_path / "bits.digits"
+            p.write_text("base=2\n" + "0110100111" * 50 + "\n", encoding="ascii")
+            source = f"file:{p}"
+        spec = parse_source_spec(source, base)
+        expected = count_block(spec.stream(), Word.parse(word, spec.base), 200)
+        calls, forks = [], []
+        stream, fork = SourceSpec.stream, _GroupedStream.fork
+        monkeypatch.setattr(
+            SourceSpec, "stream", lambda self: calls.append(self) or stream(self)
+        )
+        monkeypatch.setattr(
+            _GroupedStream, "fork", lambda self: forks.append(self) or fork(self)
+        )
+        argv = ["stats", "--source", source, "-n", "200", "--word", word]
+        if base is not None:
+            argv += ["--base", str(base)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+        assert len(forks) == grouped
+        assert json.loads(out)["word_count"] == expected
 
     def test_word_must_parse(self, capsys):
         run_usage_error(capsys, *self.ARGS, "--word", "012")

@@ -7,8 +7,11 @@ alphabets, the battery hashes (and the stats runs with unseen digits)
 from the rebuild-per-view battery with dense per-digit reports, the
 longer measure sweeps from one deviation_set_measure call per n; any
 rewrite of those paths must leave every byte of these outputs unchanged.
+The demo hashes pin the stdout of each script under demos/ the same way.
 """
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -117,5 +120,22 @@ GOLDEN = [
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_hash_is_frozen(capsys, argv, digest):
     assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+DEMO_GOLDEN = {
+    "digit_statistics_tour": "cd137b4490000f7b3cd4d6790fa9c27be3039dc717855ebffb309c01aea32936",
+    "expansion_tour": "a35df3212e026afa4f71af59fa551f8197185e6b2b8272c3dc84e115407e19e7",
+    "fourth_moment_tour": "5d6b81b8018b84d1b5930f129ab20a470b7deb70af3d6244ab6ff4977d385f59",
+    "measure_tour": "ebb4a5d5a89af24b5ed3d9d673cb945368c3ad0f93fa9c245cc486167eabb250",
+}
+
+
+@pytest.mark.parametrize("name,digest", DEMO_GOLDEN.items(), ids=list(DEMO_GOLDEN))
+def test_demo_stdout_hash_is_frozen(capsys, name, digest):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

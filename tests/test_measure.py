@@ -238,10 +238,15 @@ class TestDeviationSetMeasure:
             (300, 7, 2, "299/300"),
             (70000, 69999, 1, "1/70000"),
             (70000, 0, 1, "69999/70000"),
+            (2**20 + 3, 2**20 + 2, 1, "1/2"),
+            (2**20 + 3, 5, 1, "1/1048579"),
+            (10**6, 3, 1, "1/2"),
+            (10**6, 999999, 1, "999999/1000000"),
         ],
     )
     def test_bruteforce_oracle_in_large_bases(self, base, digit, n, eps):
-        # base 300 fits one digit in a block; base 70000 fits none
+        # base 300 fits one digit in a block; above 2**16 one digit's
+        # strings are cut into slices, the last one short
         s = spec(base, digit, n, eps)
         expected = bruteforce_by_tuples(s)
         assert deviation_set_measure_bruteforce(s) == expected
@@ -256,6 +261,18 @@ class TestDeviationSetMeasure:
         finally:
             tracemalloc.stop()
         assert got == deviation_set_measure(s).exact_measure
+        assert peak < 2**20
+
+    def test_bruteforce_oracle_memory_above_one_block(self):
+        # 2**24 one-digit strings: 256 slices, never the whole row
+        s = spec(2**24, 3, 1, "1/2")
+        tracemalloc.start()
+        try:
+            got = deviation_set_measure_bruteforce(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == Fraction(1, 2**24)
         assert peak < 2**20
 
     def test_bruteforce_oracle_does_not_use_the_integer_rule(self, monkeypatch):
