@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,19 +114,44 @@ def _join(base: int, parts: list):
     return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))
 
 
-def _mul_add(high, base: int, low, small: bool):
+def _mul_add(high, base: int, low, width: int):
     """high[s] * base + low[s] for s < len(low) <= len(high).
 
-    With `small` every result fits a byte and the digits come as `bytes`:
-    the results are then one big-int sum, each digit a byte of a
-    little-endian int, where no byte carries into the next.  Otherwise
-    they are a list.
+    `width` is the bytes each result needs, 1 or 2, with `low` a `bytes`
+    of byte digits and `high` a `bytes` or an `array('H')`; 0 means any
+    size.  A width of 1 or 2 packs each sequence into one big int, an
+    entry to a `width`-byte lane, little-endian: one multiply-add then
+    makes every result, since no lane carries into the next, and the
+    results come as a `bytes` (width 1) or an `array('H')` (width 2).
+    Width 0 makes a list.
     """
-    if small:
-        size = len(low)
-        packed = int.from_bytes(high[:size], "little") * base + int.from_bytes(low, "little")
-        return packed.to_bytes(size, "little")
-    return [v * base + d for v, d in zip(high, low)]
+    if not width:
+        return [v * base + d for v, d in zip(high, low)]
+    size = len(low)
+    high = high[:size]
+    packed = _lanes(high, width) * base + _lanes(low, width)
+    data = packed.to_bytes(width * size, "little")
+    return data if width == 1 else _byte_order(array("H", data))
+
+
+def _lanes(values, width: int) -> int:
+    """Byte digits, or an `array('H')` it may byte-swap in place, as one
+    little-endian int of `width`-byte lanes."""
+    if isinstance(values, array):
+        values = _byte_order(values)
+    elif width == 2:
+        wide = bytearray(2 * len(values))
+        wide[0::2] = values
+        values = wide
+    return int.from_bytes(values, "little")
+
+
+def _byte_order(values: array) -> array:
+    """An array's values turned from little-endian to the machine's byte
+    order, or back, in place."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 class DigitStream:
@@ -582,7 +609,7 @@ class _GroupedStream(DigitStream):
             # at digits[n-1::n] and so leaves a short final group out
             part = digits[::n]
             for i in range(1, n):
-                part = _mul_add(part, r, digits[i::n], self.base <= 256)
+                part = _mul_add(part, r, digits[i::n], 1 if self.base <= 256 else 0)
             parts.append(part)
             got += len(part)
             if len(part) < want or got == count:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 import os
 import re
-import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .radix import (
     CHAR_VALUE,
     DigitExpansion,
     DigitStream,
+    _byte_order,
     _digit_table,
     digits_to_int,
     expand_rational,
@@ -269,9 +269,7 @@ def _lane_major(rows: list[bytes], lanes: int, small: bool):
     flat = b"".join(rows)
     if small:
         return b"".join(flat[k::lanes] for k in range(lanes))
-    words = array("Q", flat)
-    if sys.byteorder == "big":
-        words.byteswap()
+    words = _byte_order(array("Q", flat))
     return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
 
 

@@ -10,14 +10,20 @@ with 0 <= m < n: digits m+1, m+2, ... of the source regrouped into base
 r**n.  A number is normal in base r exactly when all such views are
 simply normal, which is what makes the battery the right screen.  The
 source is read once; every view is a stride-n slice of the n-digit
-windows of that one read.  Reports are sparse, holding only the digit
-values that occur, so a view in base 2**40 costs what it reads.
+windows of that one read.  Up to base 2**16 those windows are packed
+values, built for all positions at once by big-int lane arithmetic:
+one byte each up to base 256, two up to 2**16.  Reports are sparse,
+holding only the digit values that occur, so a view in base 2**40
+costs what it reads.
 
 `stats --word` reads its source once too: the block count runs on a
-fork of the stream the report reads.
+fork of the stream the report reads.  Up to base 256 it counts with
+one big-int mask of hits per distinct digit of the word, and makes no
+Python object per window.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +38,10 @@ from .radix import (
     digits_to_int,
     parse_digit_text,
 )
-from .sources import SourceSpec
+from .sources import _TOKEN, SourceSpec
+
+# a word above base 36 as `digit_token` writes it
+_BRACKETED = re.compile(f"(?:{_TOKEN.pattern})+")
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,16 @@ class Word:
 
     @classmethod
     def parse(cls, text: str, base: int) -> "Word":
-        return cls(base, tuple(parse_digit_text(text, base)))
+        """A word from the text `str` prints: 0-9a-z characters up to base
+        36, bracketed decimals such as "[12][7]" above it."""
+        if base <= 36:
+            return cls(base, tuple(parse_digit_text(text, base)))
+        if not _BRACKETED.fullmatch(text):
+            raise ValueError(
+                f"a word in base {base} is bracketed decimal digits such as"
+                f" [12][7], got {text!r}"
+            )
+        return cls(base, tuple(map(int, _TOKEN.findall(text))))
 
 
 def count_digit(stream: DigitStream, digit: int, n: int) -> int:
@@ -81,16 +99,32 @@ def count_block(stream: DigitStream, word: Word, n: int) -> int:
     Overlapping occurrences all count; a start position qualifies when
     the whole word fits inside the n-digit prefix.  Consumes exactly n
     digits; n shorter than the word gives 0.
+
+    Up to base 256 the prefix is a `bytes` and the count is big-int lane
+    arithmetic: for each distinct digit d of the word, one `translate`
+    marks the positions holding d with a 1 byte, read as a little-endian
+    int; the marks of the digit at offset j of the word, shifted down j
+    bytes, are ANDed together, which leaves a 1 at each start of the
+    word.  Above base 256 the prefix is a list, and the word is compared
+    with every window.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     if word.base != stream.base:
         raise ValueError(f"word base {word.base} != stream base {stream.base}")
     prefix = stream.take(n)
-    w = tuple(word.digits)
-    # the windows in one pass: the i-th iterator starts i digits in
-    windows = zip(*(islice(prefix, i, None) for i in range(len(w))))
-    return sum(map(w.__eq__, windows))
+    w = word.digits
+    if word.base > 256:
+        # the windows in one pass: the i-th iterator starts i digits in
+        windows = zip(*(islice(prefix, i, None) for i in range(len(w))))
+        return sum(map(w.__eq__, windows))
+    found = -1
+    for d in set(w):  # one mask alive at a time
+        hit = int.from_bytes(prefix.translate(bytes(d) + b"\1" + bytes(255 - d)), "little")
+        for j, e in enumerate(w):
+            if e == d:
+                found &= hit >> 8 * j
+    return found.bit_count()
 
 
 @dataclass
@@ -162,16 +196,20 @@ def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:
 def _power_values(digits, base: int, max_power: int) -> Iterator:
     """For n = 1 .. max_power, the sequence whose entry s is digits
     s .. s+n-1 read as one base**n digit: a `bytes` while base**n <= 256,
-    a list above.
+    an `array('H')` of 2-byte values while base**n <= 2**16, a list above.
 
     Digit k of the view shifted by m and grouped by n is entry m + k*n of
     sequence n, so every view is a stride-n slice.  Each sequence is built
-    from the previous one in one pass (see `_mul_add`) and replaces it.
+    from the previous one in one pass (see `_mul_add`) and replaces it:
+    one big-int multiply-add while its values fit two bytes, which they
+    do only for byte digits, one Python step per entry above.
     """
     values = digits
     yield values
     for n in range(2, max_power + 1):
-        values = _mul_add(values, base, digits[n - 1 :], base**n <= 256)
+        view_base = base**n
+        width = 1 if view_base <= 256 else 2 if view_base <= 2**16 else 0
+        values = _mul_add(values, base, digits[n - 1 :], width)
         yield values
 
 

@@ -290,6 +290,29 @@ class TestStats:
     def test_word_must_parse(self, capsys):
         run_usage_error(capsys, *self.ARGS, "--word", "012")
 
+    PI_100 = ("stats", "--source", "file:pi_base10.digits", "--base", "100", "-n", "400")
+
+    def test_bracketed_word_in_base_100(self, capsys):
+        code, out, _ = run(capsys, *self.PI_100, "--word", "[14][15]", "--format", "text")
+        assert code == 0
+        # the base-10 digit pairs of the file, counted one window at a time
+        tens = parse_source_spec("file:pi_base10.digits").stream().take(800)
+        pairs = [10 * tens[i] + tens[i + 1] for i in range(0, 800, 2)]
+        expected = sum(pairs[i : i + 2] == [14, 15] for i in range(399))
+        assert expected >= 1
+        assert out.splitlines()[-1] == f"word [14][15]: {expected} occurrences"
+
+    @pytest.mark.parametrize("word, message", [
+        ("1415", "bracketed decimal digits"),
+        ("[14][15", "bracketed decimal digits"),
+        ("[14] [15]", "bracketed decimal digits"),
+        ("[14][100]", "digit 100 out of range for base 100"),
+    ])
+    def test_bracketed_word_errors(self, capsys, word, message):
+        err = run_usage_error(capsys, *self.PI_100, "--word", word)
+        assert message in err
+        assert "Traceback" not in err
+
     def test_huge_base_text_reads_the_sparse_report(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(

@@ -5,7 +5,9 @@ implementation of the moment and measure hot paths, the expand and stats
 hashes from the eager rational expansion and the per-module digit
 alphabets, the battery hashes (and the stats runs with unseen digits)
 from the rebuild-per-view battery with dense per-digit reports, the
-longer measure sweeps from one deviation_set_measure call per n; any
+longer measure sweeps from one deviation_set_measure call per n, the
+three battery hashes around base 2**16 from power views built as lists
+one window at a time above base 256; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 The demo hashes pin the stdout of each script under demos/ the same way.
 """
@@ -95,6 +97,22 @@ GOLDEN = [
         ("battery", "--source", "file:pi_base10.digits", "--base", "100",
          "--max-power", "2", "-n", "200", "--format", "text"),
         "9a8701993cd5473cf8335ea877665ad1deeeed103619c656ebac3c9d919a4376",
+    ),
+    (
+        # views either side of 2**16: byte, 2-byte and list power values
+        ("battery", "--source", "champernowne", "--base", "2", "--max-power", "17",
+         "-n", "300"),
+        "1cb12a8a8bdb7ccabb78b0603697cddc5c123251537e0bfac236061b3f23c911",
+    ),
+    (
+        # the widest view is base 16**4 = 65536, the top of the 2-byte values
+        ("battery", "--source", "random:7", "--base", "16", "--max-power", "4", "-n", "200"),
+        "6f550320d512ba5078d8ce1739f690f6105a2c01aa6af8994f15ef387096fdec",
+    ),
+    (
+        # a view of byte digits, then a 2-byte view in base 65536
+        ("battery", "--source", "random:7", "--base", "256", "--max-power", "2", "-n", "200"),
+        "2b6b94b4b4d13d80824285351fae2f134310149334c55a86f1342c27229cdbbe",
     ),
     (
         # nine digits never occur, including the one asked for

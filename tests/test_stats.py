@@ -1,4 +1,5 @@
 """Digit statistics: tallies, block counts, the shift/power battery."""
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import stats
-from normality_lab.radix import DigitStream, regroup_to_power_base
+from normality_lab.radix import DigitStream, digits_to_int, regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
     champernowne_stream,
@@ -105,6 +106,26 @@ class TestWord:
     def test_parse_big_base_unsupported(self):
         with pytest.raises(ValueError):
             Word.parse("14", 100)
+
+    @pytest.mark.parametrize("base, text, digits", [
+        (37, "[36][0]", (36, 0)),
+        (100, "[12][7]", (12, 7)),
+        (256, "[0][255][0]", (0, 255, 0)),
+        (1000, "[999]", (999,)),
+    ])
+    def test_parse_bracketed(self, base, text, digits):
+        word = Word.parse(text, base)
+        assert word.digits == digits
+        assert str(word) == text
+
+    @pytest.mark.parametrize("text", ["", "[]", "[12", "[1a]", "[12] [7]", "[-1]"])
+    def test_parse_bracketed_rejects_malformed(self, text):
+        with pytest.raises(ValueError, match="bracketed"):
+            Word.parse(text, 100)
+
+    def test_parse_bracketed_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Word.parse("[3][100]", 100)
 
 
 class TestTally:
@@ -242,6 +263,29 @@ def prefix_and_word(draw):
     return base, prefix, word
 
 
+class TestCountBlockMasks:
+    def test_all_zero_prefix(self):
+        word = Word(10, (0,) * 10)
+        assert count_block(DigitStream(10, [bytes(10**5)]), word, 10**5) == 99991
+
+    @pytest.mark.parametrize("digits", [(0,), (255,), (0, 255), (255, 0, 255), (255, 255)])
+    def test_ends_of_the_byte_range(self, digits):
+        prefix = bytes([0, 255, 0, 255, 255, 0, 0, 255, 1, 254] * 20)
+        word = Word(256, digits)
+        got = count_block(DigitStream(256, [prefix]), word, len(prefix))
+        assert got == count_block_by_slices(list(prefix), word)
+        assert got > 0
+
+    @pytest.mark.parametrize("base", [2, 256, 1000])
+    def test_short_prefix_consumes_exactly_n(self, base):
+        stream = random_stream(base, 5)
+        twin = stream.fork()
+        assert count_block(twin, Word(base, (1, 0, 1, 1)), 3) == 0
+        assert twin.position == 3
+        ahead = stream.take(4)
+        assert twin.take(1)[0] == ahead[3]
+
+
 class TestCountBlockOnePass:
     @given(prefix_and_word())
     @settings(max_examples=300)
@@ -250,6 +294,48 @@ class TestCountBlockOnePass:
         chunk = bytes(prefix) if base <= 256 else prefix
         got = count_block(DigitStream(base, [chunk]), word, len(prefix))
         assert got == count_block_by_slices(prefix, word)
+
+
+# the tiers of `_power_values`: bytes up to 256, 2-byte values up to 2**16
+power_bases = st.one_of(st.integers(2, 300), st.sampled_from([2, 4, 16, 256, 257, 65537]))
+
+
+@st.composite
+def digits_and_power(draw):
+    base = draw(power_bases)
+    max_power = draw(st.integers(1, 17))
+    digits = draw(st.lists(st.integers(0, base - 1), min_size=max_power, max_size=max_power + 40))
+    return base, (bytes(digits) if base <= 256 else digits), max_power
+
+
+class TestPowerValues:
+    @given(digits_and_power())
+    @settings(max_examples=200)
+    def test_entries_read_their_windows(self, case):
+        base, digits, max_power = case
+        powers = list(stats._power_values(digits, base, max_power))
+        assert len(powers) == max_power
+        for n, values in enumerate(powers, 1):
+            windows = [digits[s : s + n] for s in range(len(digits) - n + 1)]
+            assert list(values) == [digits_to_int(w, base) for w in windows]
+
+    @pytest.mark.parametrize("base, power, kind", [
+        (2, 8, bytes),  # 256
+        (256, 1, bytes),
+        (257, 1, list),
+        (2, 9, array),  # 512
+        (2, 16, array),  # 65536
+        (256, 2, array),
+        (2, 17, list),  # 131072
+        (65537, 1, list),
+    ])
+    def test_tiers(self, base, power, kind):
+        digits = random_stream(base, 3).take(power + 20)
+        *_, values = stats._power_values(digits, base, power)
+        assert type(values) is kind
+        assert list(values) == [
+            digits_to_int(digits[s : s + power], base) for s in range(21)
+        ]
 
 
 class TestSimpleNormalityReport:
