@@ -10,9 +10,10 @@ a sequence of ints above, and a stream keeps them as they come: a read
 is one join of the chunks it spans, the first and last of them sliced,
 and returns `bytes` up to base 256 and a list above, so it costs no
 Python frame per digit.  A fork tees the chunk iterator and shares the
-unread rest of the current chunk.  A regrouped stream reads n times as
-many inner digits at once and packs them in n-1 passes over strided
-slices, and forks by regrouping a fork of the inner stream.
+unread rest of the current chunk.  A regrouped stream reads n inner
+digits per group, a slice of groups at a time, packed by `_windows`,
+which alone decides how base-r**k values are held (the battery's views
+come from it too), and forks by regrouping a fork of the inner stream.
 
 Digits are ints in range(base), read out of a `bytes` or a list.  The
 expansion produced for a rational is the standard long-division one,
@@ -29,12 +30,15 @@ are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
-bracketed decimal like "[17]".
+bracketed decimal like "[17]" (one _TOKEN).  `digit_token` writes a
+digit and `parse_digit_text` reads a run of them back in every base,
+for words and digit prefixes; digit files scan with the same _TOKEN.
 """
 from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -49,6 +53,9 @@ ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
 # byte digits 0-35 to their ALPHABET characters, for one bytes.translate
 _TO_ALPHABET = bytes.maketrans(bytes(range(36)), ALPHABET.encode())
+# one digit above base 36 as `digit_token` writes it, and a run of them
+_TOKEN = re.compile(r"\[([0-9]+)\]")
+_BRACKETED = re.compile(f"(?:{_TOKEN.pattern})+")
 
 
 def validate_base(base: int) -> int:
@@ -114,24 +121,33 @@ def _join(base: int, parts: list):
     return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))
 
 
-def _mul_add(high, base: int, low, width: int):
-    """high[s] * base + low[s] for s < len(low) <= len(high).
+def _windows(digits, base: int, n: int, step: int = 1) -> Iterator:
+    """For k = 1 .. n, the k-digit windows of `digits` that start at 0,
+    step, 2*step, ... and fit, each read as one base**k value.
 
-    `width` is the bytes each result needs, 1 or 2, with `low` a `bytes`
-    of byte digits and `high` a `bytes` or an `array('H')`; 0 means any
-    size.  A width of 1 or 2 packs each sequence into one big int, an
-    entry to a `width`-byte lane, little-endian: one multiply-add then
-    makes every result, since no lane carries into the next, and the
-    results come as a `bytes` (width 1) or an `array('H')` (width 2).
-    Width 0 makes a list.
+    A tier is a `bytes` while base**k <= 256, an `array('H')` of 2-byte
+    values while base**k <= 2**16 and a list above.  Tier k is built from
+    tier k-1, which it replaces: entry s times base plus digit
+    s*step + k-1.  Up to 2**16 both sequences are packed into one big
+    int, an entry to a 1- or 2-byte lane, little-endian, and one
+    multiply-add makes every entry, since no lane carries into the next;
+    above it is one Python step per entry.  At step 1 digit j of the view
+    shifted by m and grouped by k is entry m + j*k of tier k; at step n
+    tier n is the grouped view, a short final group left out.
     """
-    if not width:
-        return [v * base + d for v, d in zip(high, low)]
-    size = len(low)
-    high = high[:size]
-    packed = _lanes(high, width) * base + _lanes(low, width)
-    data = packed.to_bytes(width * size, "little")
-    return data if width == 1 else _byte_order(array("H", data))
+    values = digits[::step]
+    yield values
+    for k in range(2, n + 1):
+        low = digits[k - 1 :: step]
+        if base**k > 2**16:
+            values = [v * base + d for v, d in zip(values, low)]
+        else:
+            width = 1 if base**k <= 256 else 2
+            size = len(low)
+            packed = _lanes(values[:size], width) * base + _lanes(low, width)
+            data = packed.to_bytes(width * size, "little")
+            values = data if width == 1 else _byte_order(array("H", data))
+        yield values
 
 
 def _lanes(values, width: int) -> int:
@@ -572,11 +588,13 @@ def regroup_to_power_base(stream: DigitStream, n: int) -> DigitStream:
 
     Output digit k is the n consecutive input digits k*n..k*n+n-1 read as
     a base-r integer; consuming k output digits consumes exactly k*n input
-    digits, in one read of the input.  n=1 returns the stream itself.  A
-    short final group ends the grouped stream, after consuming what is
-    left of the input, so `take` on the grouped stream reports the
-    shortfall in grouped digits.  A fork regroups a fork of the input, so
-    the twin's reads do not advance the input stream passed in here.
+    digits, read _GROUP_SLICE groups at a time and packed by `_windows`
+    into a `bytes` up to base 256 and a list above.  n=1 returns the
+    stream itself.  A short final group ends the grouped stream, after
+    consuming what is left of the input, so `take` on the grouped stream
+    reports the shortfall in grouped digits.  A fork regroups a fork of
+    the input, so the twin's reads do not advance the input stream
+    passed in here.
     """
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
@@ -589,7 +607,8 @@ _GROUP_SLICE = 1 << 14
 
 
 class _GroupedStream(DigitStream):
-    """A base-r stream read n >= 2 digits at a time as base-r**n digits."""
+    """A base-r stream read n >= 2 digits at a time as base-r**n digits,
+    each slice of groups the last tier of `_windows` at step n."""
 
     __slots__ = ("_inner", "_n")
 
@@ -604,12 +623,7 @@ class _GroupedStream(DigitStream):
         parts, got = [], 0
         while True:
             want = min(count - got, _GROUP_SLICE)
-            digits = self._inner._read(want * n)
-            # each pass keeps the length of its shorter slice, which ends
-            # at digits[n-1::n] and so leaves a short final group out
-            part = digits[::n]
-            for i in range(1, n):
-                part = _mul_add(part, r, digits[i::n], 1 if self.base <= 256 else 0)
+            *_, part = _windows(self._inner._read(want * n), r, n, n)
             parts.append(part)
             got += len(part)
             if len(part) < want or got == count:
@@ -633,10 +647,20 @@ def digit_token(d: int, base: int) -> str:
 
 
 def parse_digit_text(text: str, base: int) -> list[int]:
-    """Digit values of 0-9a-z text in a base up to 36, in reading order."""
+    """Digit values of text as `digit_token` writes it, in reading order:
+    0-9a-z characters up to base 36, bracketed decimals such as "[12][7]"
+    above it."""
     validate_base(base)
     if base > 36:
-        raise ValueError(f"digit text needs base <= 36, got {base}")
+        if not _BRACKETED.fullmatch(text):
+            raise ValueError(
+                f"digit text in base {base} is bracketed decimal digits such as"
+                f" [12][7], got {text!r}"
+            )
+        digits = list(map(int, _TOKEN.findall(text)))
+        if max(digits) >= base:
+            raise ValueError(f"digit {max(digits)} out of range for base {base}")
+        return digits
     if not text:
         raise ValueError("empty digit text")
     digits = []

@@ -45,6 +45,7 @@ from .radix import (
     CHAR_VALUE,
     DigitExpansion,
     DigitStream,
+    _TOKEN,
     _byte_order,
     _digit_table,
     digits_to_int,
@@ -322,7 +323,6 @@ def load_digit_file(path) -> DigitFile:
 # the characters str.isspace() accepts in a file read as ASCII
 _SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 _SPACE_BYTES = _SPACE.encode()
-_TOKEN = re.compile(r"\[([0-9]+)\]")
 
 
 def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:

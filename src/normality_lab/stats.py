@@ -10,9 +10,9 @@ with 0 <= m < n: digits m+1, m+2, ... of the source regrouped into base
 r**n.  A number is normal in base r exactly when all such views are
 simply normal, which is what makes the battery the right screen.  The
 source is read once; every view is a stride-n slice of the n-digit
-windows of that one read.  Up to base 2**16 those windows are packed
-values, built for all positions at once by big-int lane arithmetic:
-one byte each up to base 256, two up to 2**16.  Reports are sparse,
+windows of that one read, which `radix._windows` builds for all
+positions at once, the same generator a regrouped stream packs its
+groups with (packed values up to base 2**16).  Reports are sparse,
 holding only the digit values that occur, so a view in base 2**40
 costs what it reads.
 
@@ -23,25 +23,14 @@ Python object per window.
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
 
 from .exact import decimal_approx, format_rational
-from .radix import (
-    DigitStream,
-    _mul_add,
-    digit_token,
-    digits_to_int,
-    parse_digit_text,
-)
-from .sources import _TOKEN, SourceSpec
-
-# a word above base 36 as `digit_token` writes it
-_BRACKETED = re.compile(f"(?:{_TOKEN.pattern})+")
+from .radix import DigitStream, _windows, digit_token, digits_to_int, parse_digit_text
+from .sources import SourceSpec
 
 
 @dataclass(frozen=True)
@@ -72,16 +61,8 @@ class Word:
 
     @classmethod
     def parse(cls, text: str, base: int) -> "Word":
-        """A word from the text `str` prints: 0-9a-z characters up to base
-        36, bracketed decimals such as "[12][7]" above it."""
-        if base <= 36:
-            return cls(base, tuple(parse_digit_text(text, base)))
-        if not _BRACKETED.fullmatch(text):
-            raise ValueError(
-                f"a word in base {base} is bracketed decimal digits such as"
-                f" [12][7], got {text!r}"
-            )
-        return cls(base, tuple(map(int, _TOKEN.findall(text))))
+        """A word from the text `str` prints, read by `parse_digit_text`."""
+        return cls(base, tuple(parse_digit_text(text, base)))
 
 
 def count_digit(stream: DigitStream, digit: int, n: int) -> int:
@@ -193,26 +174,6 @@ def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:
     return _report(stream.base, stream.take(n))
 
 
-def _power_values(digits, base: int, max_power: int) -> Iterator:
-    """For n = 1 .. max_power, the sequence whose entry s is digits
-    s .. s+n-1 read as one base**n digit: a `bytes` while base**n <= 256,
-    an `array('H')` of 2-byte values while base**n <= 2**16, a list above.
-
-    Digit k of the view shifted by m and grouped by n is entry m + k*n of
-    sequence n, so every view is a stride-n slice.  Each sequence is built
-    from the previous one in one pass (see `_mul_add`) and replaces it:
-    one big-int multiply-add while its values fit two bytes, which they
-    do only for byte digits, one Python step per entry above.
-    """
-    values = digits
-    yield values
-    for n in range(2, max_power + 1):
-        view_base = base**n
-        width = 1 if view_base <= 256 else 2 if view_base <= 2**16 else 0
-        values = _mul_add(values, base, digits[n - 1 :], width)
-        yield values
-
-
 @dataclass(frozen=True)
 class BatteryCell:
     """One battery entry: shift m, power n, and the report for that view."""
@@ -241,7 +202,7 @@ def normality_battery(
     base = source.base
     digits = source.stream().take(max_power * (prefix_len + 1) - 1)
     cells = []
-    for n, values in enumerate(_power_values(digits, base, max_power), 1):
+    for n, values in enumerate(_windows(digits, base, max_power), 1):
         for m in range(n):
             report = _report(base**n, values[m : m + n * prefix_len : n])
             cells.append(BatteryCell(shift=m, power=n, report=report))
@@ -265,7 +226,6 @@ def power_base_shift_counts(source: SourceSpec, word: Word, k: int) -> list[int]
         raise ValueError(f"word base {word.base} != source base {source.base}")
     n = len(word)
     digits = source.stream().take(n * (k + 1) - 1)
-    for values in _power_values(digits, source.base, n):
-        pass  # keep list n only
+    *_, values = _windows(digits, source.base, n)
     target = word.value()
     return [values[c : c + n * k : n].count(target) for c in range(n)]

@@ -7,7 +7,9 @@ alphabets, the battery hashes (and the stats runs with unseen digits)
 from the rebuild-per-view battery with dense per-digit reports, the
 longer measure sweeps from one deviation_set_measure call per n, the
 three battery hashes around base 2**16 from power views built as lists
-one window at a time above base 256; any
+one window at a time above base 256, and the three grouped file views
+in bases 1000 and 10000 from grouped reads that packed each group above
+base 256 as a list, one Python step per group; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 The demo hashes pin the stdout of each script under demos/ the same way.
 """
@@ -131,6 +133,22 @@ GOLDEN = [
         ("stats", "--source", "file:pi_base10.digits", "--base", "1000", "-n", "333",
          "--format", "json"),
         "0713e1e360c80041629f498d078d6353e385c7b625f7089ea8d3764826ad5b30",
+    ),
+    (
+        # grouped views of the pi file between base 256 and 2**16
+        ("expand", "--source", "file:pi_base10.digits", "--base", "1000", "--digits", "200",
+         "--format", "text"),
+        "c2fba826a6517199209c5408fe3b056946d7321b9724f50b371bc60ab4c97a37",
+    ),
+    (
+        ("battery", "--source", "file:pi_base10.digits", "--base", "1000",
+         "--max-power", "2", "-n", "150"),
+        "7e78de9234fb8793c38e12954629072d5ea32bf2c550c36fcd7c883ba2ac51f6",
+    ),
+    (
+        ("stats", "--source", "file:pi_base10.digits", "--base", "10000", "-n", "200",
+         "--word", "[1415][9265]", "--format", "text"),
+        "fb67763124881c4f00ff602dbe6173cfe9482f6281343c1b7860042727b2e35d",
     ),
 ]
 

@@ -1,7 +1,9 @@
 """Digit streams, rational expansions, regrouping, shifting, rendering."""
 import builtins
 import math
+import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from normality_lab.radix import (
     regroup_to_power_base,
     validate_base,
 )
-from normality_lab.sources import champernowne_stream, parse_source_spec
+from normality_lab.sources import champernowne_stream, parse_source_spec, random_stream
 
 # a value q in [0, 1) with a modest denominator
 unit_fractions = st.integers(2, 5000).flatmap(
@@ -642,6 +644,63 @@ class TestRegroup:
         )
 
 
+# the tiers of `_windows`: bytes up to 256, 2-byte values up to 2**16
+window_bases = st.one_of(st.integers(2, 300), st.sampled_from([2, 4, 16, 256, 257, 65537]))
+
+
+@st.composite
+def digits_and_windows(draw):
+    base = draw(window_bases)
+    n = draw(st.integers(1, 17))
+    step = draw(st.sampled_from([1, n]))
+    digits = draw(st.lists(st.integers(0, base - 1), max_size=3 * n + 40))
+    return base, (bytes(digits) if base <= 256 else digits), n, step
+
+
+class TestWindows:
+    @given(digits_and_windows())
+    @settings(max_examples=200)
+    def test_entries_read_their_windows(self, case):
+        base, digits, n, step = case
+        tiers = list(radix._windows(digits, base, n, step))
+        assert len(tiers) == n
+        for k, values in enumerate(tiers, 1):
+            starts = range(0, len(digits) - k + 1, step)
+            assert list(values) == [digits_to_int(digits[s : s + k], base) for s in starts]
+
+    @pytest.mark.parametrize("base, power, kind", [
+        (2, 8, bytes),  # 256
+        (256, 1, bytes),
+        (257, 1, list),
+        (2, 9, array),  # 512
+        (2, 16, array),  # 65536
+        (256, 2, array),
+        (2, 17, list),  # 131072
+        (65537, 1, list),
+    ])
+    def test_tiers(self, base, power, kind):
+        digits = random_stream(base, 3).take(power + 20)
+        *_, values = radix._windows(digits, base, power)
+        assert type(values) is kind
+        assert list(values) == [
+            digits_to_int(digits[s : s + power], base) for s in range(21)
+        ]
+
+    # r**n = 256, 512, 1000, 65536 and 131072: the byte, 2-byte and list tiers
+    @pytest.mark.parametrize("base, n", [(2, 8), (2, 9), (10, 3), (2, 16), (2, 17)])
+    def test_grouped_take_is_bytes_or_list(self, monkeypatch, base, n):
+        monkeypatch.setattr(radix, "_GROUP_SLICE", 16)  # a take of 50 joins four slices
+        digits = random_stream(base, 3).take(50 * n + n - 1)  # a short final group
+        grouped = regroup_to_power_base(DigitStream(base, [digits]), n)
+        values = grouped.take(50)
+        assert type(values) is (bytes if base**n <= 256 else list)
+        assert list(values) == [
+            digits_to_int(digits[s * n : s * n + n], base) for s in range(50)
+        ]
+        with pytest.raises(InsufficientDigitsError):
+            grouped.take(1)
+
+
 class TestShift:
     """A fractional shift by m is take(m) on the stream."""
 
@@ -715,6 +774,25 @@ class TestFormatBracket:
     )
     def test_digit_text_rejects(self, text, base):
         with pytest.raises(ValueError):
+            parse_digit_text(text, base)
+
+    @given(st.data())
+    def test_digit_text_round_trips_in_every_base(self, data):
+        base = data.draw(st.one_of(st.integers(2, 36), st.integers(37, 2**20)))
+        digits = data.draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=30))
+        text = "".join(digit_token(d, base) for d in digits)
+        assert parse_digit_text(text, base) == digits
+
+    @pytest.mark.parametrize("text, base, message", [
+        ("", 10, "empty digit text"),
+        ("", 37, "bracketed decimal digits"),
+        ("12", 37, "bracketed decimal digits"),
+        ("[1][2", 37, "bracketed decimal digits"),
+        ("[100]", 100, "digit 100 out of range for base 100"),
+        ("z", 10, "invalid digit 'z' for base 10"),
+    ])
+    def test_digit_text_errors(self, text, base, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_digit_text(text, base)
 
     def test_digit_token_range_checked(self):

@@ -292,6 +292,9 @@ class TestSourceSpecs:
         with pytest.raises(ValueError):
             parse_prefix_digits("", 2)
 
+    def test_bracketed_prefix_above_base_36(self):
+        assert parse_source_spec("rational:[12][7]-prefix", 100).value == Fraction(1207, 10000)
+
     def test_champernowne_spelling(self):
         spec = parse_source_spec("champernowne", 10)
         assert list(spec.stream().take(3)) == [1, 2, 3]

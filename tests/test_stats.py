@@ -1,5 +1,4 @@
 """Digit statistics: tallies, block counts, the shift/power battery."""
-from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import stats
-from normality_lab.radix import DigitStream, digits_to_int, regroup_to_power_base
+from normality_lab.radix import DigitStream, regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
     champernowne_stream,
@@ -294,48 +293,6 @@ class TestCountBlockOnePass:
         chunk = bytes(prefix) if base <= 256 else prefix
         got = count_block(DigitStream(base, [chunk]), word, len(prefix))
         assert got == count_block_by_slices(prefix, word)
-
-
-# the tiers of `_power_values`: bytes up to 256, 2-byte values up to 2**16
-power_bases = st.one_of(st.integers(2, 300), st.sampled_from([2, 4, 16, 256, 257, 65537]))
-
-
-@st.composite
-def digits_and_power(draw):
-    base = draw(power_bases)
-    max_power = draw(st.integers(1, 17))
-    digits = draw(st.lists(st.integers(0, base - 1), min_size=max_power, max_size=max_power + 40))
-    return base, (bytes(digits) if base <= 256 else digits), max_power
-
-
-class TestPowerValues:
-    @given(digits_and_power())
-    @settings(max_examples=200)
-    def test_entries_read_their_windows(self, case):
-        base, digits, max_power = case
-        powers = list(stats._power_values(digits, base, max_power))
-        assert len(powers) == max_power
-        for n, values in enumerate(powers, 1):
-            windows = [digits[s : s + n] for s in range(len(digits) - n + 1)]
-            assert list(values) == [digits_to_int(w, base) for w in windows]
-
-    @pytest.mark.parametrize("base, power, kind", [
-        (2, 8, bytes),  # 256
-        (256, 1, bytes),
-        (257, 1, list),
-        (2, 9, array),  # 512
-        (2, 16, array),  # 65536
-        (256, 2, array),
-        (2, 17, list),  # 131072
-        (65537, 1, list),
-    ])
-    def test_tiers(self, base, power, kind):
-        digits = random_stream(base, 3).take(power + 20)
-        *_, values = stats._power_values(digits, base, power)
-        assert type(values) is kind
-        assert list(values) == [
-            digits_to_int(digits[s : s + power], base) for s in range(21)
-        ]
 
 
 class TestSimpleNormalityReport:
