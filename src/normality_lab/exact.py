@@ -52,14 +52,12 @@ def format_rational(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-def decimal_approx(q: Fraction, significant: int = APPROX_DIGITS) -> str:
-    """Display-only decimal approximation to `significant` digits.
+def decimal_approx(q: Fraction) -> str:
+    """Display-only decimal approximation to APPROX_DIGITS significant digits.
 
     The result is a label for humans; all comparisons in this package are
     done on the exact values.
     """
-    if significant < 1:
-        raise ValueError(f"need at least 1 significant digit, got {significant}")
     with decimal.localcontext() as ctx:
-        ctx.prec = significant
+        ctx.prec = APPROX_DIGITS
         return str(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator))

@@ -20,13 +20,14 @@ expansion produced for a rational is the standard long-division one,
 streamed lazily in constant memory, one division per group of digits:
 it never ends in an infinite tail of (base-1), and a leading-digit
 index records where the expansion starts.  Its preperiod and period
-are computed separately, by :func:`rational_period`, from the
-factorization of a Carmichael function (the primes up to 37 divided
-out, every composite cofactor split by Pollard's rho, every cofactor
-tested by Baillie-PSW), within a budget of work, weighed by operand
-size, that covers the whole period computation, so a denominator too
-long or too hard to factor is a typed error instead of a hang.  Bases
-are ints >= 2.
+are computed separately, by :func:`rational_period`: the preperiod
+from the valuations of the primes the denominator shares with the base,
+the period from the factorization of a Carmichael function (the primes
+up to 37 divided out, each prime left found by Pollard's rho and
+Baillie-PSW and divided out whole), within a budget of work, weighed by
+operand size, that covers the whole period computation, so a
+denominator too long or too hard to factor is a typed error instead of
+a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET (read back through CHAR_VALUE), beyond it a
@@ -324,30 +325,26 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 def rational_period(q: Fraction, base: int) -> tuple[int, int]:
     """(preperiod, period) of the fractional digits of q in base.
 
-    The preperiod is the least k with c(k) = den // gcd(den, base**k)
-    coprime to base, the period the multiplicative order of base modulo
-    c(k) (1 for the all-zero tail).  The order is found by dividing primes
-    out of the Carmichael function of c(k), so the cost is that of
-    factoring it, not of walking the period.  Every big-int operation is
-    booked on one budget first, and FactorizationBudgetError is raised
-    once the total would pass FACTORIZATION_BUDGET units.
+    Each prime p shared by den and base is divided out of den whole, by
+    `_divide_out`, which also gives the valuations v_p(den) and
+    v_p(base); c(k) = den // gcd(den, base**k) is coprime to base iff
+    v_p(den) <= k * v_p(base) for every such p, so the preperiod is the
+    largest ceil(v_p(den) / v_p(base)).  The period is the
+    multiplicative order of base modulo what is left of den (1 for the
+    all-zero tail), found by dividing primes out of its Carmichael
+    function, so the cost is that of factoring, not of walking the
+    period.  Every big-int operation is booked on one budget first, and
+    FactorizationBudgetError is raised once the total would pass
+    FACTORIZATION_BUDGET units.
     """
     validate_base(base)
     den = Fraction(q).denominator
     work = _WorkBudget(den)
-
-    def lift(c: int, s: int) -> int:  # c(k + s) from c = c(k)
-        return work.div(c, work.gcd(c, work.pow(base, s, c)))
-
-    # each step of the preperiod divides den by 2 or more, so the last k
-    # before it is below den's bit length; binary lifting finds that k in
-    # cofactors that shrink as it grows
     preperiod, c = 0, den
-    if work.gcd(c, base) != 1:
-        for i in reversed(range(den.bit_length().bit_length())):
-            if work.gcd(nxt := lift(c, 1 << i), base) != 1:
-                preperiod, c = preperiod + (1 << i), nxt
-        preperiod, c = preperiod + 1, lift(c, 1)
+    for p in _factorize(work.gcd(den, base), work):
+        c, k = _divide_out(c, p, work)
+        _, e = _divide_out(base, p, work)
+        preperiod = max(preperiod, -(-k // e))
     return preperiod, _multiplicative_order(base, c, work)
 
 
@@ -405,16 +402,10 @@ class _WorkBudget:
         self.spend(1, a, b)
         return math.gcd(a, b)
 
-    def div(self, a: int, b: int) -> int:
-        self.spend(1, a, b)
-        return a // b
-
     def pow(self, a: int, e: int, m: int) -> int:
-        """pow(a, e, m), booked as one squaring mod m per bit of e once
-        a**(leading bits of e) may reach m's length, and two for the
-        shorter squarings before, which at least double in length."""
-        short = -(-m.bit_length() // a.bit_length())
-        self.spend(max(0, e.bit_length() - short.bit_length()) + 2, m)
+        """pow(a, e, m), booked as one squaring mod m per bit of e, plus
+        one."""
+        self.spend(e.bit_length() + 1, m)
         return pow(a, e, m)
 
 
@@ -422,9 +413,11 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
     """{prime: exponent} for n >= 1.
 
     The _WITNESSES primes are divided out first, which leaves no prime
-    factor below 37, and Pollard's rho splits every composite cofactor
-    left.  Every step is booked on work, a fresh budget for n unless one
-    is shared.
+    factor below 37.  Then, while n > 1, Pollard's rho splits n, and
+    the factor it found, until a factor is prime, and `_divide_out`
+    removes that prime from n whole, so a prime power costs one search.
+    Every step is booked on work, a fresh budget for n unless one is
+    shared.
     """
     work = work or _WorkBudget(n)
     factors: dict[int, int] = {}
@@ -432,14 +425,11 @@ def _factorize(n: int, work: _WorkBudget | None = None) -> dict[int, int]:
         n, k = _divide_out(n, p, work)
         if k:
             factors[p] = k
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        if _is_prime(m, work):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            d = _pollard_rho(m, work)
-            rest += [d, m // d]
+    while n > 1:
+        p = n
+        while not _is_prime(p, work):
+            p = _pollard_rho(p, work)
+        n, factors[p] = _divide_out(n, p, work)
     return factors
 
 

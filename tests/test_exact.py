@@ -90,13 +90,6 @@ class TestDecimalApprox:
         assert decimal_approx(Fraction(3, 4)) == "0.75"
         assert decimal_approx(Fraction(0)) == "0"
 
-    def test_custom_precision(self):
-        assert decimal_approx(Fraction(1, 7), significant=4) == "0.1429"
-
-    def test_precision_must_be_positive(self):
-        with pytest.raises(ValueError):
-            decimal_approx(Fraction(1, 7), significant=0)
-
     @given(st.fractions(min_value=0, max_value=1, max_denominator=10**9))
     @settings(max_examples=60)
     def test_approx_is_close(self, q):

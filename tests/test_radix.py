@@ -303,6 +303,28 @@ class TestExpandRational:
         for value in (q, q + int_part):
             assert rational_period(value, base) == remainder_cycle_period(value, base)
 
+    @given(
+        st.sampled_from([
+            (41, [41]), (2021, [43, 47]), (2018, [2, 1009]),
+            (41**2, [41]), (4 * 1009, [2, 1009]),
+        ]),
+        st.lists(st.integers(0, 4), min_size=2, max_size=2),
+        st.integers(1, 1000),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=100)
+    def test_period_matches_remainder_cycle_past_the_witnesses(
+        self, case, exponents, m, num
+    ):
+        # the gcd of den and base has a prime above 37, so the preperiod
+        # reaches Pollard's rho, a base with a square makes the preperiod
+        # a ceiling, and m mixes in primes the base lacks; the walk takes
+        # at most the preperiod plus m steps
+        base, primes = case
+        den = m * math.prod(p**k for p, k in zip(primes, exponents))
+        q = Fraction(num % den, den)
+        assert rational_period(q, base) == remainder_cycle_period(q, base)
+
     def test_period_with_prime_factors_past_trial_division(self):
         # both primes lie above 10**6, so only Pollard's rho can split
         # their product; the oracle walks the powers of 10 modulo each
@@ -357,8 +379,10 @@ class TestLongDenominators:
             assert expand_rational(q, base).leading_index == leading_index_by_scan(q, base)
 
     def test_long_preperiod_costs_few_gcds(self, monkeypatch):
-        # gcds are counted, not timed: dividing gcd(den, 10) out once per
-        # preperiod step takes 40001 of them
+        # gcds are counted, not timed: the preperiod comes from the
+        # valuations of 2 and 5 in den, found by divisions after one gcd
+        # of den and 10, where dividing gcd(den, 10) out once per
+        # preperiod step would take 40001 gcds
         calls = []
         gcd = math.gcd
 
@@ -372,7 +396,7 @@ class TestLongDenominators:
 
     @pytest.mark.parametrize("exponent, base, bits", [
         (6000, 3, 19932),  # the order needs 20000-bit pows mod 10**6000
-        (1000000, 10, 3321929),  # the preperiod needs pows mod 10**1000000
+        (1000000, 10, 3321929),  # dividing out 2 and 5 is booked past the budget
     ])
     def test_long_smooth_denominator_is_refused_before_its_pows(
         self, monkeypatch, exponent, base, bits
@@ -392,6 +416,17 @@ class TestLongDenominators:
         assert long_pows == []
         assert exc.value.n == den
         assert f"a denominator of {bits} bits" in str(exc.value)
+
+    def test_long_power_of_the_base_fits_the_budget(self):
+        # the valuations of 2 and 5 book about 2.7 * 10**6 units
+        assert rational_period(Fraction(1, 10**200000), 10) == (200000, 1)
+
+    def test_period_of_a_long_prime_power_is_minimal(self):
+        n = 1009**100
+        pre, period = rational_period(Fraction(1, n), 10)
+        assert pre == 0 and pow(10, period, n) == 1
+        for p in _factorize(period):
+            assert pow(10, period // p, n) != 1
 
 
 # the least composite that passes Miller-Rabin on the primes up to 37
@@ -457,6 +492,19 @@ class TestFactorize:
         work = _WorkBudget(10**6000)
         assert _factorize(10**6000, work) == {2: 6000, 5: 6000}
         assert work.spent == 4471
+
+    def test_prime_power_past_the_witnesses_leaves_whole(self):
+        # booked work is counted, not timed: splitting 1009**100 one
+        # prime at a time by rho took 98193 units
+        work = _WorkBudget(1009**100)
+        assert _factorize(1009**100, work) == {1009: 100}
+        assert work.spent < 10**4
+
+    def test_shared_large_primes_end_after_one_digit(self):
+        # 1/n in base n is 0.1: the gcd of den and base is n itself,
+        # which rho splits before its primes are divided out
+        n = (2**31 - 1) * (2**61 - 1)
+        assert rational_period(Fraction(1, n), n) == (1, 1)
 
     @given(
         st.sampled_from(radix._WITNESSES), st.integers(0, 300), st.integers(1, 10**6)
