@@ -26,7 +26,6 @@ lanes of one int; see `_random_chunks`.
 """
 from __future__ import annotations
 
-import operator
 import os
 import re
 from array import array
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import chain, compress, count
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
@@ -138,7 +137,9 @@ def _check_random_base(base: int) -> None:
 # lanes of one int, lane k _STEPS states after lane k-1, so _STEPS packed
 # steps make the lanes * _STEPS states that follow the block's start,
 # lane after lane.  The bits above 64 in a lane take what a shift pushes
-# out of the state and the products of the reduction mod base.  The
+# out of the state, the products of the reduction mod base and the carry
+# that marks a rejected state in its own digit, so each step makes one
+# row of digits with the rejected ones marked in-band.  The
 # first block has one lane, so a short read stays short, and each next
 # one twice as many, spread out from the last state of the block before;
 # from _LANES lanes on, one jump moves every lane to the next block.
@@ -168,9 +169,7 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     applied to the columns of b, held in 64 lanes."""
     packed = b"".join(column.to_bytes(_LANE_BYTES, "little") for column in b)
     data = _apply(a, int.from_bytes(packed, "little"), 64).to_bytes(len(packed), "little")
-    return tuple(
-        int.from_bytes(data[k : k + 8], "little") for k in range(0, len(data), _LANE_BYTES)
-    )
+    return tuple(_lane_major([data], 64, False))
 
 
 @cache
@@ -210,9 +209,10 @@ def _random_chunks(base: int, state: int) -> Iterator:
     and m = 2**shift / base rounded up (Granlund and Montgomery 1994,
     "Division by invariant integers using multiplication", Theorem 4.2);
     s*m stays below 2**129.  Such a base also rejects the states s with
-    s + 2**64 mod base >= 2**64: a step where that sum carries into bit 64
-    of some lane records which lanes did, and their digits are dropped
-    once the block is in order.
+    s + 2**64 mod base >= 2**64, those whose sum carries into bit 64 of
+    their lane.  The carry sets all 64 low bits of the lane's digit, a
+    value no digit of the base takes (255 in a byte, 2**64-1 in a word),
+    and the marked digits are dropped once the block is in order.
     """
     small = base <= 256
     spill = (1 << 64) % base
@@ -226,24 +226,23 @@ def _random_chunks(base: int, state: int) -> Iterator:
             quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
         else:
             digit_bits = _rep(base - 1, lanes)
-        rows, rejected = [], {}
-        for j in range(_STEPS):
+        rows, rejected = [], 0
+        for _ in range(_STEPS):
             packed ^= (packed << 13) & mask
             packed ^= (packed >> 7) & mask
             packed ^= (packed << 17) & mask
             if spill:
-                if carry := (packed + spills) & carries:
-                    rejected[j] = _lane_bytes(carry >> 64, lanes, True)
+                carry = (packed + spills) & carries
+                rejected |= carry
                 quotients = ((packed * multiplier) & quotient_bits) >> shift
-                digits = packed - quotients * base
+                digits = packed - quotients * base | (carry >> 64) * _MASK64
             else:
                 digits = packed & digit_bits
-            rows.append(_lane_bytes(digits, lanes, small))
+            data = digits.to_bytes(_LANE_BYTES * lanes, "little")
+            rows.append(data[::_LANE_BYTES] if small else data)
         chunk = _lane_major(rows, lanes, small)
         if rejected:
-            flags = [rejected.get(j, bytes(lanes)) for j in range(_STEPS)]
-            keep = map(operator.not_, _lane_major(flags, lanes, True))
-            chunk = (bytes if small else list)(compress(chunk, keep))
+            chunk = chunk.translate(None, b"\xff") if small else list(filter(_MASK64.__ne__, chunk))
         yield chunk
         if lanes < _LANES:
             lanes *= 2
@@ -252,25 +251,18 @@ def _random_chunks(base: int, state: int) -> Iterator:
             packed = _apply(_jump_matrices()[1], packed, lanes)
 
 
-def _lane_bytes(packed: int, lanes: int, small: bool) -> bytes:
-    """The low byte (`small`) or the low 8 bytes, little-endian, of each
-    lane, lane after lane."""
-    data = packed.to_bytes(_LANE_BYTES * lanes, "little")
-    if small:
-        return data[::_LANE_BYTES]
-    words = bytearray(8 * lanes)
-    for i in range(8):
-        words[i::8] = data[i::_LANE_BYTES]
-    return bytes(words)
-
-
 def _lane_major(rows: list[bytes], lanes: int, small: bool):
-    """Rows from `_lane_bytes`, one per step, as each lane's digits in
-    turn: a `bytes` of byte digits (`small`) or a list of 64-bit ones."""
+    """Rows of `lanes` lanes, one per step, as each lane's digits in turn:
+    a `bytes` of byte digits when `small` (a row holds one byte a lane),
+    else a list of the low 8 bytes of each _LANE_BYTES-byte lane, read as
+    a 64-bit word (2**64-1 where a rejected state was marked)."""
     flat = b"".join(rows)
     if small:
         return b"".join(flat[k::lanes] for k in range(lanes))
-    words = _byte_order(array("Q", flat))
+    words = bytearray(len(flat) // _LANE_BYTES * 8)
+    for i in range(8):
+        words[i::8] = flat[i::_LANE_BYTES]
+    words = _byte_order(array("Q", words))
     return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
 
 

@@ -31,6 +31,8 @@ from normality_lab.sources import (
     _LANES,
     _STEPS,
     SourceSpec,
+    _apply,
+    _jump_matrices,
     champernowne_stream,
     load_digit_file,
     parse_prefix_digits,
@@ -637,6 +639,18 @@ def xorshift_by_digit(base, seed):
             yield state % base
 
 
+def xorshift64_back(state):
+    """The state one `xorshift64_step` before `state`: each step
+    x ^= x << a (or >> a) is undone by XOR-ing in the shifts by a, 2a, ...
+    of its output, the steps taken in reverse order."""
+    for a, left in ((17, True), (7, False), (13, True)):
+        out = state
+        for k in range(a, 64, a):
+            out ^= (state << k) & (2**64 - 1) if left else state >> k
+        state = out
+    return state
+
+
 def random_block_edge(j):
     """Where block j + 1 of the random source starts, counted in states:
     _STEPS states per lane, one lane in the first block, twice as many in
@@ -676,6 +690,36 @@ class TestRandomLanes:
         assert list(random_stream(base, 99).take(n)) == list(
             islice(xorshift_by_digit(base, 99), n)
         )
+
+    # the rejected state in the one-lane first block, in lane 0 of the
+    # four-lane third block, and in lane 89 of the first jumped-to block
+    @pytest.mark.parametrize("position", [0, _STEPS * 3 + 7, _STEPS * 600 + 3])
+    @pytest.mark.parametrize("base", [3, 10, 255, 257, 2**63 + 1])
+    def test_rejected_state_is_dropped(self, base, position):
+        # 2**64 - 1 is at or above the largest multiple of every base that
+        # is not a power of two, so each of these bases rejects it
+        seed = 2**64 - 1
+        for _ in range(position + 1):
+            seed = xorshift64_back(seed)
+        state = seed
+        for _ in range(position + 1):
+            state = xorshift64_step(state)
+        assert state == 2**64 - 1
+        n = position + 500
+        assert list(random_stream(base, seed).take(n)) == list(
+            islice(xorshift_by_digit(base, seed), n)
+        )
+
+    def test_jump_matrices_step_the_states(self):
+        doubling, jump = _jump_matrices()
+        marks = {_STEPS * 2**i: i for i in range(len(doubling))}
+        for start in (1, 0x9E3779B97F4A7C15, 2**64 - 1):
+            state = start
+            for steps in range(1, (_LANES - 1) * _STEPS + 1):
+                state = xorshift64_step(state)
+                if steps in marks:
+                    assert _apply(doubling[marks[steps]], start, 1) == state
+            assert _apply(jump, start, 1) == state
 
     @given(
         random_bases,
