@@ -13,12 +13,16 @@ D/n**2 tail bound that drives all the measure estimates.
 
 All coefficients and values are exact; the only floats anywhere are the
 display columns of the CSV rows.  The hot sums run on ints: a
-polynomial is one dense row of n + 1 coefficients, an operator step
-multiplies that row by a range of factors, evaluation is one Horner
-pass over the row and builds a single Fraction at the end, and the
-direct moment sums come from one pass over n that adds a digit per step
-and carries five power sums of the digit string counts, so a sweep up
-to n_max costs O(n_max) big-int steps.
+polynomial is one dense row of n + 1 coefficients, k operator steps are
+k lazy passes that multiply the row by one range of factors and are
+materialised once, evaluation is one Horner pass over the row and
+builds a single Fraction at the end, and the direct moment sums come
+from one pass over n that adds a digit per step and carries five power
+sums of the digit string counts, so a sweep up to n_max costs O(n_max)
+big-int steps.  The operator route has a sweep over n of its own: each
+row C(n, 0..n) comes from the previous one by Pascal's rule, since
+(x**s + y)**n = (x**s + y) * (x**s + y)**(n-1), and is then put through
+the k operator passes and the specialization.
 """
 from __future__ import annotations
 
@@ -26,8 +30,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import add, mul
 
 from .exact import binomial_row, decimal_approx, format_rational
 from .radix import validate_base
@@ -60,20 +64,23 @@ class MomentPolynomial:
         """Exact value at U = u, y = y.
 
         Writes u = a/d and y = b/d over d = lcm of their denominators, so
-        the value is sum_p c[p] * a**p * b**(n-p) over d**n.  One
-        homogeneous Horner pass over the row builds that numerator as an
-        int, and one Fraction is built at the end.
+        the value is sum_p c[p] * a**p * b**(n-p) over d**n.  Unless
+        a = 1, as at the specialization u = 1/r, one C-level pass first
+        weights c[p] by a**p; then one homogeneous Horner pass in b,
+        two big-int operations per coefficient, builds that numerator
+        as an int, and one Fraction is built at the end.
         """
         u = Fraction(u)
         y = Fraction(y)
         d = math.lcm(u.denominator, y.denominator)
         a = u.numerator * (d // u.denominator)
         b = y.numerator * (d // y.denominator)
+        coeffs = self.coeffs
+        if a != 1:
+            coeffs = map(mul, coeffs, accumulate(repeat(a, self.n), mul, initial=1))
         total = 0
-        a_pow = 1
-        for c in self.coeffs:
-            total = total * b + c * a_pow
-            a_pow *= a
+        for c in coeffs:
+            total = total * b + c
         return Fraction(total, d**self.n)
 
 
@@ -86,17 +93,27 @@ def binomial_power_polynomial(n: int, s: int) -> MomentPolynomial:
     return MomentPolynomial(n, s, tuple(binomial_row(n)))
 
 
-def apply_euler_operator(poly: MomentPolynomial) -> MomentPolynomial:
-    """One application of x*d/dx - y*d/dy.
+def _iterate_operator(poly: MomentPolynomial, k: int) -> MomentPolynomial:
+    """k applications of x*d/dx - y*d/dy.
 
     A term c * x**(s*p) * y**(n-p) becomes c * (s*p - (n-p)) * the same
     monomial: the operator is diagonal on monomials, which is the whole
     point, so one step multiplies the row by the factors, which run
-    from -n to s*n in steps of s + 1.
+    from -n to s*n in steps of s + 1.  The k steps are k lazy passes of
+    that product over the row, materialised as one tuple at the end;
+    each coefficient still meets its factor once per step.
     """
     n, s = poly.n, poly.s
     factors = range(-n, s * n + 1, s + 1)
-    return MomentPolynomial(n, s, tuple(map(mul, poly.coeffs, factors)))
+    coeffs = poly.coeffs
+    for _ in range(k):
+        coeffs = map(mul, coeffs, factors)
+    return MomentPolynomial(n, s, tuple(coeffs))
+
+
+def apply_euler_operator(poly: MomentPolynomial) -> MomentPolynomial:
+    """One application of x*d/dx - y*d/dy."""
+    return _iterate_operator(poly, 1)
 
 
 def operator_power_coefficients(n: int, s: int, k: int) -> tuple[int, ...]:
@@ -113,9 +130,7 @@ def operator_power_coefficients(n: int, s: int, k: int) -> tuple[int, ...]:
 
 def verify_operator_closed_form(n: int, s: int, k: int) -> bool:
     """Iterate the operator k times and compare with the closed form."""
-    poly = binomial_power_polynomial(n, s)
-    for _ in range(k):
-        poly = apply_euler_operator(poly)
+    poly = _iterate_operator(binomial_power_polynomial(n, s), k)
     return poly.coeffs == operator_power_coefficients(n, s, k)
 
 
@@ -129,10 +144,28 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poly = binomial_power_polynomial(n, r - 1)
-    for _ in range(k):
-        poly = apply_euler_operator(poly)
+    poly = _iterate_operator(binomial_power_polynomial(n, r - 1), k)
     return poly.evaluate(Fraction(1, r), Fraction(r - 1, r))
+
+
+def operator_moment_sweep(
+    r: int, k: int, n_max: int
+) -> Iterator[tuple[int, Fraction]]:
+    """Yield (n, E[(r*X - n)**k]) for n = 1..n_max, by the operator route.
+
+    The values of scaled_moment_via_operator in one pass over n: each
+    row C(n, 0..n) comes from the previous one by Pascal's rule instead
+    of its own binomial_row, and then takes the k operator steps and
+    the specialization exactly as the per-n route does.
+    """
+    validate_base(r)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    u, y = Fraction(1, r), Fraction(r - 1, r)
+    row = (1,)
+    for n in range(1, n_max + 1):
+        row = tuple(map(add, row + (0,), (0,) + row))
+        yield n, _iterate_operator(MomentPolynomial(n, r - 1, row), k).evaluate(u, y)
 
 
 def fourth_moment_via_operator(n: int, r: int) -> Fraction:

@@ -33,7 +33,7 @@ from .moments import (
     derive_constants,
     fourth_moment_closed_form,
     fourth_moment_via_operator,
-    scaled_moment_via_operator,
+    operator_moment_sweep,
     verify_operator_closed_form,
 )
 from .radix import expand_rational, format_bracket, regroup_to_power_base
@@ -244,23 +244,21 @@ def _operator_sweep() -> str:
     for n in range(0, 31):
         for s in range(1, 10):
             for k in range(0, 5):
-                _require(
-                    verify_operator_closed_form(n, s, k),
-                    f"operator identity fails at n={n} s={s} k={k}",
-                )
+                if not verify_operator_closed_form(n, s, k):
+                    raise CheckFailed(f"operator identity fails at n={n} s={s} k={k}")
     return "iterated operator matches C(n,p)((s+1)p-n)^k for n<=30, s<=9, k<=4"
 
 
 @_check("specialization-kills-mean")
 def _kills_mean() -> str:
     for r in range(2, 13):
-        for n in range(1, 21):
-            m1 = scaled_moment_via_operator(n, r, 1)
-            _require(m1 == 0, f"first moment {m1} != 0 at n={n} r={r}")
-            m2 = scaled_moment_via_operator(n, r, 2)
-            _require(
-                m2 == n * (r - 1), f"second moment {m2} != n(r-1) at n={n} r={r}"
-            )
+        firsts = operator_moment_sweep(r, 1, 20)
+        seconds = operator_moment_sweep(r, 2, 20)
+        for (n, m1), (_, m2) in zip(firsts, seconds):
+            if m1 != 0:
+                raise CheckFailed(f"first moment {m1} != 0 at n={n} r={r}")
+            if m2 != n * (r - 1):
+                raise CheckFailed(f"second moment {m2} != n(r-1) at n={n} r={r}")
     return "E[rX-n] = 0 and E[(rX-n)^2] = n(r-1) on the spot-check grid"
 
 
@@ -271,10 +269,10 @@ def _fourth_moment_dual() -> str:
     spot657 = fourth_moment_via_operator(1, 10)
     _require(spot657 == 657, f"value at n=1, r=10 is {spot657}, expected 657")
     for r in range(2, 13):
-        for n in range(1, 201):
-            a = fourth_moment_via_operator(n, r)
+        for n, a in operator_moment_sweep(r, 4, 200):
             b = fourth_moment_closed_form(n, r)
-            _require(a == b, f"operator {a} != closed form {b} at n={n} r={r}")
+            if a != b:
+                raise CheckFailed(f"operator {a} != closed form {b} at n={n} r={r}")
     return "operator route equals 3(r-1)^2 n^2 + (r^3-7r^2+12r-6) n on the grid"
 
 
@@ -324,10 +322,10 @@ def _measure_oracle() -> str:
                     spec = DeviationSetSpec(base=r, digit=b, n=n, epsilon=eps)
                     fast = deviation_set_measure(spec).exact_measure
                     slow = deviation_set_measure_bruteforce(spec)
-                    _require(
-                        fast == slow,
-                        f"formula {fast} != enumeration {slow} for {spec}",
-                    )
+                    if fast != slow:
+                        raise CheckFailed(
+                            f"formula {fast} != enumeration {slow} for {spec}"
+                        )
                     cases += 1
     return f"formula equals enumeration in all {cases} cases"
 
@@ -348,16 +346,18 @@ def _measure_chain() -> str:
     for r in (2, 3, 10):
         for eps in (Fraction(1, 10), Fraction(1, 2)):
             for n, m, bound in deviation_set_sweep(r, eps, 200):
-                _require(m <= bound, f"chain breaks at r={r} eps={eps} n={n}")
+                if m > bound:
+                    raise CheckFailed(f"chain breaks at r={r} eps={eps} n={n}")
                 if n in (1, 2, 17, 200):
                     # the sweep against the per-n route it replaces
                     per_n = deviation_set_measure(
                         DeviationSetSpec(base=r, digit=0, n=n, epsilon=eps)
                     )
-                    _require(
-                        (m, bound) == (per_n.exact_measure, per_n.bound),
-                        f"sweep disagrees with the per-n measure at r={r} eps={eps} n={n}",
-                    )
+                    if (m, bound) != (per_n.exact_measure, per_n.bound):
+                        raise CheckFailed(
+                            "sweep disagrees with the per-n measure"
+                            f" at r={r} eps={eps} n={n}"
+                        )
     spot = deviation_bound(2, Fraction(1, 10), 1000)
     _require(spot == Fraction(3, 1600), f"bound spot {spot} != 3/1600")
     spot10 = deviation_bound(10, Fraction(1, 10), 100)

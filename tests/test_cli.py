@@ -657,6 +657,22 @@ class TestVerifyPaper:
         assert code == 1
         assert out.splitlines()[0].startswith("FAIL  fourth-moment-dual-computation:")
 
+    def test_failing_dual_computation_names_its_cell(self, capsys, monkeypatch):
+        closed_form = verify.fourth_moment_closed_form
+
+        def off_at_7_5(n, r):
+            return closed_form(n, r) + (n == 7 and r == 5)
+
+        monkeypatch.setattr(verify, "fourth_moment_closed_form", off_at_7_5)
+        code, out, _ = run(
+            capsys, "verify-paper", "--only", "fourth-moment-dual-computation",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  fourth-moment-dual-computation:"
+            " operator 2380 != closed form 2381 at n=7 r=5"
+        )
+
     def test_measure_chain_cross_checks_the_sweep(self, capsys, monkeypatch):
         sweep = verify.deviation_set_sweep
 

@@ -10,6 +10,7 @@ from normality_lab.measure import digit_count_measure
 from normality_lab.moments import (
     MOMENT_SWEEP_CSV_HEADER,
     MomentPolynomial,
+    _iterate_operator,
     apply_euler_operator,
     binomial_power_polynomial,
     check_moment_bound,
@@ -17,6 +18,7 @@ from normality_lab.moments import (
     fourth_moment_closed_form,
     fourth_moment_via_operator,
     frequency_fourth_moment,
+    operator_moment_sweep,
     operator_power_coefficients,
     scaled_moment_via_operator,
     verify_operator_closed_form,
@@ -154,6 +156,31 @@ class TestEulerOperator:
     def test_validation(self):
         with pytest.raises(ValueError):
             operator_power_coefficients(3, 1, -1)
+
+    @given(rows, st.integers(1, 9), st.integers(0, 5))
+    @settings(max_examples=60)
+    def test_fused_passes_equal_chained_steps(self, row, s, k):
+        poly = MomentPolynomial(len(row) - 1, s, tuple(row))
+        chained = poly
+        for _ in range(k):
+            chained = apply_euler_operator(chained)
+        assert _iterate_operator(poly, k) == chained
+
+
+class TestOperatorSweep:
+    """The one-pass operator route against the per-n route, n by n."""
+
+    @pytest.mark.parametrize("r", [*range(2, 13), 37, 256])
+    def test_matches_per_n_route(self, r):
+        for k in range(5):
+            per_n = [(n, scaled_moment_via_operator(n, r, k)) for n in range(1, 61)]
+            assert list(operator_moment_sweep(r, k, 60)) == per_n
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            list(operator_moment_sweep(1, 4, 5))
+        with pytest.raises(ValueError):
+            list(operator_moment_sweep(2, 4, 0))
 
 
 class TestSpecializedMoments:
