@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import MalformedHeaderError, NormalityLabError
-from .exact import decimal_approx, format_rational, parse_rational
+from .exact import brief_rational, decimal_approx, format_rational, parse_rational
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
     DeviationSetSpec,
@@ -70,9 +70,10 @@ def _rational(high: Fraction | None = None):
             raise argparse.ArgumentTypeError(str(exc)) from None
         if value <= 0 or (high is not None and value > high):
             upper = "" if high is None else f" and <= {high}"
-            raise argparse.ArgumentTypeError(f"must be > 0{upper}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be > 0{upper}, got {brief_rational(value)}")
         return value
 
+    check.__name__ = "rational"  # argparse names it in "invalid rational value"
     return check
 
 
@@ -195,12 +196,12 @@ def cmd_stats(args) -> tuple[int, str]:
     stream = source.stream()
     twin = None if word is None else stream.fork()
     report = simple_normality_report(stream, args.n)
-    digit_count = None if args.digit is None else report.counts.get(args.digit, 0)
+    digit_count = None if args.digit is None else report.tally.get(args.digit, 0)
     word_count = None if twin is None else count_block(twin, word, args.n)
 
     if args.format == "json":
         payload = report.to_json_dict()
-        payload["counts"] = {str(d): report.counts.get(d, 0) for d in range(base)}
+        payload["counts"] = {str(d): report.tally.get(d, 0) for d in range(base)}
         if digit_count is not None:
             payload["digit"] = args.digit
             payload["digit_count"] = digit_count

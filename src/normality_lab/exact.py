@@ -52,6 +52,25 @@ def format_rational(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
+# a value whose numerator or denominator is longer than this is named in a
+# message by its size: 256 bits is 78 decimal digits at most
+_SHOWN_BITS = 256
+
+
+def brief_rational(q: Fraction) -> str:
+    """`format_rational(q)` while it is short, else a note of its size.
+
+    Error messages name a value through it, so a value of a million digits
+    neither prints in full nor trips the int-to-str digit limit.
+    """
+    q = Fraction(q)
+    num, den = q.numerator.bit_length(), q.denominator.bit_length()
+    if max(num, den) <= _SHOWN_BITS:
+        return format_rational(q)
+    sign = "a negative" if q < 0 else "a"
+    return f"{sign} rational too long to show ({num}-bit numerator, {den}-bit denominator)"
+
+
 def decimal_approx(q: Fraction) -> str:
     """Display-only decimal approximation to APPROX_DIGITS significant digits.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnumerationBudgetError
-from .exact import binomial_row, decimal_approx, format_rational
+from .exact import binomial_row, brief_rational, decimal_approx, format_rational
 from .moments import derive_constants
 from .radix import validate_base
 from .sources import random_stream
@@ -72,7 +72,7 @@ class DeviationSetSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         eps = Fraction(self.epsilon)
         if not 0 < eps <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {eps}")
+            raise ValueError(f"epsilon must be in (0, 1], got {brief_rational(eps)}")
         object.__setattr__(self, "epsilon", eps)
 
 
@@ -180,7 +180,7 @@ def deviation_set_sweep(base: int, epsilon: Fraction, n_max: int):
     scale = _moment_scale(base, epsilon)
     epsilon = Fraction(epsilon)
     if epsilon > 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+        raise ValueError(f"epsilon must be in (0, 1], got {brief_rational(epsilon)}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     ns = range(1, n_max + 1)
@@ -244,7 +244,7 @@ def _moment_scale(base: int, epsilon: Fraction) -> Fraction:
     validate_base(base)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        raise ValueError(f"epsilon must be > 0, got {brief_rational(epsilon)}")
     return derive_constants(base).d / epsilon**4
 
 
@@ -285,7 +285,7 @@ def null_witness_index(base: int, epsilon: Fraction, target: Fraction) -> int:
     """
     target = Fraction(target)
     if target <= 0:
-        raise ValueError(f"target must be > 0, got {target}")
+        raise ValueError(f"target must be > 0, got {brief_rational(target)}")
     scale = _moment_scale(base, epsilon)
     if 2 * scale <= target:
         return 1
@@ -305,7 +305,7 @@ def geometric_interval_cover(
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        raise ValueError(f"epsilon must be > 0, got {brief_rational(epsilon)}")
     return [
         (Fraction(point), epsilon / 2 ** (k + 2))
         for k, point in enumerate(points)

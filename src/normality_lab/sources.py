@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import InvalidDigitError, MalformedHeaderError
-from .exact import parse_rational
+from .exact import brief_rational, parse_rational
 from .radix import (
     ALPHABET,
     CHAR_VALUE,
@@ -65,7 +65,7 @@ def rational_stream(value: Fraction, base: int) -> DigitStream:
     """Fractional digits of a rational in [0, 1)."""
     value = Fraction(value)
     if not 0 <= value < 1:
-        raise ValueError(f"rational source must be in [0, 1), got {value}")
+        raise ValueError(f"rational source must be in [0, 1), got {brief_rational(value)}")
     return expand_rational(value, base).fractional
 
 
@@ -535,7 +535,7 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
         else:
             value = parse_rational(arg)
         if not 0 <= value < 1:
-            raise ValueError(f"rational source must be in [0, 1), got {value}")
+            raise ValueError(f"rational source must be in [0, 1), got {brief_rational(value)}")
         return SourceSpec(kind="rational", base=base, value=value, spelled=text)
     if kind == "random":
         try:

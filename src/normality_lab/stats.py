@@ -14,7 +14,10 @@ windows of that one read, which `radix._windows` builds for all
 positions at once, the same generator a regrouped stream packs its
 groups with (packed values up to base 2**16).  Reports are sparse,
 holding only the digit values that occur, so a view in base 2**40
-costs what it reads.
+costs what it reads.  A report keeps its tally in whatever order the
+count produced it and orders `counts` and `deviations` once, on their
+first read; the battery, which needs only `max_deviation`, never orders
+a view.
 
 `stats --word` reads its source once too: the block count runs on a
 fork of the stream the report reads.  Up to base 256 it counts with
@@ -24,8 +27,10 @@ Python object per window.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .exact import decimal_approx, format_rational
@@ -112,20 +117,27 @@ def count_block(stream: DigitStream, word: Word, n: int) -> int:
 class NormalityReport:
     """Deviations from uniform frequency over an n-digit prefix.
 
-    `counts` is sparse: it holds only the digit values that occur, in
-    increasing order.  Each deviation |count/n - 1/base| comes from its
+    `tally` is sparse: it maps each digit value that occurs to its count,
+    in no set order.  Each deviation |count/n - 1/base| comes from its
     count on demand, and `max_deviation` from the largest and smallest
     counts, so a report costs what its prefix holds, not base entries.
+    `counts`, the tally in increasing digit order, is built on its first
+    read, so a caller that only looks digits up never sorts.
     """
 
     base: int
     n: int
-    counts: dict[int, int]
+    tally: Mapping[int, int]
     max_deviation: Fraction
+
+    @cached_property
+    def counts(self) -> dict[int, int]:
+        """The tally in increasing digit order."""
+        return dict(sorted(self.tally.items()))
 
     def deviation(self, digit: int) -> Fraction:
         """|count/n - 1/base| for any digit of the base, seen or not."""
-        c = self.counts.get(digit, 0)
+        c = self.tally.get(digit, 0)
         return Fraction(abs(c * self.base - self.n), self.n * self.base)
 
     @property
@@ -155,16 +167,20 @@ _BYTES_TALLY_MAX_BASE = 60
 
 def _report(base: int, digits) -> NormalityReport:
     """The report over a prefix of base-`base` digits (a `bytes` up to base
-    256, a list above), built from those seen."""
+    256, an `array('H')` or a list above), built from those seen.
+
+    The tally is kept as counted, in digit order up to the crossover and
+    as a `Counter` in first-seen order above it; nothing here sorts it.
+    """
     n = len(digits)
     if base <= _BYTES_TALLY_MAX_BASE:
-        counts = {d: c for d in range(base) if (c := digits.count(d))}
+        tally = {d: c for d in range(base) if (c := digits.count(d))}
     else:
-        counts = dict(sorted(Counter(digits).items()))
-    high = max(counts.values())
-    low = min(counts.values()) if len(counts) == base else 0  # an unseen digit counts 0
+        tally = Counter(digits)
+    high = max(tally.values())
+    low = min(tally.values()) if len(tally) == base else 0  # an unseen digit counts 0
     max_deviation = Fraction(max(high * base - n, n - low * base), n * base)
-    return NormalityReport(base, n, counts, max_deviation)
+    return NormalityReport(base, n, tally, max_deviation)
 
 
 def simple_normality_report(stream: DigitStream, n: int) -> NormalityReport:

@@ -589,6 +589,23 @@ class TestMeasure:
                         "-n", "2")
 
 
+# a value past the int-to-str digit limit is named by its size, promptly
+@pytest.mark.parametrize("value", ["1e5000", "1e1000000"])
+@pytest.mark.parametrize("argv, message", [
+    (("stats", "--source", "rational:{}", "--base", "10", "-n", "10"),
+     "error: rational source must be in [0, 1), got a rational too long to show"),
+    (("measure", "--base", "2", "--epsilon", "{}", "-n", "3"),
+     "error: argument --epsilon: must be > 0 and <= 1, got a rational too long to show"),
+], ids=["stats", "measure"])
+def test_oversized_value_is_named_by_its_size(capsys, argv, message, value):
+    start = time.perf_counter()
+    err = run_usage_error(capsys, *(a.format(value) for a in argv))
+    assert time.perf_counter() - start < 1
+    assert message in err
+    assert "-bit numerator, 1-bit denominator)" in err
+    assert "limit" not in err and "invalid" not in err
+
+
 class TestVerifyPaper:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--list")

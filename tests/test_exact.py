@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from normality_lab.exact import (
     binomial_row,
+    brief_rational,
     decimal_approx,
     format_rational,
     parse_rational,
@@ -79,6 +80,21 @@ class TestParseFormat:
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @pytest.mark.parametrize("q", [
+        Fraction(3, 2), Fraction(-1, 3), Fraction(0), Fraction(2**256 - 1, 2**255 + 1),
+    ])
+    def test_brief_shows_a_short_value(self, q):
+        assert brief_rational(q) == format_rational(q)
+
+    def test_brief_names_a_long_value_by_its_size(self):
+        assert brief_rational(Fraction(2**256, 3)) == (
+            "a rational too long to show (257-bit numerator, 2-bit denominator)"
+        )
+        # 10**10**6 is far past the int-to-str digit limit
+        assert brief_rational(Fraction(-1, 10**10**6)) == (
+            "a negative rational too long to show (1-bit numerator, 3321929-bit denominator)"
+        )
 
 
 class TestDecimalApprox:

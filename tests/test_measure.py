@@ -109,6 +109,9 @@ class TestSpecValidation:
             spec(2, 0, 4, 0)
         with pytest.raises(ValueError):
             spec(2, 0, 4, "3/2")
+        # past the int-to-str digit limit the message names the size
+        with pytest.raises(ValueError, match=r"got a rational too long to show \(16610-bit"):
+            spec(2, 0, 4, 10**5000)
 
     def test_n_positive(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Digit statistics: tallies, block counts, the shift/power battery."""
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import stats
-from normality_lab.radix import DigitStream, regroup_to_power_base
+from normality_lab.radix import DigitStream, _windows, regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
     champernowne_stream,
@@ -215,6 +216,50 @@ class TestTallyPaths:
             stream.take(cell.shift)
             digits = regroup_to_power_base(stream, cell.power).take(500)
             assert_report_matches_counter(cell.report, 2**cell.power, digits)
+
+    # one view of each kind the battery hands the Counter tally: `bytes`
+    # above the crossover, `array('H')` up to 2**16, a list above
+    @pytest.mark.parametrize("base, power, kind", [
+        (2, 7, bytes), (10, 2, bytes), (3, 5, bytes),
+        (2, 12, array), (10, 4, array), (2, 16, array),
+        (2, 17, list), (10, 5, list),
+    ])
+    def test_view_kinds_above_the_crossover(self, base, power, kind):
+        digits = parse_source_spec("random:5", base).stream().take(power * 301)
+        *_, values = _windows(digits, base, power)
+        view_base = base**power
+        for m in (0, power - 1):
+            view = values[m : m + power * 300 : power]
+            assert type(view) is kind and len(view) == 300
+            report = _report(view_base, view)
+            # the Counter reference over the seen digits and one unseen
+            # one, which every unseen digit equals: no loop over the base
+            tally = Counter(view)
+            deviations = {d: abs(Fraction(c, 300) - Fraction(1, view_base))
+                          for d, c in sorted(tally.items())}
+            unseen = next(d for d in range(view_base) if d not in tally)
+            assert list(report.counts.items()) == sorted(tally.items())
+            assert list(report.deviations.items()) == list(deviations.items())
+            assert report.deviation(unseen) == Fraction(1, view_base)
+            assert report.max_deviation == max(*deviations.values(), Fraction(1, view_base))
+
+    def test_battery_never_orders_its_reports(self):
+        cells = normality_battery(parse_source_spec("random:11", 2), 12, 400)
+        assert {type(c.report.tally) for c in cells} == {dict, Counter}
+        # `counts` is a cached property: built on first read, kept after
+        assert all("counts" not in vars(c.report) for c in cells)
+        for c in cells:
+            counts = c.report.counts
+            assert list(counts) == sorted(c.report.tally)
+            assert list(c.report.deviations) == list(counts)
+            assert counts == c.report.tally
+            assert c.report.counts is counts
+
+    def test_lookups_leave_the_tally_unordered(self):
+        report = simple_normality_report(random_stream(1000, 3), 2000)
+        report.deviation(7)
+        report.to_json_dict()
+        assert "counts" not in vars(report)
 
 
 class TestCountBlock:
