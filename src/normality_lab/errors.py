@@ -6,6 +6,8 @@ values), so CLI layers never have to parse message strings.
 """
 from __future__ import annotations
 
+from .exact import _SHOWN_BITS
+
 
 class NormalityLabError(Exception):
     """Base class for all package-specific errors."""
@@ -77,10 +79,10 @@ class FactorizationBudgetError(NormalityLabError):
     def __init__(self, n: int, budget: int):
         self.n = n
         self.budget = budget
-        try:
-            name = f"the denominator {n}"
-        except ValueError:  # too many digits for int-to-str conversion
-            name = f"a denominator of {n.bit_length()} bits"
+        # named the way brief_rational names a value
+        bits = n.bit_length()
+        name = (f"the denominator {n}" if bits <= _SHOWN_BITS
+                else f"a denominator of {bits} bits")
         super().__init__(
             f"factoring {name} for its period needs more than"
             f" the budget of {budget} modular multiplications"

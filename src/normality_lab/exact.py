@@ -9,10 +9,15 @@ produced by :func:`decimal_approx`.
 from __future__ import annotations
 
 import decimal
+import re
 from fractions import Fraction
 
 #: significant digits used for display approximations
 APPROX_DIGITS = 12
+
+#: largest |e| parse_rational reads in a decimal exponent: Fraction builds
+#: 10**|e| in full, which at |e| = 10**8 ran for more than half a minute
+MAX_DECIMAL_EXPONENT = 10**6
 
 
 def binomial_row(n: int) -> list[int]:
@@ -33,8 +38,24 @@ def parse_rational(text: str) -> Fraction:
     """Parse "a/b", "a", or an exact decimal literal like "0.25".
 
     Decimal and scientific forms are read as exact base-10 values
-    (Fraction("1e-3") == 1/1000); binary floats are never involved.
+    (Fraction("1e-3") == 1/1000); binary floats are never involved.  An
+    exponent past MAX_DECIMAL_EXPONENT in absolute value is refused before
+    Fraction builds its power of ten.
     """
+    # the exponent as Fraction's grammar reads it: sign, either case,
+    # underscores between digits, spaces after
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent:
+        try:
+            in_range = abs(int(exponent[1])) <= MAX_DECIMAL_EXPONENT
+        except ValueError:  # too many digits for int()
+            in_range = False
+        if not in_range:
+            shown = repr(text[:32]) + ("..." if len(text) > 32 else "")
+            raise ValueError(
+                f"decimal exponent out of range in {shown}:"
+                f" its absolute value may be at most {MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -13,14 +13,15 @@ D/n**2 tail bound that drives all the measure estimates.
 
 All coefficients and values are exact; the only floats anywhere are the
 display columns of the CSV rows.  The hot sums run on ints: a
-polynomial is one dense row of n + 1 coefficients, k operator steps are
-k lazy passes that multiply the row by one range of factors and are
-materialised once, evaluation is one Horner pass over the row and
-builds a single Fraction at the end, and the direct moment sums come
-from one pass over n that adds a digit per step and carries five power
-sums of the digit string counts, so a sweep up to n_max costs O(n_max)
-big-int steps.  The operator route has a sweep over n of its own: each
-row C(n, 0..n) comes from the previous one by Pascal's rule, since
+polynomial is one dense row of n + 1 coefficients, apply_euler_operator
+takes k operator steps (one by default) as k lazy passes that multiply
+the row by one range of factors and are materialised once, evaluation
+is one Horner pass over the row and builds a single Fraction at the
+end, and the direct moment sums come from one pass over n that adds a
+digit per step and carries five power sums of the digit string counts,
+so a sweep up to n_max costs O(n_max) big-int steps.  The operator
+route has a sweep over n of its own: each row C(n, 0..n) comes from the
+previous one by Pascal's rule, since
 (x**s + y)**n = (x**s + y) * (x**s + y)**(n-1), and is then put through
 the k operator passes and the specialization.
 """
@@ -93,8 +94,8 @@ def binomial_power_polynomial(n: int, s: int) -> MomentPolynomial:
     return MomentPolynomial(n, s, tuple(binomial_row(n)))
 
 
-def _iterate_operator(poly: MomentPolynomial, k: int) -> MomentPolynomial:
-    """k applications of x*d/dx - y*d/dy.
+def apply_euler_operator(poly: MomentPolynomial, k: int = 1) -> MomentPolynomial:
+    """k applications of x*d/dx - y*d/dy, one by default.
 
     A term c * x**(s*p) * y**(n-p) becomes c * (s*p - (n-p)) * the same
     monomial: the operator is diagonal on monomials, which is the whole
@@ -103,6 +104,8 @@ def _iterate_operator(poly: MomentPolynomial, k: int) -> MomentPolynomial:
     that product over the row, materialised as one tuple at the end;
     each coefficient still meets its factor once per step.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     n, s = poly.n, poly.s
     factors = range(-n, s * n + 1, s + 1)
     coeffs = poly.coeffs
@@ -111,27 +114,13 @@ def _iterate_operator(poly: MomentPolynomial, k: int) -> MomentPolynomial:
     return MomentPolynomial(n, s, tuple(coeffs))
 
 
-def apply_euler_operator(poly: MomentPolynomial) -> MomentPolynomial:
-    """One application of x*d/dx - y*d/dy."""
-    return _iterate_operator(poly, 1)
-
-
-def operator_power_coefficients(n: int, s: int, k: int) -> tuple[int, ...]:
-    """Closed form for k operator applications to the binomial expansion.
-
-    Entry p of the row is C(n,p) * ((s+1)*p - n)**k, since
-    s*p - (n-p) = (s+1)*p - n.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    row = binomial_row(n)
-    return tuple(row[p] * ((s + 1) * p - n) ** k for p in range(n + 1))
-
-
 def verify_operator_closed_form(n: int, s: int, k: int) -> bool:
-    """Iterate the operator k times and compare with the closed form."""
-    poly = _iterate_operator(binomial_power_polynomial(n, s), k)
-    return poly.coeffs == operator_power_coefficients(n, s, k)
+    """Iterate the operator k times on the row C(n,0..n) and compare with
+    the closed form read off that same row: entry p times
+    ((s+1)*p - n)**k, since s*p - (n-p) = (s+1)*p - n."""
+    poly = binomial_power_polynomial(n, s)
+    closed = (c * ((s + 1) * p - n) ** k for p, c in enumerate(poly.coeffs))
+    return apply_euler_operator(poly, k).coeffs == tuple(closed)
 
 
 def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
@@ -144,7 +133,7 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poly = _iterate_operator(binomial_power_polynomial(n, r - 1), k)
+    poly = apply_euler_operator(binomial_power_polynomial(n, r - 1), k)
     return poly.evaluate(Fraction(1, r), Fraction(r - 1, r))
 
 
@@ -165,7 +154,7 @@ def operator_moment_sweep(
     row = (1,)
     for n in range(1, n_max + 1):
         row = tuple(map(add, row + (0,), (0,) + row))
-        yield n, _iterate_operator(MomentPolynomial(n, r - 1, row), k).evaluate(u, y)
+        yield n, apply_euler_operator(MomentPolynomial(n, r - 1, row), k).evaluate(u, y)
 
 
 def fourth_moment_via_operator(n: int, r: int) -> Fraction:

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import normality_lab
-from normality_lab import sources, verify
+from normality_lab import cli, sources, verify
 from normality_lab.cli import main
 from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
 from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
@@ -448,6 +449,41 @@ class TestVerifyLemma:
     def test_base_validation(self, capsys):
         run_usage_error(capsys, "verify-lemma", "--base", "1")
 
+    def test_failing_identity_names_its_cells(self, capsys, monkeypatch):
+        check = cli.verify_operator_closed_form
+        monkeypatch.setattr(
+            cli, "verify_operator_closed_form",
+            lambda n, s, k: (n, s, k) != (7, 3, 2) and check(n, s, k),
+        )
+        code, out, _ = run(capsys, "verify-lemma", "--base", "4", "--n-max", "10")
+        assert code == 1
+        lines = out.splitlines()
+        assert "operator identity: FAIL at (n,k)=[(7, 2)]" in lines
+        assert "moment bound: pass" in lines
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_failing_bound_names_its_rows(self, capsys, monkeypatch, fmt):
+        sweep = cli.check_moment_bound
+
+        def fails_at_3_and_5(r, n_max):
+            return [replace(row, holds=row.holds and row.n not in (3, 5))
+                    for row in sweep(r, n_max)]
+
+        monkeypatch.setattr(cli, "check_moment_bound", fails_at_3_and_5)
+        code, out, err = run(
+            capsys, "verify-lemma", "--base", "4", "--n-max", "6", "--format", fmt,
+        )
+        assert code == 1
+        summary = (err if fmt == "csv" else out).splitlines()
+        assert "operator identity: pass" in summary
+        assert "moment bound: FAIL at n=[3, 5]" in summary
+        lines = out.splitlines()
+        table = lines[lines.index("n,sum,bound,ratio_decimal,holds") + 1:]
+        assert [row.rsplit(",", 1)[1] for row in table] == [
+            "true", "true", "false", "true", "false", "true",
+        ]
+        assert ("moment bound:" in err) == (fmt == "csv")
+
     def test_large_sweep_within_budget(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "verify-lemma", "--base", "12", "--n-max", "3000")
@@ -606,6 +642,23 @@ def test_oversized_value_is_named_by_its_size(capsys, argv, message, value):
     assert "limit" not in err and "invalid" not in err
 
 
+# an exponent past the cap is refused before Fraction builds its power
+@pytest.mark.parametrize("argv", [
+    ("expand", "--source", "rational:1e-99999999", "--base", "10", "--digits", "3",
+     "--format", "json"),
+    ("measure", "--base", "2", "--epsilon", "1e-99999999", "-n", "3"),
+    ("measure", "--base", "2", "--epsilon", "1/2", "--tail", "1", "--target",
+     "1e-99_999_999"),
+], ids=["expand", "epsilon", "target"])
+def test_oversized_exponent_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    err = run_usage_error(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert "decimal exponent out of range" in err
+    assert "at most 1000000" in err
+    assert "Traceback" not in err
+
+
 class TestVerifyPaper:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--list")
@@ -688,6 +741,20 @@ class TestVerifyPaper:
         assert out.splitlines()[0] == (
             "FAIL  fourth-moment-dual-computation:"
             " operator 2380 != closed form 2381 at n=7 r=5"
+        )
+
+    def test_failing_operator_identity_names_its_cell(self, capsys, monkeypatch):
+        check = verify.verify_operator_closed_form
+        monkeypatch.setattr(
+            verify, "verify_operator_closed_form",
+            lambda n, s, k: (n, s, k) != (7, 3, 2) and check(n, s, k),
+        )
+        code, out, _ = run(
+            capsys, "verify-paper", "--only", "operator-closed-form-sweep",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  operator-closed-form-sweep: operator identity fails at n=7 s=3 k=2"
         )
 
     def test_measure_chain_cross_checks_the_sweep(self, capsys, monkeypatch):

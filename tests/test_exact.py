@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab.exact import (
+    MAX_DECIMAL_EXPONENT,
     binomial_row,
     brief_rational,
     decimal_approx,
@@ -59,6 +60,35 @@ class TestParseFormat:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exponent_at_the_cap_is_read(self, sign):
+        assert MAX_DECIMAL_EXPONENT == 10**6
+        power = Fraction(10) ** (sign * MAX_DECIMAL_EXPONENT)
+        assert parse_rational(f"1e{sign * MAX_DECIMAL_EXPONENT}") == power
+        assert parse_rational(f" 3E{sign * MAX_DECIMAL_EXPONENT:+} ") == 3 * power
+
+    @pytest.mark.parametrize("text", [
+        "1e1000001", "1e-1000001", " 1E+1000001 ", "1e-1_000_001", "2/3e99999999",
+        "1e-99_999_999", "1e-" + "9" * 5000,  # too long for int()
+    ])
+    def test_exponent_past_the_cap_is_refused(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        message = str(exc.value)
+        assert message.endswith("its absolute value may be at most 1000000")
+        assert len(message) < 120
+
+    @pytest.mark.parametrize("text", ["1e1_0", "1E-0_3", "2.5e+1_2 "])
+    def test_underscored_exponent_reads_as_fraction_does(self, text):
+        # Fraction reads underscores from Python 3.11 on
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a rational number"):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected
 
     def test_format_lowest_terms(self):
         assert format_rational(Fraction(2, 4)) == "1/2"

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normality_lab import moments
 from normality_lab.measure import digit_count_measure
 from normality_lab.moments import (
     MOMENT_SWEEP_CSV_HEADER,
     MomentPolynomial,
-    _iterate_operator,
     apply_euler_operator,
     binomial_power_polynomial,
     check_moment_bound,
@@ -19,7 +19,6 @@ from normality_lab.moments import (
     fourth_moment_via_operator,
     frequency_fourth_moment,
     operator_moment_sweep,
-    operator_power_coefficients,
     scaled_moment_via_operator,
     verify_operator_closed_form,
 )
@@ -140,7 +139,9 @@ class TestEulerOperator:
         assert apply_euler_operator(zero).coeffs == (0, 0, 0)
 
     def test_closed_form_k0_is_expansion(self):
-        assert operator_power_coefficients(4, 2, 0) == binomial_power_polynomial(4, 2).coeffs
+        poly = binomial_power_polynomial(4, 2)
+        assert apply_euler_operator(poly, 0) == poly
+        assert verify_operator_closed_form(4, 2, 0)
 
     def test_closed_form_matches_iteration(self):
         for n in (1, 2, 5, 13):
@@ -154,8 +155,10 @@ class TestEulerOperator:
         assert verify_operator_closed_form(n, s, k)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            operator_power_coefficients(3, 1, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            apply_euler_operator(binomial_power_polynomial(3, 1), -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            verify_operator_closed_form(3, 1, -1)
 
     @given(rows, st.integers(1, 9), st.integers(0, 5))
     @settings(max_examples=60)
@@ -164,7 +167,18 @@ class TestEulerOperator:
         chained = poly
         for _ in range(k):
             chained = apply_euler_operator(chained)
-        assert _iterate_operator(poly, k) == chained
+        assert apply_euler_operator(poly, k) == chained
+
+    def test_closed_form_check_catches_a_wrong_operator(self, monkeypatch):
+        operator = moments.apply_euler_operator
+
+        def off_at_entry_0(poly, k=1):
+            coeffs = operator(poly, k).coeffs
+            return MomentPolynomial(poly.n, poly.s, (coeffs[0] + 1, *coeffs[1:]))
+
+        monkeypatch.setattr(moments, "apply_euler_operator", off_at_entry_0)
+        for n, s, k in ((0, 1, 0), (3, 1, 2), (7, 3, 2)):
+            assert not verify_operator_closed_form(n, s, k)
 
 
 class TestOperatorSweep:

@@ -531,6 +531,15 @@ class TestFactorize:
         assert (exc.value.n, exc.value.budget) == (10 * n, 1000)
         assert str(10 * n) in str(exc.value) and "1000 " in str(exc.value)
 
+    def test_long_denominator_past_the_budget_is_named_by_its_bits(self, monkeypatch):
+        # 3**240 prints in 115 digits, past the 256 bits a message shows
+        monkeypatch.setattr(radix, "FACTORIZATION_BUDGET", 5)
+        with pytest.raises(FactorizationBudgetError) as exc:
+            rational_period(Fraction(1, 3**240), 10)
+        assert exc.value.n == 3**240
+        assert "factoring a denominator of 381 bits for its period" in str(exc.value)
+        assert str(3**240)[:20] not in str(exc.value)
+
     def test_rho_splits_a_large_semiprime_one_gcd_per_batch(self, monkeypatch):
         # the cycle modulo 2**31 - 1 spans many batches and doublings;
         # gcds are counted, not timed: a search with one gcd per step
