@@ -51,15 +51,16 @@ def parse_rational(text: str) -> Fraction:
         except ValueError:  # too many digits for int()
             in_range = False
         if not in_range:
-            shown = repr(text[:32]) + ("..." if len(text) > 32 else "")
             raise ValueError(
-                f"decimal exponent out of range in {shown}:"
+                f"decimal exponent out of range in {brief_text(text)}:"
                 f" its absolute value may be at most {MAX_DECIMAL_EXPONENT}"
             )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r} ({exc})") from None
+        # Fraction's own message is kept unless it only quotes the text again
+        detail = "" if repr(text.strip()) in str(exc) else f" ({exc})"
+        raise ValueError(f"not a rational number: {brief_text(text)}{detail}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -90,6 +91,21 @@ def brief_rational(q: Fraction) -> str:
         return format_rational(q)
     sign = "a negative" if q < 0 else "a"
     return f"{sign} rational too long to show ({num}-bit numerator, {den}-bit denominator)"
+
+
+# outside text a message quotes is cut to this many characters
+_SHOWN_CHARS = 32
+
+
+def brief_text(text: str, quoted: bool = True) -> str:
+    """`text` as a message quotes it: its repr, or the text itself when not
+    `quoted`, cut to its first 32 characters and then "..." when longer.
+
+    Text from the command line or a file may be megabytes long; a message
+    that names it through this stays a line.
+    """
+    shown = text[:_SHOWN_CHARS]
+    return (repr(shown) if quoted else shown) + ("..." if len(text) > _SHOWN_CHARS else "")
 
 
 def decimal_approx(q: Fraction) -> str:

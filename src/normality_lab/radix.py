@@ -30,10 +30,10 @@ denominator too long or too hard to factor is a typed error instead of
 a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
-one character of ALPHABET (read back through CHAR_VALUE), beyond it a
-bracketed decimal like "[17]" (one _TOKEN).  `digit_token` writes a
-digit and `parse_digit_text` reads a run of them back in every base,
-for words and digit prefixes; digit files scan with the same _TOKEN.
+one character of ALPHABET, beyond it a bracketed decimal like "[17]".
+`digit_token` writes a digit and `_digit_reader` builds the one reader
+of runs of them, which `parse_digit_text` (words, digit prefixes) and
+digit files (each line, whitespace skipped) go through.
 """
 from __future__ import annotations
 
@@ -49,14 +49,14 @@ from itertools import chain, tee
 from typing import Iterator
 
 from .errors import FactorizationBudgetError, InsufficientDigitsError
+from .exact import brief_text
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
 # byte digits 0-35 to their ALPHABET characters, for one bytes.translate
 _TO_ALPHABET = bytes.maketrans(bytes(range(36)), ALPHABET.encode())
-# one digit above base 36 as `digit_token` writes it, and a run of them
+# a bracket token of decimal digits of any length
 _TOKEN = re.compile(r"\[([0-9]+)\]")
-_BRACKETED = re.compile(f"(?:{_TOKEN.pattern})+")
 
 
 def validate_base(base: int) -> int:
@@ -105,9 +105,23 @@ def _digit_table(base: int) -> tuple[int, tuple]:
     return t, tuple(table)
 
 
+# the most digits `digits_to_int` reads one at a time; longer runs are halved
+_SPLIT_DIGITS = 64
+
+
 def digits_to_int(digits, base: int) -> int:
-    """Inverse of int_to_digits; accepts any iterable of digits, MSD first."""
+    """Inverse of int_to_digits on a sequence of digits, MSD first.
+
+    A run longer than _SPLIT_DIGITS is cut in halves, each read alone and
+    the two joined by one multiplication by a power of the base, so n
+    digits cost a few products of n-digit ints instead of n steps on a
+    growing one.  Every digit is range-checked.
+    """
     validate_base(base)
+    if len(digits) > _SPLIT_DIGITS:
+        half = len(digits) // 2
+        high = digits_to_int(digits[:half], base)
+        return high * base ** (len(digits) - half) + digits_to_int(digits[half:], base)
     value = 0
     for d in digits:
         if not 0 <= d < base:
@@ -636,30 +650,55 @@ def digit_token(d: int, base: int) -> str:
     return f"[{d}]"
 
 
+def _digit_reader(base: int, space: str = ""):
+    """A function from text to (digits, end): the digits of the longest
+    well-formed start of the text, the characters of `space` skipped, and
+    the index where that start stops; digits are a `bytes` up to base 256
+    and a list above.  A bracket token matches only with at most
+    len(str(base - 1)) digits after its leading zeros, so int() never sees
+    an over-long one: like any token out of range, it ends the start.
+    """
+    if base <= 36:
+        well_formed = re.compile(f"[{re.escape(space)}{ALPHABET[:base]}]*")
+        values = bytes.maketrans(ALPHABET[:base].encode(), bytes(range(base)))
+        skip = space.encode()
+    else:
+        gap = f"[{re.escape(space)}]*" if space else ""
+        token = re.compile(rf"\[0*([0-9]{{1,{len(str(base - 1))}}})\]")
+        well_formed = re.compile(f"(?:{gap}{token.pattern})*{gap}")
+
+    def read(text):
+        end = well_formed.match(text).end()
+        if base <= 36:
+            return text[:end].encode("ascii").translate(values, skip), end
+        digits = list(map(int, token.findall(text, 0, end)))
+        if digits and max(digits) >= base:
+            k = next(k for k, d in enumerate(digits) if d >= base)
+            digits, end = digits[:k], list(token.finditer(text, 0, end))[k].start()
+        return (bytes if base <= 256 else list)(digits), end
+
+    return read
+
+
 def parse_digit_text(text: str, base: int) -> list[int]:
     """Digit values of text as `digit_token` writes it, in reading order:
     0-9a-z characters up to base 36, bracketed decimals such as "[12][7]"
-    above it."""
+    above it, read by `_digit_reader`."""
     validate_base(base)
-    if base > 36:
-        if not _BRACKETED.fullmatch(text):
-            raise ValueError(
-                f"digit text in base {base} is bracketed decimal digits such as"
-                f" [12][7], got {text!r}"
-            )
-        digits = list(map(int, _TOKEN.findall(text)))
-        if max(digits) >= base:
-            raise ValueError(f"digit {max(digits)} out of range for base {base}")
-        return digits
-    if not text:
-        raise ValueError("empty digit text")
-    digits = []
-    for ch in text:
-        value = CHAR_VALUE.get(ch, base)
-        if value >= base:
-            raise ValueError(f"invalid digit {ch!r} for base {base}")
-        digits.append(value)
-    return digits
+    digits, end = _digit_reader(base)(text)
+    if text and end == len(text):
+        return list(digits)
+    if base <= 36:
+        if not text:
+            raise ValueError("empty digit text")
+        raise ValueError(f"invalid digit {text[end]!r} for base {base}")
+    if token := _TOKEN.match(text, end):
+        value = brief_text(token[1].lstrip("0"), quoted=False)
+        raise ValueError(f"digit {value} out of range for base {base}")
+    raise ValueError(
+        f"digit text in base {base} is bracketed decimal digits such as"
+        f" [12][7], got {brief_text(text)}"
+    )
 
 
 def format_bracket(expansion: DigitExpansion, count: int) -> str:

@@ -38,14 +38,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import InvalidDigitError, MalformedHeaderError
-from .exact import brief_rational, parse_rational
+from .exact import brief_rational, brief_text, parse_rational
 from .radix import (
-    ALPHABET,
     CHAR_VALUE,
     DigitExpansion,
     DigitStream,
-    _TOKEN,
     _byte_order,
+    _digit_reader,
     _digit_table,
     digits_to_int,
     expand_rational,
@@ -271,10 +270,14 @@ def _lane_major(rows: list[bytes], lanes: int, small: bool):
 # Format: first line "base=<r>"; optionally a second line "int=<decimal>"
 # giving a display-only integer part; everything after that is fractional
 # digits.  For r <= 36 digits are the characters 0-9a-z; for r > 36 each
-# digit is a bracketed decimal like [17].  Whitespace is ignored anywhere
-# in the digit section.  Files are read as ASCII with undecodable bytes
-# replaced, so a stray non-ASCII byte surfaces as an InvalidDigitError at
-# its line and column instead of a decoding error.
+# digit is a bracketed decimal like [17], leading zeros allowed, with at
+# most as many digits after them as r - 1 has: a longer token is out of
+# range and never reaches int().  Whitespace is ignored anywhere in the
+# digit section, which `radix._digit_reader` reads.  Files are read as
+# ASCII with undecodable bytes replaced, so a stray non-ASCII byte
+# surfaces as an InvalidDigitError at its line and column instead of a
+# decoding error.  Messages quote at most 32 characters of the file's
+# text (`brief_text`).
 
 
 @dataclass(frozen=True)
@@ -300,16 +303,28 @@ def load_digit_file(path) -> DigitFile:
         raise MalformedHeaderError(path, 1, "empty file, expected base=<r>")
     m = re.fullmatch(r"base=(\d+)", first.strip())
     if not m:
-        raise MalformedHeaderError(path, 1, f"expected base=<r>, got {first.strip()!r}")
-    base = int(m.group(1))
+        raise MalformedHeaderError(path, 1, f"expected base=<r>, got {brief_text(first.strip())}")
+    base = _header_number(path, 1, m.group(1))
     if base < 2:
         raise MalformedHeaderError(path, 1, f"base must be >= 2, got {base}")
     if not second.startswith("int="):
         return DigitFile(path, base, 0, 1)
     m = re.fullmatch(r"int=(\d+)", second)
     if not m:
-        raise MalformedHeaderError(path, 2, f"expected int=<decimal>, got {second!r}")
-    return DigitFile(path, base, int(m.group(1)), 2)
+        raise MalformedHeaderError(path, 2, f"expected int=<decimal>, got {brief_text(second)}")
+    return DigitFile(path, base, _header_number(path, 2, m.group(1)), 2)
+
+
+def _header_number(path: Path, lineno: int, text: str) -> int:
+    """The decimal `text` of header line `lineno` as an int, or a
+    MalformedHeaderError naming its length when int() refuses it (past the
+    interpreter's int-to-str digit limit)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedHeaderError(
+            path, lineno, f"a value of {len(text)} digits is too long to read"
+        ) from None
 
 
 # the characters str.isspace() accepts in a file read as ASCII
@@ -322,22 +337,15 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
     `bytes` up to base 256 and a list above.
 
     A line of bracket tokens up to base 256 is first tried by
-    `_bracket_line`.  Every other line is cut at the end of its longest
-    well-formed prefix.  That prefix becomes one chunk (one
-    `bytes.translate` up to base 36, one `re.findall` of bracket tokens
-    above); if the cut is short of the end of the line, or a bracket token
-    is out of range, the digits before the first bad character come out
-    and then the InvalidDigitError for it.
+    `_bracket_line`.  Every other line goes to the base's digit reader
+    (`radix._digit_reader`, whitespace skipped), which gives the digits of
+    its longest well-formed start as one chunk; if that start stops short
+    of the end of the line, the InvalidDigitError for the text there
+    follows the chunk.
     """
-    space = re.escape(_SPACE)
+    read = _digit_reader(base, _SPACE)
     # the canonical text of each digit inside its brackets
     tokens = {str(d).encode(): d for d in range(base)} if 36 < base <= 256 else None
-    pack = bytes if base <= 256 else list
-    if base <= 36:
-        well_formed = re.compile(f"[{space}{ALPHABET[:base]}]*")
-        values = bytes.maketrans(ALPHABET[:base].encode(), bytes(range(base)))
-    else:
-        well_formed = re.compile(f"(?:[{space}]*{_TOKEN.pattern})*[{space}]*")
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= header_lines:
@@ -345,24 +353,10 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
             if tokens and (chunk := _bracket_line(line, tokens)) is not None:
                 yield chunk
                 continue
-            cut = well_formed.match(line).end()
-            if base <= 36:
-                yield line[:cut].encode("ascii").translate(values, _SPACE_BYTES)
-                if cut < len(line):
-                    raise _bad_character(path, base, lineno, line, cut)
-            else:
-                digits = list(map(int, _TOKEN.findall(line, 0, cut)))
-                if digits and max(digits) >= base:
-                    k = next(k for k, d in enumerate(digits) if d >= base)
-                    yield pack(digits[:k])
-                    token = list(_TOKEN.finditer(line, 0, cut))[k]
-                    raise InvalidDigitError(
-                        path, lineno, token.start() + 2,
-                        f"digit [{digits[k]}] out of range for base {base}",
-                    )
-                yield pack(digits)
-                if cut < len(line):
-                    raise _bad_token(path, lineno, line, cut)
+            digits, end = read(line)
+            yield digits
+            if end < len(line):
+                raise _bad_digit(path, base, lineno, line, end)
 
 
 def _bracket_line(line: str, tokens: dict[bytes, int]) -> bytes | None:
@@ -372,7 +366,7 @@ def _bracket_line(line: str, tokens: dict[bytes, int]) -> bytes | None:
     must start with "[" and end with "]", and each text between "][" must
     be a key of `tokens`, which maps it to its digit.  Anything else (a token like [007] or [300] in
     base 100, whitespace between or inside tokens, a stray or non-ASCII
-    character) gives None, and the regex scan reads the line instead.
+    character) gives None, and the digit reader reads the line instead.
     """
     if not line.isascii():
         return None
@@ -387,35 +381,25 @@ def _bracket_line(line: str, tokens: dict[bytes, int]) -> bytes | None:
         return None
 
 
-def _bad_character(
-    path: Path, base: int, lineno: int, line: str, col: int
-) -> InvalidDigitError:
-    """The error for the character at 0-based `col`, which is neither
-    whitespace nor a digit of `base`."""
-    ch = line[col]
-    value = CHAR_VALUE.get(ch)
-    if value is None:
-        return InvalidDigitError(
-            path, lineno, col + 1, f"invalid digit character {ch!r}"
-        )
-    return InvalidDigitError(
-        path, lineno, col + 1, f"digit {ch!r} (= {value}) out of range for base {base}"
-    )
-
-
-def _bad_token(path: Path, lineno: int, line: str, col: int) -> InvalidDigitError:
-    """The error for the text at 0-based `col`, which starts no
-    well-formed bracket token."""
-    ch = line[col]
-    if ch != "[":
-        return InvalidDigitError(path, lineno, col + 1, f"expected '[', got {ch!r}")
-    end = line.find("]", col + 1)
-    if end == -1:
-        return InvalidDigitError(path, lineno, col + 1, "unterminated '[' token")
-    return InvalidDigitError(
-        path, lineno, col + 2,
-        f"expected decimal digits inside [], got {line[col + 1:end]!r}",
-    )
+def _bad_digit(path: Path, base: int, lineno: int, line: str, col: int) -> InvalidDigitError:
+    """The error for the text at 0-based `col`, where the digit reader
+    stopped: neither whitespace nor a digit of `base` up to base 36, above
+    it no bracket token or one out of range."""
+    ch, column = line[col], col + 1
+    if base <= 36:
+        value = CHAR_VALUE.get(ch)
+        detail = f"invalid digit character {ch!r}" if value is None else (
+            f"digit {ch!r} (= {value}) out of range for base {base}")
+    elif ch != "[":
+        detail = f"expected '[', got {ch!r}"
+    elif (end := line.find("]", col)) == -1:
+        detail = "unterminated '[' token"
+    elif not (text := line[col + 1 : end]).isdigit():
+        detail, column = f"expected decimal digits inside [], got {brief_text(text)}", col + 2
+    else:
+        value = brief_text(text.lstrip("0"), quoted=False)
+        detail, column = f"digit [{value}] out of range for base {base}", col + 2
+    return InvalidDigitError(path, lineno, column, detail)
 
 
 # --- asset resolution ------------------------------------------------------
@@ -524,7 +508,7 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
         return SourceSpec(kind="file", base=base, file=file, spelled=text)
 
     if base is None:
-        raise ValueError(f"source {text!r} needs an explicit base")
+        raise ValueError(f"source {brief_text(text)} needs an explicit base")
     validate_base(base)
 
     if kind == "champernowne" and not arg:
@@ -541,11 +525,11 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
         try:
             seed = int(arg, 0)
         except ValueError:
-            raise ValueError(f"random source needs an integer seed, got {arg!r}") from None
+            raise ValueError(f"random source needs an integer seed, got {brief_text(arg)}") from None
         _check_random_base(base)
         return SourceSpec(kind="random", base=base, seed=seed, spelled=text)
 
     raise ValueError(
-        f"unknown source {text!r}; expected rational:, champernowne,"
+        f"unknown source {brief_text(text)}; expected rational:, champernowne,"
         " file:, or random:"
     )

@@ -659,6 +659,42 @@ def test_oversized_exponent_is_refused_at_once(capsys, argv):
     assert "Traceback" not in err
 
 
+# outside text in a message is cut to 32 characters, and a bracket token
+# too long for int() is a typed error
+@pytest.mark.parametrize("argv", [
+    ("measure", "--base", "2", "--epsilon", "1/" + "9" * 10**5 + "x", "-n", "3"),
+    ("stats", "--source", "file:{header}", "-n", "3"),
+    ("stats", "--source", "random:" + "z" * 10**5, "--base", "10", "-n", "3"),
+    ("stats", "--source", "bogus" + "z" * 10**5, "--base", "10", "-n", "3"),
+    ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
+     "--word", "[" + "1" * 10**5),
+    ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
+     "--word", "[" + "1" * 5000 + "]"),
+    ("stats", "--source", "file:{int}", "-n", "3"),
+], ids=["epsilon", "header", "seed", "source", "word", "word-token", "int-header"])
+def test_outside_text_is_quoted_briefly(capsys, tmp_path, argv):
+    files = {"header": "x" * 10**5 + "\n1415\n", "int": "base=10\nint=" + "1" * 5000 + "\n14\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.digits").write_text(text, encoding="ascii")
+    argv = [a.format(**{k: tmp_path / f"{k}.digits" for k in files}) for a in argv]
+    start = time.perf_counter()
+    err = run_usage_error(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert len(err.encode()) < 1000
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("base", [100, 300])
+def test_over_long_token_in_a_file_is_a_typed_error(capsys, tmp_path, base):
+    p = tmp_path / "long.digits"
+    p.write_text(f"base={base}\n[1][2][" + "1" * 5000 + "]\n", encoding="ascii")
+    code, out, err = run(capsys, "stats", "--source", f"file:{p}", "-n", "3")
+    assert code == 1
+    assert out == ""
+    assert f"{p}:2:8: digit [{'1' * 32}...] out of range for base {base}" in err
+    assert len(err.encode()) < 1000
+
+
 class TestVerifyPaper:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--list")

@@ -11,6 +11,7 @@ from normality_lab.exact import (
     MAX_DECIMAL_EXPONENT,
     binomial_row,
     brief_rational,
+    brief_text,
     decimal_approx,
     format_rational,
     parse_rational,
@@ -125,6 +126,28 @@ class TestParseFormat:
         assert brief_rational(Fraction(-1, 10**10**6)) == (
             "a negative rational too long to show (1-bit numerator, 3321929-bit denominator)"
         )
+
+
+class TestBriefText:
+    def test_short_text_is_shown_whole(self):
+        assert brief_text("a" * 32) == repr("a" * 32)
+        assert brief_text("1/3x\n") == "'1/3x\\n'"
+        assert brief_text("[107", quoted=False) == "[107"
+
+    def test_long_text_is_cut_at_32_characters(self):
+        assert brief_text("a" * 33) == repr("a" * 32) + "..."
+        assert brief_text("7" * 10**6, quoted=False) == "7" * 32 + "..."
+
+    @pytest.mark.parametrize("text", ["1/" + "9" * 10**5 + "x", "z" * 10**5 + "/3"])
+    def test_refused_rational_is_quoted_once(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"not a rational number: {brief_text(text)}"
+
+    def test_other_causes_are_kept(self):
+        with pytest.raises(ValueError) as exc:
+            parse_rational("1/0")
+        assert str(exc.value) == "not a rational number: '1/0' (Fraction(1, 0))"
 
 
 class TestDecimalApprox:

@@ -1,7 +1,9 @@
 """Digit streams, rational expansions, regrouping, shifting, rendering."""
 import builtins
 import math
+import random
 import re
+import time
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from normality_lab import radix
 from normality_lab.errors import FactorizationBudgetError, InsufficientDigitsError
 from normality_lab.radix import (
+    ALPHABET,
     FACTORIZATION_BUDGET,
     DigitExpansion,
     DigitStream,
@@ -32,6 +35,42 @@ from normality_lab.radix import (
     validate_base,
 )
 from normality_lab.sources import champernowne_stream, parse_source_spec, random_stream
+
+def parse_by_token(text, base):
+    """Digit text read one character at a time up to base 36 and one
+    bracket token at a time above it, the reading `parse_digit_text`
+    must agree with."""
+    digits = []
+    if base <= 36:
+        if not text:
+            raise ValueError("empty")
+        for ch in text:
+            if ALPHABET.find(ch) not in range(base):
+                raise ValueError(ch)
+            digits.append(ALPHABET.index(ch))
+        return digits
+    if not text:
+        raise ValueError("empty")
+    col = 0
+    while col < len(text):
+        end = text.find("]", col)
+        token = text[col + 1 : end]
+        if text[col] != "[" or end == -1 or not re.fullmatch("[0-9]+", token):
+            raise ValueError(text[col:])
+        if int(token) >= base:
+            raise ValueError(token)
+        digits.append(int(token))
+        col = end + 1
+    return digits
+
+
+def outcome_of(parse, text, base):
+    """The digits `parse` gives, or the class of what it raises."""
+    try:
+        return list(parse(text, base))
+    except Exception as exc:  # the class is compared, whatever it is
+        return type(exc)
+
 
 # a value q in [0, 1) with a modest denominator
 unit_fractions = st.integers(2, 5000).flatmap(
@@ -75,6 +114,41 @@ class TestIntDigits:
         assert digits_to_int(digits, base) == value
         if digits:
             assert digits[0] != 0  # no leading zeros
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 37, 256, 257, 10**6, 2**20])
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 1000, 3001])
+    def test_digits_to_int_matches_the_loop(self, base, length):
+        rng = random.Random(base * 10007 + length)
+        digits = [rng.randrange(base) for _ in range(length)]
+        pack = bytes if base <= 256 else list
+        assert digits_to_int(pack(digits), base) == digits_by_loop(digits, base)
+        assert digits_to_int(tuple(digits), base) == digits_by_loop(digits, base)
+
+    @pytest.mark.parametrize("spot", [0, 64, 65, 1500, 2999])
+    def test_digits_to_int_checks_every_digit(self, spot):
+        digits = [1] * 3000
+        digits[spot] = 10
+        with pytest.raises(ValueError, match="digit 10 out of range for base 10"):
+            digits_to_int(digits, 10)
+
+    def test_digits_to_int_is_subquadratic(self):
+        rng = random.Random(5)
+        digits = bytes(rng.randrange(10) for _ in range(3 * 10**5))
+        start = time.perf_counter()
+        value = digits_to_int(digits, 10)
+        assert time.perf_counter() - start < 2
+        assert value % 10**50 == digits_by_loop(digits[-50:], 10)
+        assert value // 10 ** (len(digits) - 50) == digits_by_loop(digits[:50], 10)
+
+
+def digits_by_loop(digits, base):
+    """The one-step-per-digit conversion `digits_to_int` replaced, kept as
+    its reference."""
+    value = 0
+    for d in digits:
+        assert 0 <= d < base
+        value = value * base + d
+    return value
 
 
 class TestDigitStream:
@@ -851,6 +925,32 @@ class TestFormatBracket:
     def test_digit_text_errors(self, text, base, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_digit_text(text, base)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_digit_text_matches_a_per_token_reading(self, data):
+        base = data.draw(st.integers(2, 300))
+        piece = st.one_of(
+            st.sampled_from([*ALPHABET, "[", "]", " ", "00", "\u00e9"]),
+            st.builds(lambda v, w: f"[{v:0{w}d}]", st.integers(0, base + 50), st.integers(1, 5)),
+        )
+        text = "".join(data.draw(st.lists(piece, max_size=12)))
+        assert outcome_of(parse_digit_text, text, base) == outcome_of(
+            parse_by_token, text, base
+        ), text
+
+    @pytest.mark.parametrize("base", [100, 300, 10**6])
+    def test_over_long_token_is_out_of_range(self, base):
+        text = "[1][2][" + "1" * 5000 + "]"
+        with pytest.raises(ValueError) as exc:
+            parse_digit_text(text, base)
+        assert str(exc.value) == f"digit {'1' * 32}... out of range for base {base}"
+        assert parse_digit_text("[1][" + "0" * 5000 + "7]", base) == [1, 7]
+
+    def test_quoted_digit_text_is_cut(self):
+        with pytest.raises(ValueError) as exc:
+            parse_digit_text("[" + "1" * 10**5, 100)
+        assert str(exc.value).endswith(f"got '[{'1' * 31}'...")
 
     def test_digit_token_range_checked(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,40 @@ class TestDigitFiles:
         with pytest.raises(OSError):
             load_digit_file(tmp_path / "nope.digits")
 
+    @pytest.mark.parametrize("base", [100, 300])
+    def test_over_long_token_is_out_of_range(self, tmp_path, base):
+        p = write_digit_file(
+            tmp_path / "t.digits", f"base={base}\n[1][2][" + "1" * 5000 + "][3]\n"
+        )
+        s = load_digit_file(p).stream()
+        assert list(s.take(2)) == [1, 2]
+        with pytest.raises(InvalidDigitError) as exc:
+            s.take(1)
+        assert (exc.value.line, exc.value.column) == (2, 8)
+        assert exc.value.detail == f"digit [{'1' * 32}...] out of range for base {base}"
+
+    @pytest.mark.parametrize("base", [100, 300])
+    def test_zero_padded_token_reads_at_any_length(self, tmp_path, base):
+        p = write_digit_file(tmp_path / "t.digits", f"base={base}\n[1][" + "0" * 5000 + "7]\n")
+        assert list(load_digit_file(p).stream().take(2)) == [1, 7]
+
+    @pytest.mark.parametrize("header, line", [
+        ("base=" + "1" * 5000 + "\n", 1),
+        ("base=10\nint=" + "1" * 5000 + "\n", 2),
+    ], ids=["base", "int"])
+    def test_header_number_past_the_int_limit(self, tmp_path, header, line):
+        p = write_digit_file(tmp_path / "t.digits", header + "1415\n")
+        with pytest.raises(MalformedHeaderError) as exc:
+            load_digit_file(p)
+        assert exc.value.line == line
+        assert exc.value.detail == "a value of 5000 digits is too long to read"
+
+    def test_quoted_header_is_cut(self, tmp_path):
+        p = write_digit_file(tmp_path / "t.digits", "x" * 10**5 + "\n1415\n")
+        with pytest.raises(MalformedHeaderError) as exc:
+            load_digit_file(p)
+        assert exc.value.detail == f"expected base=<r>, got '{'x' * 32}'..."
+
 
 class TestAssetResolution:
     def test_env_var_takes_over(self, tmp_path, monkeypatch):

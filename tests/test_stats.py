@@ -127,6 +127,11 @@ class TestWord:
         with pytest.raises(ValueError, match="out of range"):
             Word.parse("[3][100]", 100)
 
+    def test_parse_over_long_token_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range for base 100") as exc:
+            Word.parse("[3][" + "1" * 5000 + "]", 100)
+        assert len(str(exc.value)) < 100
+
 
 class TestTally:
     def test_counts_sum_to_n(self):
