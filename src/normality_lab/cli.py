@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import MalformedHeaderError, NormalityLabError
-from .exact import brief_rational, decimal_approx, format_rational, parse_rational
+from .exact import brief_rational, brief_text, decimal_approx, format_rational, parse_rational
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
     DeviationSetSpec,
@@ -49,15 +49,23 @@ MEASURE_SWEEP_CSV_HEADER = "n,exact_measure,bound,holds"
 STATS_JSON_MAX_BASE = 2**16
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an int, the refused text quoted briefly."""
+    try:
+        return int(text)
+    except ValueError:  # not an int, or past the int-to-str digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief_text(text)}") from None
+
+
 def _at_least(low: int):
     """An argparse type: an int >= low."""
     def check(text: str) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {brief_text(str(value), quoted=False)}")
         return value
 
-    check.__name__ = "int"  # argparse names it in "invalid int value"
     return check
 
 
@@ -103,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--base", type=_at_least(2), default=None)
     p.add_argument("-n", type=_at_least(1), required=True, help="prefix length")
-    p.add_argument("--digit", type=int, default=None, help="also report this digit's count")
+    p.add_argument("--digit", type=_integer, default=None, help="also report this digit's count")
     p.add_argument("--word", default=None, help="also count this digit block (overlaps included)")
     add_common(p, ("json", "text"))
 
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="deviation-set measures, bounds, tails")
     p.add_argument("--base", type=_at_least(2), required=True)
-    p.add_argument("--digit", type=int, default=0)
+    p.add_argument("--digit", type=_integer, default=0)
     p.add_argument("--epsilon", type=_rational(high=Fraction(1)), required=True, help="deviation threshold in (0, 1], exact (e.g. 1/10)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("-n", type=_at_least(1), default=None, help="prefix length for a single report")
@@ -162,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, MalformedHeaderError) as exc:
         parser.error(str(exc))  # prints usage to stderr and exits 2
     except (NormalityLabError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # the file name is outside text, quoted briefly
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {brief_text(str(exc.filename))}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
@@ -190,7 +201,8 @@ def cmd_stats(args) -> tuple[int, str]:
             f" <= {STATS_JSON_MAX_BASE}, got {base}; use --format text"
         )
     if args.digit is not None and not 0 <= args.digit < base:
-        raise ValueError(f"digit {args.digit} out of range for base {base}")
+        raise ValueError(
+            f"digit {brief_text(str(args.digit), quoted=False)} out of range for base {base}")
     word = None if args.word is None else Word.parse(args.word, base)
 
     stream = source.stream()
@@ -279,7 +291,8 @@ def cmd_verify_lemma(args) -> tuple[int, str]:
 
 def cmd_measure(args) -> tuple[int, str]:
     if not 0 <= args.digit < args.base:
-        raise ValueError(f"digit {args.digit} out of range for base {args.base}")
+        raise ValueError(
+            f"digit {brief_text(str(args.digit), quoted=False)} out of range for base {args.base}")
     if args.target is not None and args.tail is None:
         raise ValueError("--target needs --tail")
     if args.oracle and args.n is None:

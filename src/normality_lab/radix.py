@@ -33,7 +33,7 @@ The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET, beyond it a bracketed decimal like "[17]".
 `digit_token` writes a digit and `_digit_reader` builds the one reader
 of runs of them, which `parse_digit_text` (words, digit prefixes) and
-digit files (each line, whitespace skipped) go through.
+digit files (blocks of whole lines, whitespace skipped) go through.
 """
 from __future__ import annotations
 
@@ -650,14 +650,26 @@ def digit_token(d: int, base: int) -> str:
     return f"[{d}]"
 
 
-def _digit_reader(base: int, space: str = ""):
+# the characters str.isspace() accepts in ASCII text, which spaced digit
+# text (a digit file) skips
+_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
+def _digit_reader(base: int, spaced: bool = False):
     """A function from text to (digits, end): the digits of the longest
-    well-formed start of the text, the characters of `space` skipped, and
-    the index where that start stops; digits are a `bytes` up to base 256
-    and a list above.  A bracket token matches only with at most
-    len(str(base - 1)) digits after its leading zeros, so int() never sees
-    an over-long one: like any token out of range, it ends the start.
+    well-formed start of the text, whitespace (_SPACE) skipped when
+    `spaced`, and the index where that start stops; digits are a `bytes`
+    up to base 256 and a list above.  A bracket token matches only with at
+    most len(str(base - 1)) digits after its leading zeros, so int() never
+    sees an over-long one: like any token out of range, it ends the start.
+
+    Up to base 256, bracketed text is first cut on "][" (when `spaced`,
+    once the whitespace between tokens is dropped) and each token looked
+    up among the canonical ones, str(d); text that fails the lookup, such
+    as a zero-padded token or an error, is read by the regex instead.
     """
+    space = _SPACE if spaced else ""
+    canonical = {str(d): d for d in range(base)} if 36 < base <= 256 else None
     if base <= 36:
         well_formed = re.compile(f"[{re.escape(space)}{ALPHABET[:base]}]*")
         values = bytes.maketrans(ALPHABET[:base].encode(), bytes(range(base)))
@@ -668,6 +680,13 @@ def _digit_reader(base: int, space: str = ""):
         well_formed = re.compile(f"(?:{gap}{token.pattern})*{gap}")
 
     def read(text):
+        if canonical and text.isascii():
+            tight = " ".join(text.split()).replace("] [", "][") if spaced else text
+            if tight[:1] == "[" and tight[-1:] == "]":
+                try:
+                    return bytes(map(canonical.__getitem__, tight[1:-1].split("]["))), len(text)
+                except KeyError:
+                    pass
         end = well_formed.match(text).end()
         if base <= 36:
             return text[:end].encode("ascii").translate(values, skip), end

@@ -18,14 +18,15 @@ integer digits and fractional stream, and a file spec keeps the header
 `parse_source_spec` read, so nothing reads it twice.
 
 Champernowne digits come a block of integers at a time, file digits a
-line at a time and random digits a block of xorshift states at a time,
-each block one `bytes` (a tuple or list above base 256) that the
-:class:`DigitStream` reads as one chunk, with no per-digit step.  The
-random blocks come from many xorshift states stepped together in the
-lanes of one int; see `_random_chunks`.
+read of whole lines at a time and random digits a block of xorshift
+states at a time, each block one `bytes` (a tuple or list above base
+256) that the :class:`DigitStream` reads as one chunk, with no per-digit
+step.  The random blocks come from many xorshift states stepped together
+in the lanes of one int; see `_random_chunks`.
 """
 from __future__ import annotations
 
+import io
 import os
 import re
 from array import array
@@ -115,18 +116,15 @@ def random_stream(base: int, seed: int) -> DigitStream:
     block at a time by `_random_chunks`.
     """
     _check_random_base(base)
-    state = seed & _MASK64
-    if state == 0:
-        state = _SEED_SUBSTITUTE
-    return DigitStream(
-        base, _random_chunks(base, state), description=f"xorshift64 seed {seed}"
-    )
+    seed &= _MASK64
+    return DigitStream(base, _random_chunks(base, seed or _SEED_SUBSTITUTE),
+                       description=f"xorshift64 seed {seed}")
 
 
 def _check_random_base(base: int) -> None:
     validate_base(base)
     if base > 1 << 64:
-        raise ValueError(f"random source needs base <= 2**64, got {base}")
+        raise ValueError(f"random source needs base <= 2**64, got {brief_rational(base)}")
 
 
 # The packed generator.  xorshift is linear over GF(2): one step is a
@@ -273,7 +271,8 @@ def _lane_major(rows: list[bytes], lanes: int, small: bool):
 # digit is a bracketed decimal like [17], leading zeros allowed, with at
 # most as many digits after them as r - 1 has: a longer token is out of
 # range and never reaches int().  Whitespace is ignored anywhere in the
-# digit section, which `radix._digit_reader` reads.  Files are read as
+# digit section, which `radix._digit_reader` reads in blocks of whole
+# lines, so only `radix` knows the token format.  Files are read as
 # ASCII with undecodable bytes replaced, so a stray non-ASCII byte
 # surfaces as an InvalidDigitError at its line and column instead of a
 # decoding error.  Messages quote at most 32 characters of the file's
@@ -327,58 +326,31 @@ def _header_number(path: Path, lineno: int, text: str) -> int:
         ) from None
 
 
-# the characters str.isspace() accepts in a file read as ASCII
-_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
-_SPACE_BYTES = _SPACE.encode()
-
-
 def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
-    """The digit section of a file, one chunk of digit values per line, a
-    `bytes` up to base 256 and a list above.
+    """The digit section of a file, one chunk of digit values per read of
+    whole lines (about io.DEFAULT_BUFFER_SIZE characters, more for a longer
+    line), a `bytes` up to base 256 and a list above.
 
-    A line of bracket tokens up to base 256 is first tried by
-    `_bracket_line`.  Every other line goes to the base's digit reader
-    (`radix._digit_reader`, whitespace skipped), which gives the digits of
-    its longest well-formed start as one chunk; if that start stops short
-    of the end of the line, the InvalidDigitError for the text there
-    follows the chunk.
+    Each read goes to the base's digit reader (`radix._digit_reader`,
+    whitespace skipped), which gives the digits of its longest well-formed
+    start as one chunk; if that start stops short of the end of the read,
+    the InvalidDigitError for the text there follows the chunk, at the
+    line and column the newlines before it give.
     """
-    read = _digit_reader(base, _SPACE)
-    # the canonical text of each digit inside its brackets
-    tokens = {str(d).encode(): d for d in range(base)} if 36 < base <= 256 else None
+    read = _digit_reader(base, spaced=True)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno <= header_lines:
-                continue
-            if tokens and (chunk := _bracket_line(line, tokens)) is not None:
-                yield chunk
-                continue
-            digits, end = read(line)
+        for _ in range(header_lines):
+            fh.readline()
+        lineno = header_lines + 1
+        while block := "".join(fh.readlines(io.DEFAULT_BUFFER_SIZE)):
+            digits, end = read(block)
             yield digits
-            if end < len(line):
-                raise _bad_digit(path, base, lineno, line, end)
-
-
-def _bracket_line(line: str, tokens: dict[bytes, int]) -> bytes | None:
-    """The digits of a line of canonical bracket tokens, or None.
-
-    The line is taken as `bytes` with the whitespace at its ends cut off,
-    must start with "[" and end with "]", and each text between "][" must
-    be a key of `tokens`, which maps it to its digit.  Anything else (a token like [007] or [300] in
-    base 100, whitespace between or inside tokens, a stray or non-ASCII
-    character) gives None, and the digit reader reads the line instead.
-    """
-    if not line.isascii():
-        return None
-    data = line.encode("ascii").strip(_SPACE_BYTES)
-    if not data:
-        return data
-    if data[:1] != b"[" or data[-1:] != b"]":
-        return None
-    try:
-        return bytes(map(tokens.__getitem__, data[1:-1].split(b"][")))
-    except KeyError:
-        return None
+            if end < len(block):
+                start = block.rfind("\n", 0, end) + 1
+                line = block[start : block.find("\n", end) + 1 or None]
+                lineno += block.count("\n", 0, start)
+                raise _bad_digit(path, base, lineno, line, end - start)
+            lineno += block.count("\n")
 
 
 def _bad_digit(path: Path, base: int, lineno: int, line: str, col: int) -> InvalidDigitError:
@@ -524,10 +496,15 @@ def parse_source_spec(text: str, base: int | None = None) -> SourceSpec:
     if kind == "random":
         try:
             seed = int(arg, 0)
-        except ValueError:
-            raise ValueError(f"random source needs an integer seed, got {brief_text(arg)}") from None
+        except ValueError:  # not an integer, or a decimal one past the int-to-str limit
+            decimal = re.fullmatch(r"\s*([+-]?)([1-9](?:_?[0-9])*)\s*", arg)
+            if not decimal:
+                raise ValueError(
+                    f"random source needs an integer seed, got {brief_text(arg)}") from None
+            seed = digits_to_int(parse_digit_text(decimal[2].replace("_", ""), 10), 10)
+            seed = -seed if decimal[1] == "-" else seed
         _check_random_base(base)
-        return SourceSpec(kind="random", base=base, seed=seed, spelled=text)
+        return SourceSpec(kind="random", base=base, seed=seed & _MASK64, spelled=text)
 
     raise ValueError(
         f"unknown source {brief_text(text)}; expected rational:, champernowne,"

@@ -661,27 +661,54 @@ def test_oversized_exponent_is_refused_at_once(capsys, argv):
 
 # outside text in a message is cut to 32 characters, and a bracket token
 # too long for int() is a typed error
-@pytest.mark.parametrize("argv", [
-    ("measure", "--base", "2", "--epsilon", "1/" + "9" * 10**5 + "x", "-n", "3"),
-    ("stats", "--source", "file:{header}", "-n", "3"),
-    ("stats", "--source", "random:" + "z" * 10**5, "--base", "10", "-n", "3"),
-    ("stats", "--source", "bogus" + "z" * 10**5, "--base", "10", "-n", "3"),
-    ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
-     "--word", "[" + "1" * 10**5),
-    ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
-     "--word", "[" + "1" * 5000 + "]"),
-    ("stats", "--source", "file:{int}", "-n", "3"),
-], ids=["epsilon", "header", "seed", "source", "word", "word-token", "int-header"])
-def test_outside_text_is_quoted_briefly(capsys, tmp_path, argv):
+@pytest.mark.parametrize("code, argv", [
+    (2, ("measure", "--base", "2", "--epsilon", "1/" + "9" * 10**5 + "x", "-n", "3")),
+    (2, ("stats", "--source", "file:{header}", "-n", "3")),
+    (2, ("stats", "--source", "random:" + "z" * 10**5, "--base", "10", "-n", "3")),
+    (2, ("stats", "--source", "bogus" + "z" * 10**5, "--base", "10", "-n", "3")),
+    (2, ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
+         "--word", "[" + "1" * 10**5)),
+    (2, ("stats", "--source", "champernowne", "--base", "100", "-n", "3",
+         "--word", "[" + "1" * 5000 + "]")),
+    (2, ("stats", "--source", "file:{int}", "-n", "3")),
+    (1, ("stats", "--source", "file:" + "z" * 10**5, "-n", "3")),
+    (1, ("expand", "--source", "rational:1/3", "--base", "10", "--digits", "3",
+         "--output", "{tmp}/" + "y" * 10**5)),
+    (2, ("stats", "--source", "champernowne", "--base", "10", "-n", "1" * 5000)),
+    (2, ("stats", "--source", "champernowne", "--base", "10", "-n", "3",
+         "--digit", "1" * 5000)),
+    (2, ("measure", "--base", "2", "--epsilon", "1/2", "-n", "3", "--digit", "1" * 4000)),
+    (2, ("stats", "--source", "random:5", "--base", "1" + "0" * 4000, "-n", "3")),
+], ids=["epsilon", "header", "seed", "source", "word", "word-token", "int-header",
+        "file-name", "output-name", "int-option", "digit-option", "digit-range", "random-base"])
+def test_outside_text_is_quoted_briefly(capsys, tmp_path, code, argv):
     files = {"header": "x" * 10**5 + "\n1415\n", "int": "base=10\nint=" + "1" * 5000 + "\n14\n"}
     for name, text in files.items():
         (tmp_path / f"{name}.digits").write_text(text, encoding="ascii")
-    argv = [a.format(**{k: tmp_path / f"{k}.digits" for k in files}) for a in argv]
+    argv = [a.format(tmp=tmp_path, **{k: tmp_path / f"{k}.digits" for k in files}) for a in argv]
     start = time.perf_counter()
-    err = run_usage_error(capsys, *argv)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
     assert time.perf_counter() - start < 1
+    assert got == code
     assert len(err.encode()) < 1000
     assert "Traceback" not in err
+
+
+def test_long_seed_reads_as_its_masked_value(capsys):
+    masked = 0
+    for ch in "1" * 5000:
+        masked = (masked * 10 + 1) % 2**64
+    outputs = []
+    for seed in ["1" * 5000, str(masked)]:
+        code, out, err = run(capsys, "expand", "--source", f"random:{seed}", "--base", "10",
+                             "--digits", "60")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("base", [100, 300])

@@ -4,7 +4,6 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 from itertools import chain, islice
 
 import pytest
@@ -21,6 +20,7 @@ from normality_lab.radix import (
     ALPHABET,
     CHAR_VALUE,
     DigitStream,
+    _digit_reader,
     digits_to_int,
     expand_rational,
     int_to_digits,
@@ -363,6 +363,19 @@ class TestSourceSpecs:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             parse_source_spec("random:abc", 10)
+
+    @pytest.mark.parametrize("seed", ["1" * 5000, "0x" + "f" * 5000, "-" + "1_" * 2500 + "1"],
+                             ids=["decimal", "hex", "negative"])
+    def test_long_seed_is_masked_to_64_bits(self, seed):
+        text, sign = seed.lstrip("-"), -1 if seed.startswith("-") else 1
+        radix = 16 if text.startswith("0x") else 10
+        masked = 0
+        for ch in text.removeprefix("0x").replace("_", ""):
+            masked = (masked * radix + int(ch, 16)) % 2**64
+        masked = sign * masked % 2**64
+        spec = parse_source_spec(f"random:{seed}", 10)
+        assert spec.seed == masked
+        assert spec.stream().take(300) == parse_source_spec(f"random:{masked}", 10).stream().take(300)
 
     def test_streams_restart(self):
         spec = parse_source_spec("random:9", 10)
@@ -865,16 +878,21 @@ def outcomes(path, sizes):
     return [outcome(stream, size) for size in [*sizes, 10**6]]
 
 
-def regex_outcomes(path, sizes):
-    """The same with every line read by the regex scanner."""
-    with mock.patch.object(sources, "_bracket_line", lambda line, tokens: None):
-        return outcomes(path, sizes)
+def token_outcomes(path, sizes):
+    """The same over the file read one token at a time, whitespace
+    skipped, up to the first bad token's line and column."""
+    meta = load_digit_file(path)
+    pack = bytes if meta.base <= 256 else list
+    digits = scan_by_character(path, meta.base, meta.header_lines)
+    stream = DigitStream(meta.base, (pack([d]) for d in digits), path.name)
+    return [outcome(stream, size) for size in [*sizes, 10**6]]
 
 
 @st.composite
 def bracket_sections(draw):
     """A base from 37 to 256 and digit lines of canonical tokens, some with
-    whitespace at their ends, between tokens or making up the whole line."""
+    whitespace at their ends, between tokens or making up the whole line,
+    repeated so that the section may run past one read of the file."""
     base = draw(st.integers(37, 256))
     lines = []
     for values in draw(st.lists(st.lists(st.integers(0, base - 1), max_size=12), max_size=8)):
@@ -882,12 +900,13 @@ def bracket_sections(draw):
         body = gap.join(f"[{v}]" for v in values)
         lines.append(draw(st.sampled_from(["", " ", "\x0c"])) + body + draw(
             st.sampled_from(["\n", " \n", "\r\n", "\r"])))
-    return base, lines
+    return base, lines * draw(st.sampled_from([1, 2, 40, 300]))
 
 
 class TestBracketFastPath:
-    """Lines of canonical bracket tokens skip the regex scanner; every
-    other line still goes through it."""
+    """Canonical bracket tokens are read by lookup and everything else by
+    the reader's regex; a file read in blocks of lines gives each take the
+    digits, position, error, line and column of a token-by-token reading."""
 
     @given(bracket_sections(), st.lists(st.integers(0, 40), max_size=6))
     @settings(max_examples=150)
@@ -895,7 +914,8 @@ class TestBracketFastPath:
         base, lines = section
         path = tmp_path_factory.mktemp("brackets") / "f.digits"
         path.write_text(f"base={base}\n" + "".join(lines), encoding="ascii")
-        assert outcomes(path, sizes) == regex_outcomes(path, sizes)
+        sizes = [*sizes, 5000]
+        assert outcomes(path, sizes) == token_outcomes(path, sizes)
 
     @pytest.mark.parametrize(
         "line",
@@ -906,17 +926,25 @@ class TestBracketFastPath:
         path = tmp_path / "f.digits"
         path.write_bytes(f"base=100\n[5][6]\n{line}\n[7]\n".encode("utf-8"))
         sizes = [1] * 12
-        assert outcomes(path, sizes) == regex_outcomes(path, sizes)
+        assert outcomes(path, sizes) == token_outcomes(path, sizes)
 
+    # digits None marks a line that is more or less than canonical tokens
+    # (padding, whitespace between or inside tokens, a bad token); how far
+    # the reader gets into it is in `stops`
     @pytest.mark.parametrize(
         "line, digits",
         [("[14][15][92]\n", b"\x0e\x0f\x5c"), ("  [0][99] \r\n", b"\x00\x63"), ("\n", b""),
          (" \t\n", b""), ("[007]\n", None), ("[100]\n", None), ("[1] [2]\n", None),
-         ("[1 2]\n", None), ("[]\n", None), ("[1][\n", None), ("\u00e9\n", None)],
+         ("[1 2]\n", None), ("[]\n", None), ("[1][\n", None), ("\u00e9\n", None),
+         ("[1][23\n", None), ("x5][6]\n", None), ("[1]\u00a0[2]\n", None)],
     )
     def test_line_reader(self, line, digits):
-        tokens = {str(d).encode(): d for d in range(100)}
-        assert sources._bracket_line(line, tokens) == digits
+        stops = {"[007]\n": (b"\x07", 6), "[100]\n": (b"", 0), "[1] [2]\n": (b"\x01\x02", 8),
+                 "[1 2]\n": (b"", 0), "[]\n": (b"", 0), "[1][\n": (b"\x01", 3),
+                 "\u00e9\n": (b"", 0), "[1][23\n": (b"\x01", 3), "x5][6]\n": (b"", 0),
+                 "[1]\u00a0[2]\n": (b"\x01", 3)}
+        expected = stops[line] if digits is None else (digits, len(line))
+        assert _digit_reader(100, spaced=True)(line) == expected
 
     def test_an_invalid_line_reports_its_line_and_column(self, tmp_path):
         path = tmp_path / "f.digits"
@@ -926,3 +954,37 @@ class TestBracketFastPath:
         with pytest.raises(InvalidDigitError) as exc:
             stream.take(1)
         assert (exc.value.line, exc.value.column) == (3, 8)
+
+    @pytest.mark.parametrize("base, body, where", [
+        (10, "1415926535" * 4 + "\n", ":2002:41:"),
+        (100, "[5]" + "[12]" * 9 + "\n", ":1501:29:"),
+    ], ids=["base10", "base100"])
+    def test_a_bad_digit_past_the_first_read(self, tmp_path, base, body, where):
+        rows = 2000 if base == 10 else 1499
+        bad = body[:40] + "x\n" if base == 10 else body[:27] + "[100]\n"
+        path = tmp_path / "f.digits"
+        path.write_text(f"base={base}\n" + body * rows + bad, encoding="ascii")
+        sizes = [7, 10**4, 3]
+        assert outcomes(path, sizes) == token_outcomes(path, sizes)
+        with pytest.raises(InvalidDigitError, match=where):
+            load_digit_file(path).stream().take(10**6)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("base, line, bad", [
+        (10, "14159265", "12z"), (100, "[14][15][92] [65]", "[1][300]"),
+    ], ids=["base10", "base100"])
+    def test_line_ends(self, tmp_path, end, base, line, bad):
+        path = tmp_path / "f.digits"
+        path.write_bytes(end.join([f"base={base}", *[line] * 3000, bad, ""]).encode("ascii"))
+        sizes = [5, 10**4, 1, 1]
+        assert outcomes(path, sizes) == token_outcomes(path, sizes)
+        with pytest.raises(InvalidDigitError, match=":3002:"):
+            load_digit_file(path).stream().take(10**6)
+
+    @pytest.mark.parametrize("base, digit", [(10, "7"), (100, "[7]")])
+    def test_a_long_line(self, tmp_path, base, digit):
+        path = tmp_path / "f.digits"
+        path.write_text(f"base={base}\n" + digit * 20000 + "\n12\n", encoding="ascii")
+        sizes = [9000, 11000, 1]
+        assert outcomes(path, sizes) == token_outcomes(path, sizes)
+        assert load_digit_file(path).stream().take(20000) == bytes([7]) * 20000
