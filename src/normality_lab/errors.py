@@ -87,3 +87,20 @@ class FactorizationBudgetError(NormalityLabError):
             f"factoring {name} for its period needs more than"
             f" the budget of {budget} modular multiplications"
         )
+
+
+class DigitBudgetError(NormalityLabError):
+    """A command would read more source digits than one command may.
+
+    Attributes:
+        requested: the digits the command would read.
+        budget: the most digits one command may read.
+    """
+
+    def __init__(self, requested: int, budget: int):
+        self.requested = requested
+        self.budget = budget
+        # named the way brief_rational names a value
+        bits = requested.bit_length()
+        count = f"{requested} digits" if bits <= _SHOWN_BITS else f"a {bits}-bit count of digits"
+        super().__init__(f"reading {count} is over the cap of {budget} digits a command may read")

@@ -17,9 +17,12 @@ come from it too), and forks by regrouping a fork of the inner stream.
 
 Digits are ints in range(base), read out of a `bytes` or a list.  The
 expansion produced for a rational is the standard long-division one,
-streamed lazily in constant memory, one division per group of digits:
-it never ends in an infinite tail of (base-1), and a leading-digit
-index records where the expansion starts.  Its preperiod and period
+streamed lazily in constant memory: one division per group of digits
+for the first few chunks, then, in a base up to 256 with a denominator
+below _LANE_DENOMINATORS, up to 256 remainders divided at once in the
+lanes of one int (`_rational_lanes`).  It never ends in an infinite
+tail of (base-1), and a leading-digit index records where the
+expansion starts.  Its preperiod and period
 are computed separately, by :func:`rational_period`: the preperiod
 from the valuations of the primes the denominator shares with the base,
 the period from the factorization of a Carmichael function (the primes
@@ -83,7 +86,14 @@ def int_to_digits(value: int, base: int) -> list[int]:
 # the largest digit table a stream builds: base**t entries of t digits
 _TABLE_LIMIT = 4096
 # the most long-division groups a rational stream joins into one chunk
+# before its lanes take over (see `_rational_lanes`)
 _RATIONAL_BATCH = 1024
+# the lanes of one int in `_rational_lanes`, and the steps of a lane a block
+_RATIONAL_LANES = 256
+_RATIONAL_STEPS = 128
+# the lanes take denominators below this; a wider one makes a lane's
+# products so long that one divmod per group is faster
+_LANE_DENOMINATORS = 1 << 61
 
 
 @lru_cache(maxsize=32)
@@ -134,6 +144,22 @@ def _join(base: int, parts: list):
     """Chunk parts as one run of digits: `bytes` up to base 256, a list
     above."""
     return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))
+
+
+def _lane_major(rows: list[bytes], lanes: int, stride: int | None = None):
+    """Rows of `lanes` lanes, one row per step, as each lane's values in
+    turn.  With no `stride` a row holds one byte a lane and the result is
+    a `bytes`; else a row is the little-endian bytes of `stride`-byte
+    lanes, each read as the 64-bit word of its low 8 bytes, and the
+    result is a list."""
+    flat = b"".join(rows)
+    if stride is None:
+        return b"".join(flat[k::lanes] for k in range(lanes))
+    words = bytearray(len(flat) // stride * 8)
+    for i in range(8):
+        words[i::8] = flat[i::stride]
+    words = _byte_order(array("Q", words))
+    return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
 
 
 def _windows(digits, base: int, n: int, step: int = 1) -> Iterator:
@@ -290,10 +316,13 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
     (see `_digit_table`) is one step of long division by base**t on the
     remainder, so memory stays constant however long the period.  Its
     chunks hold 1, 2, 4, ... groups, up to _RATIONAL_BATCH, so a short
-    read of a huge denominator still does only a few divisions.  The
-    expansion produced is the one whose truncations round down, so it
-    never ends in an infinite tail of (base-1): 1/2 in base 2 is
-    0.1000..., not 0.0111... .
+    read of a huge denominator still does only a few divisions.  Past the
+    first _RATIONAL_BATCH-group chunk, a base up to 256 with a
+    denominator below _LANE_DENOMINATORS hands the remainder to
+    `_rational_lanes`, which divides in the lanes of one int; any other
+    keeps one division per group.  The expansion produced is the one
+    whose truncations round down, so it never ends in an infinite tail
+    of (base-1): 1/2 in base 2 is 0.1000..., not 0.0111... .
     """
     validate_base(base)
     q = Fraction(q)
@@ -319,6 +348,7 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
 
     t, table = _digit_table(base)
     step = base ** max(t, 1)
+    use_lanes = base <= 256 and den < _LANE_DENOMINATORS
 
     def chunks(r: int = rem) -> Iterator:
         size = 1
@@ -329,11 +359,78 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
                 quotients.append(g)
             # above base 4096 there is no table: each quotient is one digit
             yield _join(base, map(table.__getitem__, quotients)) if t else quotients
+            if use_lanes and size == _RATIONAL_BATCH:
+                yield from _rational_lanes(r, den, base)
             size = min(2 * size, _RATIONAL_BATCH)
 
     # the description leaves q out: its digits may be too many to print
     stream = DigitStream(base, chunks(), description=f"rational in base {base}")
     return DigitExpansion(base, integer_digits, stream, leading)
+
+
+def _rational_lanes(r: int, den: int, base: int) -> Iterator[bytes]:
+    """The digits of r/den in base, for 0 <= r < den and base <= 256, one
+    `bytes` per block.
+
+    A step divides by s = base**k, the largest power of the base up to
+    256, so each quotient is one byte holding k digits.  A block packs up
+    to _RATIONAL_LANES remainders into the lanes of one int, lane j at
+    r * s**(j * _RATIONAL_STEPS) mod den, and steps every lane
+    _RATIONAL_STEPS times: t = R*s, q = t*m >> shift and R = t - q*den,
+    three big-int products for all lanes.  The quotient is exact
+    (Granlund and Montgomery 1994, Theorem 4.2): with 2**l >= den,
+    t < 2**n, shift = n + l and m = 2**shift / den rounded up, m*den
+    exceeds 2**shift by less than 2**l, so t*m / 2**shift is t/den plus
+    less than 1/den.  As den > 2**(l-1), m <= 2**(n+1) and t*m stays
+    below 2**(2n+1), which is the lane width (rounded up to whole bytes),
+    so no lane carries into the next.  Each step's quotients are byte 0
+    of every lane; the block puts them lane after lane (`_lane_major`)
+    and, for k > 1, one `translate` a digit position spreads them into
+    digits.  The last lane ends where the next block starts, which has
+    twice the lanes of this one, up to _RATIONAL_LANES, so the first
+    blocks stay short.
+    """
+    k = 1
+    while base ** (k + 1) <= 256:
+        k += 1
+    s = base**k
+    n = ((den - 1) * s).bit_length()
+    shift = n + (den - 1).bit_length()
+    multiplier = -(-(1 << shift) // den)
+    lane_bytes = (2 * n + 8) // 8
+    lane_bits = 8 * lane_bytes
+    jump = pow(s, _RATIONAL_STEPS, den)
+    # translate tables from a quotient to its digit i, which runs through
+    # range(base), each value base**(k-1-i) times, base**i times over
+    spreads = []
+    for i in range(k):
+        run = b"".join(bytes([d]) * base ** (k - 1 - i) for d in range(base))
+        spreads.append((run * base**i).ljust(256, b"\0"))
+    lanes = 2 * _RATIONAL_BATCH // _RATIONAL_STEPS
+    while True:
+        starts = [r]
+        while len(starts) < lanes:
+            starts.append(starts[-1] * jump % den)
+        packed = int.from_bytes(
+            b"".join(x.to_bytes(lane_bytes, "little") for x in starts), "little")
+        quotient_bits = int.from_bytes(
+            ((1 << lane_bits) - (1 << shift)).to_bytes(lane_bytes, "little") * lanes, "little")
+        rows = []
+        for _ in range(_RATIONAL_STEPS):
+            t = packed * s
+            quotients = ((t * multiplier) & quotient_bits) >> shift
+            packed = t - quotients * den
+            rows.append(quotients.to_bytes(lane_bytes * lanes, "little")[::lane_bytes])
+        groups = _lane_major(rows, lanes)
+        if k == 1:
+            yield groups
+        else:
+            digits = bytearray(k * len(groups))
+            for i, spread in enumerate(spreads):
+                digits[i::k] = groups.translate(spread)
+            yield bytes(digits)
+        r = packed >> (lane_bits * (lanes - 1))
+        lanes = min(2 * lanes, _RATIONAL_LANES)
 
 
 def rational_period(q: Fraction, base: int) -> tuple[int, int]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import io
 import os
 import re
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -44,9 +43,9 @@ from .radix import (
     CHAR_VALUE,
     DigitExpansion,
     DigitStream,
-    _byte_order,
     _digit_reader,
     _digit_table,
+    _lane_major,
     digits_to_int,
     expand_rational,
     int_to_digits,
@@ -136,10 +135,13 @@ def _check_random_base(base: int) -> None:
 # lane after lane.  The bits above 64 in a lane take what a shift pushes
 # out of the state, the products of the reduction mod base and the carry
 # that marks a rejected state in its own digit, so each step makes one
-# row of digits with the rejected ones marked in-band.  The
-# first block has one lane, so a short read stays short, and each next
-# one twice as many, spread out from the last state of the block before;
-# from _LANES lanes on, one jump moves every lane to the next block.
+# row of digits with the rejected ones marked in-band; a byte digit
+# takes one byte of its lane, so 16 steps share one int before it is
+# turned into bytes (`radix._lane_major` puts the rows lane after lane,
+# as it does for rational lanes).  The first block has one lane, so a
+# short read stays short, and each next one twice as many, spread out
+# from the last state of the block before; from _LANES lanes on, one
+# jump moves every lane to the next block.
 _WIDTH = 136
 _LANE_BYTES = _WIDTH // 8
 _LANES = 256
@@ -166,7 +168,7 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     applied to the columns of b, held in 64 lanes."""
     packed = b"".join(column.to_bytes(_LANE_BYTES, "little") for column in b)
     data = _apply(a, int.from_bytes(packed, "little"), 64).to_bytes(len(packed), "little")
-    return tuple(_lane_major([data], 64, False))
+    return tuple(_lane_major([data], 64, _LANE_BYTES))
 
 
 @cache
@@ -207,11 +209,17 @@ def _random_chunks(base: int, state: int) -> Iterator:
     "Division by invariant integers using multiplication", Theorem 4.2);
     s*m stays below 2**129.  Such a base also rejects the states s with
     s + 2**64 mod base >= 2**64, those whose sum carries into bit 64 of
-    their lane.  The carry sets all 64 low bits of the lane's digit, a
-    value no digit of the base takes (255 in a byte, 2**64-1 in a word),
-    and the marked digits are dropped once the block is in order.
+    their lane; a step with no such carry marks nothing.  A carry c marks
+    its lane's digit with a value no digit of the base takes: 255 in a
+    byte base, (c >> 56) - (c >> 64), and 2**64-1 in a word base,
+    c - (c >> 64), each borrowed from the carry bit of its own lane
+    alone.  The marked digits are dropped once the block is in order.
+    In a byte base the digits of 16 steps are OR-ed into bytes 0-15 of
+    their lanes, one int turned into bytes per 16 steps; a word digit
+    fills its lane, one int a step.
     """
     small = base <= 256
+    per_row = 16 if small else 1
     spill = (1 << 64) % base
     shift = 64 + (base - 1).bit_length()
     multiplier = -(-(1 << shift) // base)
@@ -223,21 +231,26 @@ def _random_chunks(base: int, state: int) -> Iterator:
             quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
         else:
             digit_bits = _rep(base - 1, lanes)
-        rows, rejected = [], 0
-        for _ in range(_STEPS):
-            packed ^= (packed << 13) & mask
-            packed ^= (packed >> 7) & mask
-            packed ^= (packed << 17) & mask
-            if spill:
-                carry = (packed + spills) & carries
-                rejected |= carry
-                quotients = ((packed * multiplier) & quotient_bits) >> shift
-                digits = packed - quotients * base | (carry >> 64) * _MASK64
-            else:
-                digits = packed & digit_bits
-            data = digits.to_bytes(_LANE_BYTES * lanes, "little")
-            rows.append(data[::_LANE_BYTES] if small else data)
-        chunk = _lane_major(rows, lanes, small)
+        rows, rejected = [], False
+        for _ in range(_STEPS // per_row):
+            row = 0
+            for offset in range(0, 8 * per_row, 8):
+                packed ^= (packed << 13) & mask
+                packed ^= (packed >> 7) & mask
+                packed ^= (packed << 17) & mask
+                if spill:
+                    quotients = ((packed * multiplier) & quotient_bits) >> shift
+                    digits = packed - quotients * base
+                    if carry := (packed + spills) & carries:
+                        rejected = True
+                        low = carry >> 56 if small else carry
+                        digits |= low - (carry >> 64)
+                else:
+                    digits = packed & digit_bits
+                row |= digits << offset if offset else digits
+            data = row.to_bytes(_LANE_BYTES * lanes, "little")
+            rows += [data[i::_LANE_BYTES] for i in range(per_row)] if small else [data]
+        chunk = _lane_major(rows, lanes, None if small else _LANE_BYTES)
         if rejected:
             chunk = chunk.translate(None, b"\xff") if small else list(filter(_MASK64.__ne__, chunk))
         yield chunk
@@ -246,21 +259,6 @@ def _random_chunks(base: int, state: int) -> Iterator:
             packed = _spread(packed >> (_WIDTH * (lanes // 2 - 1)), lanes)
         else:
             packed = _apply(_jump_matrices()[1], packed, lanes)
-
-
-def _lane_major(rows: list[bytes], lanes: int, small: bool):
-    """Rows of `lanes` lanes, one per step, as each lane's digits in turn:
-    a `bytes` of byte digits when `small` (a row holds one byte a lane),
-    else a list of the low 8 bytes of each _LANE_BYTES-byte lane, read as
-    a 64-bit word (2**64-1 where a rejected state was marked)."""
-    flat = b"".join(rows)
-    if small:
-        return b"".join(flat[k::lanes] for k in range(lanes))
-    words = bytearray(len(flat) // _LANE_BYTES * 8)
-    for i in range(8):
-        words[i::8] = flat[i::_LANE_BYTES]
-    words = _byte_order(array("Q", words))
-    return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
 
 
 # --- digit files -----------------------------------------------------------

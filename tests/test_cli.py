@@ -711,6 +711,47 @@ def test_long_seed_reads_as_its_masked_value(capsys):
     assert outputs[0] == outputs[1]
 
 
+# a read past cli.MAX_DIGITS exits 1 before any source makes a digit
+@pytest.mark.parametrize("argv, count", [
+    (("stats", "--source", "champernowne", "--base", "10", "-n", str(10**40)),
+     f"{10**40} digits"),
+    (("expand", "--source", "rational:1/3", "--base", "10", "--digits", str(10**40)),
+     f"{10**40} digits"),
+    (("battery", "--source", "random:7", "--base", "2", "--max-power", "3", "-n", "33333334"),
+     "100000004 digits"),
+    (("stats", "--source", "file:pi_base10.digits", "-n", "100000001"), "100000001 digits"),
+    (("battery", "--source", "champernowne", "--base", "2", "--max-power", "9" * 4000,
+      "-n", "9" * 4000), "a 26576-bit count of digits"),
+])
+def test_digit_counts_past_the_cap_fail_at_once(capsys, monkeypatch, argv, count):
+    def no_digits(spec):
+        raise AssertionError("a source was started")
+
+    monkeypatch.setattr(SourceSpec, "expansion", no_digits)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert f"error: reading {count} is over the cap of 100000000 digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (("stats", "--source", "champernowne", "--base", "10", "-n"), None),
+    (("expand", "--source", "rational:1/3", "--base", "10", "--digits"), None),
+    (("battery", "--source", "random:7", "--base", "2", "--max-power", "3", "-n"),
+     lambda n: 3 * (n + 1) - 1),
+])
+def test_the_cap_counts_the_digits_read(capsys, monkeypatch, argv, digits):
+    monkeypatch.setattr(cli, "MAX_DIGITS", 59)
+    below = 19 if digits else 59  # battery: 3 * 20 - 1 = 59 digits
+    assert run(capsys, *argv, str(below))[0] == 0
+    code, out, err = run(capsys, *argv, str(below + 1))
+    assert (code, out) == (1, "")
+    count = digits(below + 1) if digits else below + 1
+    assert f"reading {count} digits is over the cap of 59 digits" in err
+
+
 @pytest.mark.parametrize("base", [100, 300])
 def test_over_long_token_in_a_file_is_a_typed_error(capsys, tmp_path, base):
     p = tmp_path / "long.digits"

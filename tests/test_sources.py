@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normality_lab import sources
+from normality_lab import radix, sources
 from normality_lab.errors import (
     InsufficientDigitsError,
     InvalidDigitError,
@@ -19,8 +19,13 @@ from normality_lab.errors import (
 from normality_lab.radix import (
     ALPHABET,
     CHAR_VALUE,
+    _LANE_DENOMINATORS,
+    _RATIONAL_BATCH,
+    _RATIONAL_LANES,
+    _RATIONAL_STEPS,
     DigitStream,
     _digit_reader,
+    _digit_table,
     digits_to_int,
     expand_rational,
     int_to_digits,
@@ -739,8 +744,13 @@ class TestRandomLanes:
         )
 
     # the rejected state in the one-lane first block, in lane 0 of the
-    # four-lane third block, and in lane 89 of the first jumped-to block
-    @pytest.mark.parametrize("position", [0, _STEPS * 3 + 7, _STEPS * 600 + 3])
+    # four-lane third block, in lane 89 of the first jumped-to block (at
+    # its steps 3, 15, 16 and 17, so on each side of a 16-step row) and
+    # at the last step of the four-lane block and of a 256-lane block
+    @pytest.mark.parametrize("position", [
+        0, _STEPS * 3 + 7, _STEPS * 600 + 3, _STEPS * 600 + 15, _STEPS * 600 + 16,
+        _STEPS * 600 + 17, random_block_edge(2) - 1, random_block_edge(9) - 1,
+    ])
     @pytest.mark.parametrize("base", [3, 10, 255, 257, 2**63 + 1])
     def test_rejected_state_is_dropped(self, base, position):
         # 2**64 - 1 is at or above the largest multiple of every base that
@@ -811,6 +821,112 @@ class TestRandomLanes:
         assert parse_source_spec("random:1", 2**64).stream().take(3) == list(
             islice(xorshift_by_digit(2**64, 1), 3)
         )
+
+
+def rational_chunk_edge(base, j):
+    """Where chunk j + 1 of a rational stream in `base` starts: chunks of
+    1, 2, 4, ... groups of t digits (t from the digit table, 1 past base
+    4096) up to _RATIONAL_BATCH; past that chunk, for a base up to 256 and
+    a denominator below _LANE_DENOMINATORS, lane blocks of 16, 32, ... up
+    to _RATIONAL_LANES lanes of _RATIONAL_STEPS groups of k digits, the
+    largest k with base**k <= 256."""
+    t = _digit_table(base)[0] or 1
+    k = max(i for i in range(1, 9) if base**i <= 256) if base <= 256 else None
+    edge, size = 0, 1
+    for _ in range(j + 1):
+        if k and size > _RATIONAL_BATCH:
+            edge += size * k
+            size = min(2 * size, _RATIONAL_LANES * _RATIONAL_STEPS)
+        else:
+            edge += size * t
+            size = 2 * size if size < _RATIONAL_BATCH or k else size
+    return edge
+
+
+def count_lane_calls(monkeypatch):
+    """A list that `radix._rational_lanes` appends to on each call."""
+    calls, lanes = [], radix._rational_lanes
+    monkeypatch.setattr(radix, "_rational_lanes", lambda *args: calls.append(args) or lanes(*args))
+    return calls
+
+
+# small and large lane bases, one past them on the loop, and one with no
+# digit table; denominators around the lanes' cutoff
+rational_bases = st.one_of(st.integers(2, 256), st.sampled_from([257, 2**40]))
+rational_denominators = st.one_of(
+    st.integers(1, 10**9),
+    st.sampled_from([1, _LANE_DENOMINATORS - 1, _LANE_DENOMINATORS, _LANE_DENOMINATORS + 1]),
+    st.integers(2**40, _LANE_DENOMINATORS + 2**40),
+)
+
+
+class TestRationalLanes:
+    @given(
+        rational_bases,
+        st.integers(0, 2**70),
+        rational_denominators,
+        st.integers(0, 13),
+        st.integers(-300, 300),
+        st.lists(st.integers(0, 300), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_digit(self, base, num, den, edge, lead, sizes):
+        q = Fraction(num % den, den)
+        head = max(0, rational_chunk_edge(base, edge) + lead)
+        got = read_in_pieces(rational_stream(q, base), head, sizes)
+        assert got == list(islice(long_division_by_digit(q, base), len(got)))
+
+    @pytest.mark.parametrize("den", [
+        1, 3, 999983, 2**32 - 5, _LANE_DENOMINATORS - 1, _LANE_DENOMINATORS,
+        _LANE_DENOMINATORS + 1,
+    ])
+    @pytest.mark.parametrize("base", [2, 3, 10, 100, 255, 256, 257, 2**40])
+    def test_full_blocks_match_per_digit(self, monkeypatch, base, den):
+        # two chunks past the lane doubling, into full 256-lane blocks
+        calls = count_lane_calls(monkeypatch)
+        q = Fraction(den // 3 + 1, den) if den > 1 else Fraction(0)
+        n = rational_chunk_edge(base, 17) if base <= 256 else rational_chunk_edge(base, 14)
+        assert list(rational_stream(q, base).take(n)) == list(
+            islice(long_division_by_digit(q, base), n)
+        )
+        assert len(calls) == (base <= 256 and den < _LANE_DENOMINATORS)
+
+    @given(
+        rational_bases,
+        st.integers(0, 2**70),
+        rational_denominators,
+        st.integers(0, 40000),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 20000)), max_size=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_forks_read_interleaved(self, base, num, den, head, reads):
+        q = Fraction(num % den, den)
+        stream = rational_stream(q, base)
+        stream.take(head)
+        twin = stream.fork()
+        got = {True: [], False: []}
+        for first, size in reads:
+            got[first] += (stream if first else twin).take(size)
+        longest = max(len(got[True]), len(got[False]))
+        expected = list(islice(long_division_by_digit(q, base), head + longest))[head:]
+        assert got[True] == expected[: len(got[True])]
+        assert got[False] == expected[: len(got[False])]
+
+    @pytest.mark.parametrize("base", [2, 4, 10, 256])
+    def test_short_read_never_enters_the_lanes(self, monkeypatch, base):
+        calls = count_lane_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            digits = rational_stream(Fraction(1, 3), base).take(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digits == bytes(islice(long_division_by_digit(Fraction(1, 3), base), 10))
+        assert calls == []
+        assert peak < 2**20
+        # the read that passes the first _RATIONAL_BATCH-group chunk does
+        rational_stream(Fraction(1, 3), base).take(rational_chunk_edge(base, 10) + 1)
+        assert len(calls) == 1
 
 
 # whitespace str.isspace() accepts, line ends included
