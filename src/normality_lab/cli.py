@@ -13,7 +13,8 @@ its argparse type; a ValueError from a handler is a usage error (exit
 2), and a NormalityLabError or OSError exits 1.  A command that would
 read more than MAX_DIGITS source digits (`expand --digits`, `stats -n`,
 the widest view of `battery`) exits 1 with a DigitBudgetError before
-any digit is made.
+any digit is made, and a `battery` that would build more than MAX_VIEWS
+views exits 1 with a ViewBudgetError, also before any digit is made.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DigitBudgetError, MalformedHeaderError, NormalityLabError
+from .errors import DigitBudgetError, MalformedHeaderError, NormalityLabError, ViewBudgetError
 from .exact import brief_rational, brief_text, decimal_approx, format_rational, parse_rational
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -55,6 +56,12 @@ STATS_JSON_MAX_BASE = 2**16
 # random, each with a 208 MiB peak (2-core VM, Python 3.11); above base
 # 256 a digit is a Python int, so a read holds several times that
 MAX_DIGITS = 10**8
+# the most views one `battery` may build, P(P+1)/2 for --max-power P, so
+# P <= 140.  On champernowne in base 2 with -n 1 (Python 3.11, 2-core
+# VM), 9870 views (P = 140) took 0.20 s, 80200 (P = 400) 1.0 s, and
+# 2001000 (P = 2000) were still being built at 10 s: a view costs more
+# the longer its windows, and every view is a report held to the end
+MAX_VIEWS = 10**4
 
 
 def _integer(text: str) -> int:
@@ -255,6 +262,9 @@ def cmd_stats(args) -> tuple[int, str]:
 def cmd_battery(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
     _check_digits(args.max_power * (args.n + 1) - 1)  # what the widest view reads
+    views = args.max_power * (args.max_power + 1) // 2
+    if views > MAX_VIEWS:
+        raise ViewBudgetError(views, MAX_VIEWS)
     cells = normality_battery(source, args.max_power, args.n)
 
     if args.format == "csv":

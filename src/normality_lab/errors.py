@@ -89,6 +89,12 @@ class FactorizationBudgetError(NormalityLabError):
         )
 
 
+def _count(count: int, unit: str) -> str:
+    """A count of units, named the way brief_rational names a value."""
+    bits = count.bit_length()
+    return f"{count} {unit}" if bits <= _SHOWN_BITS else f"a {bits}-bit count of {unit}"
+
+
 class DigitBudgetError(NormalityLabError):
     """A command would read more source digits than one command may.
 
@@ -100,7 +106,20 @@ class DigitBudgetError(NormalityLabError):
     def __init__(self, requested: int, budget: int):
         self.requested = requested
         self.budget = budget
-        # named the way brief_rational names a value
-        bits = requested.bit_length()
-        count = f"{requested} digits" if bits <= _SHOWN_BITS else f"a {bits}-bit count of digits"
-        super().__init__(f"reading {count} is over the cap of {budget} digits a command may read")
+        super().__init__(f"reading {_count(requested, 'digits')} is over the cap"
+                         f" of {budget} digits a command may read")
+
+
+class ViewBudgetError(NormalityLabError):
+    """A command would build more views of a source than one command may.
+
+    Attributes:
+        requested: the views the command would build.
+        budget: the most views one command may build.
+    """
+
+    def __init__(self, requested: int, budget: int):
+        self.requested = requested
+        self.budget = budget
+        super().__init__(f"building {_count(requested, 'views')} is over the cap"
+                         f" of {budget} views a command may build")

@@ -19,11 +19,15 @@ the row by one range of factors and are materialised once, evaluation
 is one Horner pass over the row and builds a single Fraction at the
 end, and the direct moment sums come from one pass over n that adds a
 digit per step and carries five power sums of the digit string counts,
-so a sweep up to n_max costs O(n_max) big-int steps.  The operator
-route has a sweep over n of its own: each row C(n, 0..n) comes from the
-previous one by Pascal's rule, since
-(x**s + y)**n = (x**s + y) * (x**s + y)**(n-1), and is then put through
-the k operator passes and the specialization.
+so a sweep up to n_max costs O(n_max) big-int steps.  A row of that
+sweep keeps the integer numerator of its moment and the string count
+r**n, decides the bound by one integer comparison, and builds its
+Fractions only when they are read.  The operator route has a sweep
+over n of its own: each row C(n, 0..n) comes from the previous one by
+Pascal's rule, since (x**s + y)**n = (x**s + y) * (x**s + y)**(n-1).
+The row does not depend on the base, so one walk of Pascal's triangle
+serves every base of the sweep: at each n the one row is put through
+the k operator passes and the specialization once per base.
 """
 from __future__ import annotations
 
@@ -71,8 +75,11 @@ class MomentPolynomial:
         two big-int operations per coefficient, builds that numerator
         as an int, and one Fraction is built at the end.
         """
-        u = Fraction(u)
-        y = Fraction(y)
+        # ints and Fractions already carry numerator and denominator
+        if not isinstance(u, (int, Fraction)):
+            u = Fraction(u)
+        if not isinstance(y, (int, Fraction)):
+            y = Fraction(y)
         d = math.lcm(u.denominator, y.denominator)
         a = u.numerator * (d // u.denominator)
         b = y.numerator * (d // y.denominator)
@@ -138,23 +145,30 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
 
 
 def operator_moment_sweep(
-    r: int, k: int, n_max: int
-) -> Iterator[tuple[int, Fraction]]:
-    """Yield (n, E[(r*X - n)**k]) for n = 1..n_max, by the operator route.
+    bases: tuple[int, ...], k: int, n_max: int
+) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
+    """Yield (n, values) for n = 1..n_max, values[i] = E[(r*X - n)**k]
+    at r = bases[i], by the operator route.
 
-    The values of scaled_moment_via_operator in one pass over n: each
-    row C(n, 0..n) comes from the previous one by Pascal's rule instead
-    of its own binomial_row, and then takes the k operator steps and
-    the specialization exactly as the per-n route does.
+    The values of scaled_moment_via_operator in one walk of Pascal's
+    triangle for all the bases: each row C(n, 0..n) comes from the
+    previous one by Pascal's rule instead of its own binomial_row, is
+    built once whatever the base, and then takes the k operator steps
+    and the specialization at each base exactly as the per-n route does.
     """
-    validate_base(r)
+    points = []
+    for r in bases:
+        validate_base(r)
+        points.append((r - 1, Fraction(1, r), Fraction(r - 1, r)))
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    u, y = Fraction(1, r), Fraction(r - 1, r)
     row = (1,)
     for n in range(1, n_max + 1):
         row = tuple(map(add, row + (0,), (0,) + row))
-        yield n, apply_euler_operator(MomentPolynomial(n, r - 1, row), k).evaluate(u, y)
+        yield n, tuple(
+            apply_euler_operator(MomentPolynomial(n, s, row), k).evaluate(u, y)
+            for s, u, y in points
+        )
 
 
 def fourth_moment_via_operator(n: int, r: int) -> Fraction:
@@ -212,19 +226,18 @@ def _power_sums(r: int) -> Iterator[tuple[int, int, int, int, int]]:
         yield p0, p1, p2, p3, p4
 
 
-def _fourth_moment(n: int, r: int, sums: tuple[int, ...]) -> Fraction:
-    """E[(X/n - 1/r)**4] from the power sums P_0(n) .. P_4(n).
+def _moment_numerator(n: int, r: int, sums: tuple[int, ...]) -> int:
+    """sum_p W_n(p) (r*p - n)**4 from the power sums P_0(n) .. P_4(n).
 
-    The numerator sum_p W_n(p) (r*p - n)**4 is
-    sum_j C(4,j) r**j (-n)**(4-j) P_j(n), taken over the P_0(n) = r**n
-    strings and the (r*n)**4 of the frequency scale.
+    It is sum_j C(4,j) r**j (-n)**(4-j) P_j(n); over the P_0(n) = r**n
+    strings and the (r*n)**4 of the frequency scale it is
+    E[(X/n - 1/r)**4].
     """
     p0, p1, p2, p3, p4 = sums
-    numerator = (
+    return (
         r**4 * p4 - 4 * r**3 * n * p3 + 6 * r**2 * n**2 * p2
         - 4 * r * n**3 * p1 + n**4 * p0
     )
-    return Fraction(numerator, p0 * (r * n) ** 4)
 
 
 def frequency_fourth_moment(n: int, r: int) -> Fraction:
@@ -240,18 +253,44 @@ def frequency_fourth_moment(n: int, r: int) -> Fraction:
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _fourth_moment(n, r, next(islice(_power_sums(r), n - 1, None)))
+    sums = next(islice(_power_sums(r), n - 1, None))
+    return Fraction(_moment_numerator(n, r, sums), sums[0] * (r * n) ** 4)
 
 
 @dataclass(frozen=True)
 class MomentBoundRow:
-    """One line of the bound sweep: the moment sum against D/n**2."""
+    """One line of the bound sweep: the moment sum against D/n**2.
+
+    The row holds integers: `numerator` = sum_p W_n(p) (r*p - n)**4 over
+    the `strings` = r**n digit strings of length n in base r, and the
+    sweep's constant C.  `holds` is decided on them; moment_sum, bound
+    and ratio are Fractions built each time they are read.
+    """
 
     n: int
-    moment_sum: Fraction
-    bound: Fraction
-    ratio: Fraction
+    base: int
+    numerator: int
+    strings: int
+    c: Fraction
     holds: bool
+
+    @property
+    def moment_sum(self) -> Fraction:
+        """E[(X/n - 1/r)**4] = numerator / (r**n * (r*n)**4)."""
+        return Fraction(self.numerator, self.strings * (self.base * self.n) ** 4)
+
+    @property
+    def bound(self) -> Fraction:
+        """D/n**2 = C / (r**4 * n**2)."""
+        return self.c / (self.base**4 * self.n**2)
+
+    @property
+    def ratio(self) -> Fraction:
+        """moment_sum / bound = numerator / (C * r**n * n**2)."""
+        return Fraction(
+            self.numerator * self.c.denominator,
+            self.c.numerator * self.strings * self.n**2,
+        )
 
     def to_csv_row(self) -> str:
         return ",".join(
@@ -274,22 +313,16 @@ def check_moment_bound(r: int, n_max: int) -> list[MomentBoundRow]:
     Every moment comes from one pass of the digit-string sweep behind
     frequency_fourth_moment, so the whole sweep costs O(n_max) big-int
     steps.  The moments never touch the operator route or the closed
-    form; each is compared exactly with D/n**2.
+    form; each is compared exactly with D/n**2 = C / (r**4 * n**2), in
+    integers: numerator / (r**n * (r*n)**4) <= D/n**2 is
+    numerator * den(C) <= num(C) * r**n * n**2.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    d = derive_constants(r).d
+    c = derive_constants(r).c
     rows = []
     for n, sums in enumerate(islice(_power_sums(r), n_max), 1):
-        total = _fourth_moment(n, r, sums)
-        bound = d / n**2
-        rows.append(
-            MomentBoundRow(
-                n=n,
-                moment_sum=total,
-                bound=bound,
-                ratio=total / bound,
-                holds=total <= bound,
-            )
-        )
+        numerator, strings = _moment_numerator(n, r, sums), sums[0]
+        holds = numerator * c.denominator <= c.numerator * strings * n * n
+        rows.append(MomentBoundRow(n, r, numerator, strings, c, holds))
     return rows

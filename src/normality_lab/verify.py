@@ -251,10 +251,11 @@ def _operator_sweep() -> str:
 
 @_check("specialization-kills-mean")
 def _kills_mean() -> str:
-    for r in range(2, 13):
-        firsts = operator_moment_sweep(r, 1, 20)
-        seconds = operator_moment_sweep(r, 2, 20)
-        for (n, m1), (_, m2) in zip(firsts, seconds):
+    bases = tuple(range(2, 13))
+    firsts = operator_moment_sweep(bases, 1, 20)
+    seconds = operator_moment_sweep(bases, 2, 20)
+    for (n, m1s), (_, m2s) in zip(firsts, seconds):
+        for r, m1, m2 in zip(bases, m1s, m2s):
             if m1 != 0:
                 raise CheckFailed(f"first moment {m1} != 0 at n={n} r={r}")
             if m2 != n * (r - 1):
@@ -268,8 +269,9 @@ def _fourth_moment_dual() -> str:
     _require(spot1 == 1, f"value at n=1, r=2 is {spot1}, expected 1")
     spot657 = fourth_moment_via_operator(1, 10)
     _require(spot657 == 657, f"value at n=1, r=10 is {spot657}, expected 657")
-    for r in range(2, 13):
-        for n, a in operator_moment_sweep(r, 4, 200):
+    bases = tuple(range(2, 13))
+    for n, values in operator_moment_sweep(bases, 4, 200):
+        for r, a in zip(bases, values):
             b = fourth_moment_closed_form(n, r)
             if a != b:
                 raise CheckFailed(f"operator {a} != closed form {b} at n={n} r={r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import normality_lab
-from normality_lab import cli, sources, verify
+from normality_lab import cli, moments, sources, verify
 from normality_lab.cli import main
 from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
 from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
@@ -752,6 +752,34 @@ def test_the_cap_counts_the_digits_read(capsys, monkeypatch, argv, digits):
     assert f"reading {count} digits is over the cap of 59 digits" in err
 
 
+def test_view_counts_past_the_cap_fail_at_once(capsys, monkeypatch):
+    def no_digits(spec):
+        raise AssertionError("a source was started")
+
+    monkeypatch.setattr(SourceSpec, "expansion", no_digits)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "battery", "--source", "champernowne", "--base", "2",
+        "--max-power", "2000", "-n", "1",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "error: building 2001000 views is over the cap of 10000 views" in err
+    assert "digits" not in err
+    assert "Traceback" not in err
+
+
+def test_the_view_cap_counts_every_shift_and_power(capsys, monkeypatch):
+    # the largest --max-power run anywhere in the tests, CI and benchmark
+    assert 40 * 41 // 2 <= cli.MAX_VIEWS
+    monkeypatch.setattr(cli, "MAX_VIEWS", 10)
+    argv = ("battery", "--source", "random:7", "--base", "2", "-n", "5", "--max-power")
+    assert run(capsys, *argv, "4")[0] == 0  # 4 * 5 / 2 = 10 views
+    code, out, err = run(capsys, *argv, "5")
+    assert (code, out) == (1, "")
+    assert "building 15 views is over the cap of 10 views" in err
+
+
 @pytest.mark.parametrize("base", [100, 300])
 def test_over_long_token_in_a_file_is_a_typed_error(capsys, tmp_path, base):
     p = tmp_path / "long.digits"
@@ -846,6 +874,29 @@ class TestVerifyPaper:
             "FAIL  fourth-moment-dual-computation:"
             " operator 2380 != closed form 2381 at n=7 r=5"
         )
+
+    @pytest.mark.parametrize("cell, message", [
+        ((7, 4, 1), "first moment 16384/78125 != 0 at n=7 r=5"),
+        ((3, 10, 2), "second moment 40930/1331 != n(r-1) at n=3 r=11"),
+    ])
+    def test_failing_mean_check_names_its_cell(self, capsys, monkeypatch, cell, message):
+        # the operator is put off by one at entry 0 of the row (n, s, k),
+        # beneath the sweep, so the cell is named whatever the loop order
+        operator = moments.apply_euler_operator
+
+        def off_at_cell(poly, k=1):
+            coeffs = operator(poly, k).coeffs
+            if (poly.n, poly.s, k) == cell:
+                coeffs = (coeffs[0] + 1, *coeffs[1:])
+            return moments.MomentPolynomial(poly.n, poly.s, coeffs)
+
+        monkeypatch.setattr(moments, "apply_euler_operator", off_at_cell)
+        code, out, _ = run(capsys, "verify-paper", "--only", "specialization-kills-mean")
+        assert code == 1
+        assert out.splitlines() == [
+            f"FAIL  specialization-kills-mean: {message}",
+            "1 checks: 0 passed, 1 failed, 0 skipped",
+        ]
 
     def test_failing_operator_identity_names_its_cell(self, capsys, monkeypatch):
         check = verify.verify_operator_closed_form

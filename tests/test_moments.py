@@ -187,14 +187,25 @@ class TestOperatorSweep:
     @pytest.mark.parametrize("r", [*range(2, 13), 37, 256])
     def test_matches_per_n_route(self, r):
         for k in range(5):
-            per_n = [(n, scaled_moment_via_operator(n, r, k)) for n in range(1, 61)]
-            assert list(operator_moment_sweep(r, k, 60)) == per_n
+            per_n = [(n, (scaled_moment_via_operator(n, r, k),)) for n in range(1, 61)]
+            assert list(operator_moment_sweep((r,), k, 60)) == per_n
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_one_walk_serves_every_base(self, k):
+        bases = (2, 3, 7, 12)
+        per_cell = [
+            (n, tuple(scaled_moment_via_operator(n, r, k) for r in bases))
+            for n in range(1, 41)
+        ]
+        assert list(operator_moment_sweep(bases, k, 40)) == per_cell
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            list(operator_moment_sweep(1, 4, 5))
+            list(operator_moment_sweep((1,), 4, 5))
         with pytest.raises(ValueError):
-            list(operator_moment_sweep(2, 4, 0))
+            list(operator_moment_sweep((2,), 4, 0))
+        with pytest.raises(ValueError):
+            list(operator_moment_sweep((2, 3, 1), 4, 5))
 
 
 class TestSpecializedMoments:
@@ -354,6 +365,29 @@ class TestOnePassSweep:
     @settings(max_examples=40)
     def test_single_moment_matches_horner(self, r, n):
         assert frequency_fourth_moment(n, r) == horner_fourth_moment(n, r)
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_integer_decision_matches_the_fractions(self, r):
+        for row in check_moment_bound(r, 300):
+            assert row.holds == (row.moment_sum <= row.bound)
+            assert row.ratio == row.moment_sum / row.bound
+
+    @pytest.mark.parametrize("r", [2, 3, 10])
+    def test_integer_decision_matches_a_failing_bound(self, monkeypatch, r):
+        # C/2 is below the fourth moment for some n but not for all
+        derive = moments.derive_constants
+
+        def half_c(base):
+            c = derive(base).c / 2
+            return moments.MomentBoundConstants(base=base, c=c, d=c / base**4)
+
+        monkeypatch.setattr(moments, "derive_constants", half_c)
+        rows = check_moment_bound(r, 300)
+        assert {row.holds for row in rows} == {True, False}
+        for row in rows:
+            assert row.c == derive(r).c / 2
+            assert row.holds == (row.moment_sum <= row.bound)
+            assert row.ratio == row.moment_sum / row.bound
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
