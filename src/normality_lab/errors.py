@@ -123,3 +123,19 @@ class ViewBudgetError(NormalityLabError):
         self.budget = budget
         super().__init__(f"building {_count(requested, 'views')} is over the cap"
                          f" of {budget} views a command may build")
+
+
+class EntryBudgetError(NormalityLabError):
+    """A command would tally more entries across its views than one
+    command may.
+
+    Attributes:
+        requested: the entries the command would tally.
+        budget: the most entries one command may tally.
+    """
+
+    def __init__(self, requested: int, budget: int):
+        self.requested = requested
+        self.budget = budget
+        super().__init__(f"tallying {_count(requested, 'entries')} is over the cap"
+                         f" of {budget} entries a command may tally")

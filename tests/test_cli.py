@@ -780,6 +780,33 @@ def test_the_view_cap_counts_every_shift_and_power(capsys, monkeypatch):
     assert "building 15 views is over the cap of 10 views" in err
 
 
+def test_entry_counts_past_the_cap_fail_at_once(capsys, monkeypatch):
+    def no_digits(spec):
+        raise AssertionError("a source was started")
+
+    monkeypatch.setattr(SourceSpec, "expansion", no_digits)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "battery", "--source", "champernowne", "--base", "2",
+        "--max-power", "100", "-n", "2000",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "error: tallying 10100000 entries is over the cap of 2000000 entries" in err
+    assert "Traceback" not in err
+
+
+def test_the_entry_cap_counts_every_view(capsys, monkeypatch):
+    # the largest battery anywhere in the tests, CI and benchmark
+    assert 40 * 41 // 2 * 2000 <= cli.MAX_ENTRIES
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 50)
+    argv = ("battery", "--source", "random:7", "--base", "2", "--max-power", "4", "-n")
+    assert run(capsys, *argv, "5")[0] == 0  # 10 views of 5 entries
+    code, out, err = run(capsys, *argv, "6")
+    assert (code, out) == (1, "")
+    assert "tallying 60 entries is over the cap of 50 entries" in err
+
+
 @pytest.mark.parametrize("base", [100, 300])
 def test_over_long_token_in_a_file_is_a_typed_error(capsys, tmp_path, base):
     p = tmp_path / "long.digits"
@@ -895,6 +922,29 @@ class TestVerifyPaper:
         assert code == 1
         assert out.splitlines() == [
             f"FAIL  specialization-kills-mean: {message}",
+            "1 checks: 0 passed, 1 failed, 0 skipped",
+        ]
+
+    def test_failing_dual_computation_names_a_helper_cell(self, capsys, monkeypatch):
+        # r = 2 is bases[0], in the half a forked helper computes when the
+        # sweep may use a second CPU; the cell is named either way
+        operator = moments.apply_euler_operator
+
+        def off_at_7_2(poly, k=1):
+            coeffs = operator(poly, k).coeffs
+            if (poly.n, poly.s, k) == (7, 1, 4):
+                coeffs = (coeffs[0] + 1, *coeffs[1:])
+            return moments.MomentPolynomial(poly.n, poly.s, coeffs)
+
+        monkeypatch.setattr(moments, "apply_euler_operator", off_at_7_2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, _ = run(
+            capsys, "verify-paper", "--only", "fourth-moment-dual-computation",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  fourth-moment-dual-computation:"
+            " operator 17025/128 != closed form 133 at n=7 r=2",
             "1 checks: 0 passed, 1 failed, 0 skipped",
         ]
 

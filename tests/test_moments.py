@@ -1,6 +1,11 @@
 """Fourth-moment machinery: operator algebra, constants, bound sweeps."""
+import marshal
+import os
+import signal
+import threading
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +186,18 @@ class TestEulerOperator:
             assert not verify_operator_closed_form(n, s, k)
 
 
+def per_cell_sweep(bases, k, n_max):
+    return [
+        (n, tuple(scaled_moment_via_operator(n, r, k) for r in bases))
+        for n in range(1, n_max + 1)
+    ]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestOperatorSweep:
     """The one-pass operator route against the per-n route, n by n."""
 
@@ -193,11 +210,7 @@ class TestOperatorSweep:
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     def test_one_walk_serves_every_base(self, k):
         bases = (2, 3, 7, 12)
-        per_cell = [
-            (n, tuple(scaled_moment_via_operator(n, r, k) for r in bases))
-            for n in range(1, 41)
-        ]
-        assert list(operator_moment_sweep(bases, k, 40)) == per_cell
+        assert list(operator_moment_sweep(bases, k, 40)) == per_cell_sweep(bases, k, 40)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -206,6 +219,138 @@ class TestOperatorSweep:
             list(operator_moment_sweep((2,), 4, 0))
         with pytest.raises(ValueError):
             list(operator_moment_sweep((2, 3, 1), 4, 5))
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            list(operator_moment_sweep((2, 3), -1, 5))
+
+
+class TestForkedSweep:
+    """The sweep with bases[0::2] in a forked helper: the per-cell values
+    on every path, and no child left behind."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.fixture
+    def forks(self, monkeypatch, two_cpus):
+        """The pids of the helpers forked during the test."""
+        fork, pids = os.fork, []
+
+        def spy():
+            pid = fork()
+            pids.append(pid)  # the helper appends to its own copy
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    def test_verify_paper_grids_sit_on_either_side(self):
+        # specialization-kills-mean (n_max 20) stays in process and
+        # fourth-moment-dual-computation (n_max 200) forks
+        assert 11 * 20**2 < moments._FORK_MIN_CELLS <= 11 * 200**2
+
+    @pytest.mark.parametrize("bases", [(5,), (2, 7), (2, 3, 12), tuple(range(2, 13))])
+    @pytest.mark.parametrize("n_max", [19, 20])
+    def test_matches_per_cell_route(self, monkeypatch, forks, bases, n_max):
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", len(bases) * 20**2)
+        for k in range(5):
+            assert list(operator_moment_sweep(bases, k, n_max)) == per_cell_sweep(bases, k, n_max)
+        assert len(forks) == (5 if n_max == 20 and len(bases) > 1 else 0)
+        assert_no_child()
+
+    def test_no_child_outlives_the_sweep(self, monkeypatch, forks):
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        sweep = operator_moment_sweep((2, 3, 4), 4, 10)
+        assert next(sweep) == (1, (1, 6, 21))  # 3(r-1)^2 + r^3-7r^2+12r-6 at n = 1
+        sweep.close()
+        assert len(forks) == 1
+        assert_no_child()
+        assert list(operator_moment_sweep((2, 3, 4), 4, 10)) == per_cell_sweep((2, 3, 4), 4, 10)
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_an_error_in_the_callers_half_stops_the_helper(self, monkeypatch, forks):
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        operator = moments.apply_euler_operator
+
+        def fails_at_base_3(poly, k=1):
+            if poly.s == 2:  # r = 3, the caller's half
+                raise ArithmeticError("base 3")
+            return operator(poly, k)
+
+        monkeypatch.setattr(moments, "apply_euler_operator", fails_at_base_3)
+        with pytest.raises(ArithmeticError, match="base 3"):
+            list(operator_moment_sweep((2, 3, 4), 4, 10))
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("bases, k, n_max", [((2, 3), -1, 50), ((2, 1), 4, 50), ((2, 3), 4, 0)])
+    def test_bad_arguments_start_no_process(self, monkeypatch, two_cpus, bases, k, n_max):
+        def no_fork():
+            raise AssertionError("forked before the arguments were checked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        with pytest.raises(ValueError):
+            list(operator_moment_sweep(bases, k, n_max))
+
+    def test_fork_failure_changes_no_value(self, monkeypatch, two_cpus):
+        def no_fork():
+            raise OSError("no process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        assert list(operator_moment_sweep((2, 3, 4), 4, 10)) == per_cell_sweep((2, 3, 4), 4, 10)
+
+    @pytest.mark.parametrize("dumps", [
+        lambda value: marshal.dumps(value)[:-3],  # cut short
+        lambda value: marshal.dumps(value[:-2]),  # one value short
+        lambda value: 1 / 0,  # the helper raises
+        lambda value: os.kill(os.getpid(), signal.SIGKILL),  # the helper dies
+    ], ids=["short-bytes", "short-values", "raises", "killed"])
+    def test_a_failed_helper_changes_no_value(self, monkeypatch, forks, dumps):
+        monkeypatch.setattr(moments, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        assert list(operator_moment_sweep((2, 3, 4), 4, 10)) == per_cell_sweep((2, 3, 4), 4, 10)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_an_ignored_sigchld_changes_no_value(self, monkeypatch, forks):
+        # the kernel reaps the helper itself, so waitpid finds no child
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            values = list(operator_moment_sweep((2, 3, 4), 4, 10))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert values == per_cell_sweep((2, 3, 4), 4, 10)
+        assert len(forks) == 1
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        assert list(operator_moment_sweep((2, 3, 4), 4, 10)) == per_cell_sweep((2, 3, 4), 4, 10)
+
+    def test_a_second_thread_never_forks(self, monkeypatch, two_cpus):
+        def no_fork():
+            raise AssertionError("forked beside a thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(moments, "_FORK_MIN_CELLS", 0)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            values = list(operator_moment_sweep((2, 3, 4), 4, 10))
+        finally:
+            done.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert values == per_cell_sweep((2, 3, 4), 4, 10)
 
 
 class TestSpecializedMoments:
