@@ -14,30 +14,27 @@ D/n**2 tail bound that drives all the measure estimates.
 All coefficients and values are exact; the only floats anywhere are the
 display columns of the CSV rows.  The hot sums run on ints: a
 polynomial is one dense row of n + 1 coefficients, apply_euler_operator
-takes k operator steps (one by default) as k lazy passes that multiply
-the row by one range of factors and are materialised once, evaluation
-is one Horner pass over the row and builds a single Fraction at the
-end, and the direct moment sums come from one pass over n that adds a
-digit per step and carries five power sums of the digit string counts,
-so a sweep up to n_max costs O(n_max) big-int steps.  A row of that
-sweep keeps the integer numerator of its moment and the string count
-r**n, decides the bound by one integer comparison, and builds its
-Fractions only when they are read.  The operator route has a sweep
-over n of its own: each row C(n, 0..n) comes from the previous one by
-Pascal's rule, since (x**s + y)**n = (x**s + y) * (x**s + y)**(n-1).
-The row does not depend on the base, so one walk of Pascal's triangle
-serves every base of the sweep: at each n the one row is put through
-the k operator passes and the specialization once per base.  The bases
-are independent of one another, so on a large grid the sweep forks one
-helper process that walks the triangle for every other base while the
-caller takes the rest; the values, and their order, are the same
-whether or not a helper runs.
+takes k operator steps (one by default) as k passes that multiply the
+row by one range of factors, evaluation is one Horner pass over the row
+and builds a single Fraction at the end, and the direct moment sums
+come from one pass over n that adds a digit per step and carries five
+power sums of the digit string counts, so a sweep up to n_max costs
+O(n_max) big-int steps.  A row of that sweep keeps the integer
+numerator of its moment and the string count r**n, decides the bound by
+one integer comparison, and builds its Fractions only when they are
+read.  The operator route has a sweep over n of its own: each row
+C(n, 0..n) comes from the previous one by Pascal's rule, since
+(x**s + y)**n = (x**s + y) * (x**s + y)**(n-1).  The row does not
+depend on the base, so one walk of Pascal's triangle serves every base
+of the sweep.  Nor do the operator's factors depend on the row: the
+sweep makes its k passes once per base, over a table of every factor a
+row up to n_max can meet, and at each n multiplies the one row by a
+slice of that table and specializes it once per base, all in one
+process.
 """
 from __future__ import annotations
 
-import marshal
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,9 +110,10 @@ def apply_euler_operator(poly: MomentPolynomial, k: int = 1) -> MomentPolynomial
     A term c * x**(s*p) * y**(n-p) becomes c * (s*p - (n-p)) * the same
     monomial: the operator is diagonal on monomials, which is the whole
     point, so one step multiplies the row by the factors, which run
-    from -n to s*n in steps of s + 1.  The k steps are k lazy passes of
-    that product over the row, materialised as one tuple at the end;
-    each coefficient still meets its factor once per step.
+    from -n to s*n in steps of s + 1.  The k steps are k passes of that
+    product over the row, each materialised as a tuple, so that a large
+    k never nests k lazy iterators; each coefficient meets its factor
+    once per step.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -123,8 +121,8 @@ def apply_euler_operator(poly: MomentPolynomial, k: int = 1) -> MomentPolynomial
     factors = range(-n, s * n + 1, s + 1)
     coeffs = poly.coeffs
     for _ in range(k):
-        coeffs = map(mul, coeffs, factors)
-    return MomentPolynomial(n, s, tuple(coeffs))
+        coeffs = tuple(map(mul, coeffs, factors))
+    return MomentPolynomial(n, s, coeffs)
 
 
 def verify_operator_closed_form(n: int, s: int, k: int) -> bool:
@@ -150,17 +148,6 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
     return poly.evaluate(Fraction(1, r), Fraction(r - 1, r))
 
 
-# operator_moment_sweep forks one helper for half of the bases when
-# len(bases) * n_max**2, which grows with the grid's operator work, is
-# at least this.  Measured on a shared 2-core Xeon VM with Python 3.11
-# and a 41 MiB heap, 11 bases, best of 21 in process against forked
-# (the fork, the pipe and the reap cost 3-5 ms): at k = 4, 9.9 against
-# 12.1 ms at n_max = 60 (39600), 17.0 against 16.2 at 80 (70400), 25.8
-# against 20.3 at 100 (110000) and 85 against 62 at 200 (440000); k = 2
-# crosses near the same n_max.
-_FORK_MIN_CELLS = 10**5
-
-
 def operator_moment_sweep(
     bases: tuple[int, ...], k: int, n_max: int
 ) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
@@ -169,140 +156,43 @@ def operator_moment_sweep(
 
     The values of scaled_moment_via_operator in one walk of Pascal's
     triangle for all the bases: each row C(n, 0..n) comes from the
-    previous one by Pascal's rule instead of its own binomial_row, is
-    built once whatever the base, and then takes the k operator steps
-    and the specialization at each base exactly as the per-n route does.
+    previous one by Pascal's rule instead of its own binomial_row and is
+    built once whatever the base.  The operator is diagonal, and the
+    factor (s+1)*p - n of the monomial p in row n lies in the one range
+    -n_max..s*n_max for every n <= n_max.  So the k operator passes are
+    made once per base, on a table of that range starting from ones:
+    (s+1)*n_max + 1 = r*n_max + 1 ints per base, 15,411 in all for the
+    bases 2..12 at n_max = 200 (the table grows with r; every caller
+    uses r <= 256).  Row n then takes the k-th powers of its factors as
+    one stride-(s+1) slice of the table, one multiplication per
+    coefficient, and the specialization as the per-n route does.  By
+    linearity the row's image is the same.
 
-    k, every base and n_max are checked before any row is built.  On a
-    grid of two bases or more and at least _FORK_MIN_CELLS cells
-    (len(bases) * n_max**2), in a process of one thread that may run on
-    two CPUs or more, one forked helper makes the same walk for
-    bases[0::2] while this process takes bases[1::2]; every value is in
-    hand and the helper reaped before the first yield.  A helper that
-    cannot start, dies or sends short data is made up here, so the
-    values and their order are the same on every path.
+    k, every base and n_max are checked before any table or row is
+    built.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    points = []
     for r in bases:
         validate_base(r)
-        points.append((r - 1, Fraction(1, r), Fraction(r - 1, r)))
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if len(points) < 2 or len(points) * n_max**2 < _FORK_MIN_CELLS or not _can_fork_helper():
-        yield from enumerate(_operator_rows(points, k, n_max), 1)
-        return
-    theirs, mine = points[0::2], points[1::2]
-    helper = _start_helper(theirs, k, n_max)
-    try:
-        own = list(_operator_rows(mine, k, n_max))
-    except BaseException:
-        _finish_helper(helper, 0, kill=True)
-        raise
-    got = _finish_helper(helper, len(theirs) * n_max)
-    if got is None:
-        got = _operator_rows(theirs, k, n_max)
-    else:
-        got = zip(*[iter(got)] * len(theirs))  # the flat values, cut into rows
-    for n, even, odd in zip(range(1, n_max + 1), got, own):
-        values = [None] * len(points)
-        values[0::2], values[1::2] = even, odd
-        yield n, tuple(values)
-
-
-def _operator_rows(points, k: int, n_max: int) -> Iterator[tuple[Fraction, ...]]:
-    """For n = 1..n_max, the k-th moments at every (s, u, y) of points,
-    from one walk of Pascal's triangle."""
+    points = []
+    for r in bases:
+        factors = range(-n_max, (r - 1) * n_max + 1)
+        powers = [1] * len(factors)
+        for _ in range(k):
+            powers = list(map(mul, powers, factors))
+        points.append((r - 1, powers, Fraction(1, r), Fraction(r - 1, r)))
     row = (1,)
     for n in range(1, n_max + 1):
         row = tuple(map(add, row + (0,), (0,) + row))
-        yield tuple(
-            apply_euler_operator(MomentPolynomial(n, s, row), k).evaluate(u, y)
-            for s, u, y in points
+        yield n, tuple(
+            MomentPolynomial(
+                n, s, tuple(map(mul, row, powers[n_max - n : n_max + s * n + 1 : s + 1]))
+            ).evaluate(u, y)
+            for s, powers, u, y in points
         )
-
-
-def _can_fork_helper() -> bool:
-    """Whether a forked helper can run beside this process: fork exists,
-    two CPUs or more may run it, and no second thread would be left
-    behind in the child."""
-    import threading
-
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        hasattr(os, "fork")
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _start_helper(points, k: int, n_max: int) -> tuple[int, int] | None:
-    """Fork a helper that writes _operator_rows(points, k, n_max) to a
-    pipe, as one marshalled tuple of numerators and denominators in row
-    order, and exits.  Returns (pid, read end), or None when no process
-    could be started."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:  # the helper: never returns into the caller's frames
-        os.close(read_end)
-        flat = []
-        for row in _operator_rows(points, k, n_max):
-            for value in row:
-                flat += value.numerator, value.denominator
-        data = memoryview(marshal.dumps(tuple(flat)))
-        while data:
-            data = data[os.write(write_end, data):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _finish_helper(helper: tuple[int, int] | None, count: int, kill: bool = False):
-    """Read the helper's data to the end, or kill it unread, and reap it.
-    Returns its `count` values, or None if there is no helper, it was
-    killed, or it sent anything but `count` values.  Its exit status is
-    not read: the helper writes its data whole or dies before the end."""
-    if helper is None:
-        return None
-    pid, read_end = helper
-    chunks = []
-    try:
-        if kill:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        else:
-            while chunk := os.read(read_end, 1 << 16):
-                chunks.append(chunk)
-    finally:
-        os.close(read_end)
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped already, as when SIGCHLD is ignored
-            pass
-    if kill:
-        return None
-    try:  # a helper that failed has sent nothing, or data cut short
-        flat = marshal.loads(b"".join(chunks))
-    except (EOFError, ValueError):
-        return None
-    if len(flat) != 2 * count:
-        return None
-    return list(map(Fraction, flat[0::2], flat[1::2]))
 
 
 def fourth_moment_via_operator(n: int, r: int) -> Fraction:

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import normality_lab
-from normality_lab import cli, moments, sources, verify
+from normality_lab import cli, sources, verify
 from normality_lab.cli import main
 from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
 from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
@@ -902,22 +903,28 @@ class TestVerifyPaper:
             " operator 2380 != closed form 2381 at n=7 r=5"
         )
 
+    @staticmethod
+    def sweep_off_at(cell):
+        """verify.operator_moment_sweep with the value at the (n, r, k)
+        cell raised by ((r-1)/r)**n, as an operator off by one at entry 0
+        of that row would raise it."""
+        sweep = verify.operator_moment_sweep
+
+        def off_at_cell(bases, k, n_max):
+            for n, values in sweep(bases, k, n_max):
+                yield n, tuple(
+                    value + Fraction(r - 1, r) ** n if (n, r, k) == cell else value
+                    for r, value in zip(bases, values)
+                )
+
+        return off_at_cell
+
     @pytest.mark.parametrize("cell, message", [
-        ((7, 4, 1), "first moment 16384/78125 != 0 at n=7 r=5"),
-        ((3, 10, 2), "second moment 40930/1331 != n(r-1) at n=3 r=11"),
+        ((7, 5, 1), "first moment 16384/78125 != 0 at n=7 r=5"),
+        ((3, 11, 2), "second moment 40930/1331 != n(r-1) at n=3 r=11"),
     ])
     def test_failing_mean_check_names_its_cell(self, capsys, monkeypatch, cell, message):
-        # the operator is put off by one at entry 0 of the row (n, s, k),
-        # beneath the sweep, so the cell is named whatever the loop order
-        operator = moments.apply_euler_operator
-
-        def off_at_cell(poly, k=1):
-            coeffs = operator(poly, k).coeffs
-            if (poly.n, poly.s, k) == cell:
-                coeffs = (coeffs[0] + 1, *coeffs[1:])
-            return moments.MomentPolynomial(poly.n, poly.s, coeffs)
-
-        monkeypatch.setattr(moments, "apply_euler_operator", off_at_cell)
+        monkeypatch.setattr(verify, "operator_moment_sweep", self.sweep_off_at(cell))
         code, out, _ = run(capsys, "verify-paper", "--only", "specialization-kills-mean")
         assert code == 1
         assert out.splitlines() == [
@@ -925,19 +932,8 @@ class TestVerifyPaper:
             "1 checks: 0 passed, 1 failed, 0 skipped",
         ]
 
-    def test_failing_dual_computation_names_a_helper_cell(self, capsys, monkeypatch):
-        # r = 2 is bases[0], in the half a forked helper computes when the
-        # sweep may use a second CPU; the cell is named either way
-        operator = moments.apply_euler_operator
-
-        def off_at_7_2(poly, k=1):
-            coeffs = operator(poly, k).coeffs
-            if (poly.n, poly.s, k) == (7, 1, 4):
-                coeffs = (coeffs[0] + 1, *coeffs[1:])
-            return moments.MomentPolynomial(poly.n, poly.s, coeffs)
-
-        monkeypatch.setattr(moments, "apply_euler_operator", off_at_7_2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    def test_failing_dual_computation_names_an_operator_cell(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "operator_moment_sweep", self.sweep_off_at((7, 2, 4)))
         code, out, _ = run(
             capsys, "verify-paper", "--only", "fourth-moment-dual-computation",
         )
