@@ -10,13 +10,12 @@ explicitly a display approximation; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 failed checks or
 runtime errors, 2 usage errors.  Each option's own range is checked by
 its argparse type; a ValueError from a handler is a usage error (exit
-2), and a NormalityLabError or OSError exits 1.  A command that would
-read more than MAX_DIGITS source digits (`expand --digits`, `stats -n`,
-the widest view of `battery`) exits 1 with a DigitBudgetError before
-any digit is made.  A `battery` that would build more than MAX_VIEWS
-views exits 1 with a ViewBudgetError, and one that would tally more
-than MAX_ENTRIES entries across them with an EntryBudgetError, both
-also before any digit is made.
+2), and a NormalityLabError, OSError, OverflowError or MemoryError
+exits 1 with one `error:` line.  Each cap exits 1 with a CapError
+before any digit is made: a command that would read more than
+MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
+view of `battery`), and a `battery` that would build more than
+MAX_VIEWS views or tally more than MAX_ENTRIES entries across them.
 """
 from __future__ import annotations
 
@@ -25,13 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DigitBudgetError,
-    EntryBudgetError,
-    MalformedHeaderError,
-    NormalityLabError,
-    ViewBudgetError,
-)
+from .errors import CapError, MalformedHeaderError, NormalityLabError
 from .exact import brief_rational, brief_text, decimal_approx, format_rational, parse_rational
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -98,11 +91,10 @@ def _at_least(low: int):
     return check
 
 
-def _check_digits(count: int) -> None:
-    """Raise DigitBudgetError when a command would read more than
-    MAX_DIGITS source digits."""
-    if count > MAX_DIGITS:
-        raise DigitBudgetError(count, MAX_DIGITS)
+def _check_cap(count: int, cap: int, unit: str, verb: str) -> None:
+    """Raise CapError when a command would verb more than cap units."""
+    if count > cap:
+        raise CapError(count, cap, unit, verb)
 
 
 def _rational(high: Fraction | None = None):
@@ -197,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         code, text = handler(args)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
@@ -205,10 +197,13 @@ def main(argv: list[str] | None = None) -> int:
     # a malformed header in the file --source names is a usage error too
     except (ValueError, MalformedHeaderError) as exc:
         parser.error(str(exc))  # prints usage to stderr and exits 2
-    except (NormalityLabError, OSError) as exc:
+    except (NormalityLabError, OSError, OverflowError, MemoryError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             # the file name is outside text, quoted briefly
             exc = f"[Errno {exc.errno}] {exc.strerror}: {brief_text(str(exc.filename))}"
+        elif isinstance(exc, (OverflowError, MemoryError)):
+            # a size past what Python can hold; a MemoryError has no text
+            exc = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
@@ -219,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_expand(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    _check_digits(args.digits)
+    _check_cap(args.digits, MAX_DIGITS, "digits", "read")
     display = format_bracket(source.expansion(), args.digits)
     if args.format == "text":
         return 0, display + "\n"
@@ -241,7 +236,7 @@ def cmd_stats(args) -> tuple[int, str]:
         raise ValueError(
             f"digit {brief_text(str(args.digit), quoted=False)} out of range for base {base}")
     word = None if args.word is None else Word.parse(args.word, base)
-    _check_digits(args.n)
+    _check_cap(args.n, MAX_DIGITS, "digits", "read")
 
     stream = source.stream()
     twin = None if word is None else stream.fork()
@@ -275,12 +270,11 @@ def cmd_stats(args) -> tuple[int, str]:
 
 def cmd_battery(args) -> tuple[int, str]:
     source = parse_source_spec(args.source, args.base)
-    _check_digits(args.max_power * (args.n + 1) - 1)  # what the widest view reads
+    # the digits the widest view reads, then the views and their entries
+    _check_cap(args.max_power * (args.n + 1) - 1, MAX_DIGITS, "digits", "read")
     views = args.max_power * (args.max_power + 1) // 2
-    if views > MAX_VIEWS:
-        raise ViewBudgetError(views, MAX_VIEWS)
-    if views * args.n > MAX_ENTRIES:
-        raise EntryBudgetError(views * args.n, MAX_ENTRIES)
+    _check_cap(views, MAX_VIEWS, "views", "build")
+    _check_cap(views * args.n, MAX_ENTRIES, "entries", "tally")
     cells = normality_battery(source, args.max_power, args.n)
 
     if args.format == "csv":

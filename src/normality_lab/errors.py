@@ -2,7 +2,9 @@
 
 Every failure a caller can reasonably branch on gets its own class and
 carries the numbers needed to explain itself (positions, budgets, digit
-values), so CLI layers never have to parse message strings.
+values), so CLI layers never have to parse message strings.  The CLI's
+caps share one class, CapError, because only the CLI raises them and no
+caller branches on which cap was hit.
 """
 from __future__ import annotations
 
@@ -89,53 +91,25 @@ class FactorizationBudgetError(NormalityLabError):
         )
 
 
-def _count(count: int, unit: str) -> str:
-    """A count of units, named the way brief_rational names a value."""
-    bits = count.bit_length()
-    return f"{count} {unit}" if bits <= _SHOWN_BITS else f"a {bits}-bit count of {unit}"
-
-
-class DigitBudgetError(NormalityLabError):
-    """A command would read more source digits than one command may.
+class CapError(NormalityLabError):
+    """A command would go past one of the CLI's caps, say reading more
+    digits or building more views than one command may.
 
     Attributes:
-        requested: the digits the command would read.
-        budget: the most digits one command may read.
+        requested: the units the command would handle.
+        budget: the most units one command may handle.
+        unit: what is counted, as the message names it ("digits").
+        verb: what the command does with them ("read").
     """
 
-    def __init__(self, requested: int, budget: int):
+    def __init__(self, requested: int, budget: int, unit: str, verb: str):
         self.requested = requested
         self.budget = budget
-        super().__init__(f"reading {_count(requested, 'digits')} is over the cap"
-                         f" of {budget} digits a command may read")
-
-
-class ViewBudgetError(NormalityLabError):
-    """A command would build more views of a source than one command may.
-
-    Attributes:
-        requested: the views the command would build.
-        budget: the most views one command may build.
-    """
-
-    def __init__(self, requested: int, budget: int):
-        self.requested = requested
-        self.budget = budget
-        super().__init__(f"building {_count(requested, 'views')} is over the cap"
-                         f" of {budget} views a command may build")
-
-
-class EntryBudgetError(NormalityLabError):
-    """A command would tally more entries across its views than one
-    command may.
-
-    Attributes:
-        requested: the entries the command would tally.
-        budget: the most entries one command may tally.
-    """
-
-    def __init__(self, requested: int, budget: int):
-        self.requested = requested
-        self.budget = budget
-        super().__init__(f"tallying {_count(requested, 'entries')} is over the cap"
-                         f" of {budget} entries a command may tally")
+        self.unit = unit
+        self.verb = verb
+        # named the way brief_rational names a value
+        bits = requested.bit_length()
+        count = (f"{requested} {unit}" if bits <= _SHOWN_BITS
+                 else f"a {bits}-bit count of {unit}")
+        super().__init__(f"{verb}ing {count} is over the cap"
+                         f" of {budget} {unit} a command may {verb}")

@@ -13,6 +13,7 @@ import pytest
 import normality_lab
 from normality_lab import cli, sources, verify
 from normality_lab.cli import main
+from normality_lab.errors import CapError, NormalityLabError
 from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
 from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
 from normality_lab.stats import Word, count_block
@@ -808,6 +809,42 @@ def test_the_entry_cap_counts_every_view(capsys, monkeypatch):
     assert "tallying 60 entries is over the cap of 50 entries" in err
 
 
+@pytest.mark.parametrize("unit, verb, doing", [
+    ("digits", "read", "reading"),
+    ("views", "build", "building"),
+    ("entries", "tally", "tallying"),
+])
+def test_cap_error_names_its_unit_and_verb(unit, verb, doing):
+    assert normality_lab.CapError is CapError
+    assert "CapError" in normality_lab.__all__
+    exc = CapError(12, 10, unit, verb)
+    assert isinstance(exc, NormalityLabError)
+    assert (exc.requested, exc.budget, exc.unit, exc.verb) == (12, 10, unit, verb)
+    assert str(exc) == f"{doing} 12 {unit} is over the cap of 10 {unit} a command may {verb}"
+    assert str(CapError(2**256 - 1, 10, unit, verb)).startswith(f"{doing} {2**256 - 1} {unit} ")
+    assert str(CapError(2**256, 10, unit, verb)) == (
+        f"{doing} a 257-bit count of {unit} is over the cap of 10 {unit} a command may {verb}")
+
+
+def test_a_size_past_an_index_is_one_error_line(capsys):
+    code, out, err = run(capsys, "measure", "--base", "2", "--epsilon", "1/3",
+                         "-n", str(2**64 + 1))
+    assert (code, out) == (1, "")
+    # the rest of the line is Python's own text
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "deviation_set_measure", no_memory)
+    code, out, err = run(capsys, "measure", "--base", "2", "--epsilon", "1/3", "-n", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: MemoryError\n"
+
+
 @pytest.mark.parametrize("base", [100, 300])
 def test_over_long_token_in_a_file_is_a_typed_error(capsys, tmp_path, base):
     p = tmp_path / "long.digits"
@@ -993,6 +1030,14 @@ class TestOutputPlumbing:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_empty_output_path_is_runtime_error(self, capsys):
+        code, out, err = run(
+            capsys, "expand", "--source", "rational:1/3", "--base", "2",
+            "--digits", "1", "--output", "",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
     def test_byte_identical_reruns(self, capsys):
         args = ("stats", "--source", "random:7", "--base", "10", "-n", "500")
