@@ -79,13 +79,14 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {brief_text(text)}") from None
 
 
-def _at_least(low: int):
-    """An argparse type: an int >= low."""
+def _at_least(low: int, high: int | None = None):
+    """An argparse type: an int >= low, and <= high if given."""
     def check(text: str) -> int:
         value = _integer(text)
-        if value < low:
+        if value < low or (high is not None and value > high):
+            upper = "" if high is None else f" and <= {high}"
             raise argparse.ArgumentTypeError(
-                f"must be >= {low}, got {brief_text(str(value), quoted=False)}")
+                f"must be >= {low}{upper}, got {brief_text(str(value), quoted=False)}")
         return value
 
     return check
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="verify the fourth-moment bound up to n-max")
     p.add_argument("--base", type=_at_least(2), required=True)
-    p.add_argument("--n-max", type=_at_least(1), default=100)
+    p.add_argument("--n-max", type=_at_least(1, sys.maxsize), default=100)
     add_common(p, ("text", "csv"))
 
     p = sub.add_parser("measure", help="deviation-set measures, bounds, tails")
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_rational(high=Fraction(1)), required=True, help="deviation threshold in (0, 1], exact (e.g. 1/10)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("-n", type=_at_least(1), default=None, help="prefix length for a single report")
-    mode.add_argument("--n-max", type=_at_least(1), default=None, help="sweep n = 1..n-max as CSV")
+    mode.add_argument("--n-max", type=_at_least(1, sys.maxsize), default=None, help="sweep n = 1..n-max as CSV")
     mode.add_argument("--tail", type=_at_least(1), default=None, metavar="M", help="bound the union of deviation sets over n >= M")
     p.add_argument("--target", type=_rational(), default=None, help="with --tail: also find the smallest m whose tail bound is <= this")
     p.add_argument("--oracle", action="store_true", help="with -n: cross-check the measure by full enumeration")

@@ -17,8 +17,8 @@ polynomial is one dense row of n + 1 coefficients, apply_euler_operator
 takes k operator steps (one by default) as k passes that multiply the
 row by one range of factors, evaluation is one Horner pass over the row
 and builds a single Fraction at the end, and the direct moment sums
-come from one pass over n that adds a digit per step and carries five
-power sums of the digit string counts, so a sweep up to n_max costs
+come from one pass over n that adds a digit per step and carries three
+centered sums of the digit string counts, so a sweep up to n_max costs
 O(n_max) big-int steps.  A row of that sweep keeps the integer
 numerator of its moment and the string count r**n, decides the bound by
 one integer comparison, and builds its Fractions only when they are
@@ -230,38 +230,28 @@ def derive_constants(r: int) -> MomentBoundConstants:
     return MomentBoundConstants(base=r, c=c, d=c / r**4)
 
 
-def _power_sums(r: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """P_j(n) = sum_p W_n(p) p**j for j = 0..4, for n = 1, 2, ...
+def _centered_sums(r: int) -> Iterator[tuple[int, int]]:
+    """(Q_0(n), Q_4(n)) for n = 1, 2, ..., where
+    Q_j(n) = sum_p W_n(p) (r*p - n)**j.
 
     Counts digit strings, independent of the operator route, the closed
     form and derive_constants.  W_n(p) = C(n,p) (r-1)**(n-p) is the
-    number of n-digit strings with p hits, and appending one digit gives
-    W_n(p) = (r-1) W_(n-1)(p) + W_(n-1)(p-1).  So
-    P_j(n) = r P_j(n-1) + sum_(i<j) C(j,i) P_i(n-1): each step costs
-    O(1) big-int operations and builds no moment.
+    number of n-digit strings with p hits, so Q_0(n) = r**n.  Appending
+    a digit moves x = r*p - n to x + r - 1 (one hit) or to x - 1 (r - 1
+    misses), so
+    Q_j(n+1) = sum_(i<=j) C(j,i) a_(j-i) Q_i(n)
+    with a_m = (r-1)**m + (r-1)(-1)**m.  Since a_0 = r and a_1 = 0, Q_1
+    stays 0 and no Q_j needs Q_(j-1): Q_4 needs only Q_2 and Q_0 (Q_6
+    would need Q_4, Q_3, Q_2 and Q_0), so each step costs O(1) big-int
+    operations and builds no moment.
     """
-    p0, p1, p2, p3, p4 = 1, 0, 0, 0, 0  # the empty string
+    q0, q2, q4 = 1, 0, 0  # the empty string
+    a2, a4 = r * (r - 1), (r - 1) ** 4 + r - 1
     while True:
-        p4 = r * p4 + 4 * p3 + 6 * p2 + 4 * p1 + p0
-        p3 = r * p3 + 3 * p2 + 3 * p1 + p0
-        p2 = r * p2 + 2 * p1 + p0
-        p1 = r * p1 + p0
-        p0 = r * p0
-        yield p0, p1, p2, p3, p4
-
-
-def _moment_numerator(n: int, r: int, sums: tuple[int, ...]) -> int:
-    """sum_p W_n(p) (r*p - n)**4 from the power sums P_0(n) .. P_4(n).
-
-    It is sum_j C(4,j) r**j (-n)**(4-j) P_j(n); over the P_0(n) = r**n
-    strings and the (r*n)**4 of the frequency scale it is
-    E[(X/n - 1/r)**4].
-    """
-    p0, p1, p2, p3, p4 = sums
-    return (
-        r**4 * p4 - 4 * r**3 * n * p3 + 6 * r**2 * n**2 * p2
-        - 4 * r * n**3 * p1 + n**4 * p0
-    )
+        q4 = r * q4 + 6 * a2 * q2 + a4 * q0
+        q2 = r * q2 + a2 * q0
+        q0 = r * q0
+        yield q0, q4
 
 
 def frequency_fourth_moment(n: int, r: int) -> Fraction:
@@ -270,15 +260,15 @@ def frequency_fourth_moment(n: int, r: int) -> Fraction:
 
     Computed directly from the counts C(n,p)(r-1)^(n-p) of n-digit
     strings with p hits, independent of the operator route and the
-    closed form: the power sums of the one-pass digit-string sweep that
-    check_moment_bound iterates, run to n, so it costs O(n) big-int
-    steps.
+    closed form: Q_4(n) / (Q_0(n) * (r*n)**4) from the one-pass
+    digit-string sweep that check_moment_bound iterates, run to n, so it
+    costs O(n) big-int steps.
     """
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sums = next(islice(_power_sums(r), n - 1, None))
-    return Fraction(_moment_numerator(n, r, sums), sums[0] * (r * n) ** 4)
+    strings, numerator = next(islice(_centered_sums(r), n - 1, None))
+    return Fraction(numerator, strings * (r * n) ** 4)
 
 
 @dataclass(frozen=True)
@@ -334,19 +324,19 @@ MOMENT_SWEEP_CSV_HEADER = "n,sum,bound,ratio_decimal,holds"
 def check_moment_bound(r: int, n_max: int) -> list[MomentBoundRow]:
     """Sweep n = 1..n_max: frequency fourth moment vs its D/n**2 bound.
 
-    Every moment comes from one pass of the digit-string sweep behind
-    frequency_fourth_moment, so the whole sweep costs O(n_max) big-int
-    steps.  The moments never touch the operator route or the closed
-    form; each is compared exactly with D/n**2 = C / (r**4 * n**2), in
-    integers: numerator / (r**n * (r*n)**4) <= D/n**2 is
+    Every row's numerator Q_4(n) and strings Q_0(n) = r**n come from one
+    pass of the digit-string sweep behind frequency_fourth_moment, so
+    the whole sweep costs O(n_max) big-int steps.  The moments never
+    touch the operator route or the closed form; each is compared
+    exactly with D/n**2 = C / (r**4 * n**2), in integers:
+    numerator / (r**n * (r*n)**4) <= D/n**2 is
     numerator * den(C) <= num(C) * r**n * n**2.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     c = derive_constants(r).c
     rows = []
-    for n, sums in enumerate(islice(_power_sums(r), n_max), 1):
-        numerator, strings = _moment_numerator(n, r, sums), sums[0]
+    for n, (strings, numerator) in enumerate(islice(_centered_sums(r), n_max), 1):
         holds = numerator * c.denominator <= c.numerator * strings * n * n
         rows.append(MomentBoundRow(n, r, numerator, strings, c, holds))
     return rows

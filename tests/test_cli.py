@@ -661,6 +661,38 @@ def test_oversized_exponent_is_refused_at_once(capsys, argv):
     assert "Traceback" not in err
 
 
+# an --n-max past sys.maxsize is refused by its argparse type, before
+# islice or a sweep sees it
+@pytest.mark.parametrize("argv", [
+    ("verify-lemma", "--base", "2", "--n-max", str(2**64 + 1)),
+    ("measure", "--base", "2", "--epsilon", "1/3", "--n-max", str(2**64 + 1)),
+], ids=["verify-lemma", "measure"])
+def test_n_max_past_an_index_is_refused_at_once(argv):
+    # in a child process, so a hang fails the test instead of stalling it
+    env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from normality_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"argument --n-max: must be >= 1 and <= {sys.maxsize}, got {2**64 + 1}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-lemma", "--base", "2"),
+    ("measure", "--base", "2", "--epsilon", "1/3"),
+], ids=["verify-lemma", "measure"])
+def test_n_max_at_sys_maxsize_parses(argv):
+    args = cli.build_parser().parse_args([*argv, "--n-max", "9223372036854775807"])
+    assert args.n_max == sys.maxsize
+
+
 # outside text in a message is cut to 32 characters, and a bracket token
 # too long for int() is a typed error
 @pytest.mark.parametrize("code, argv", [

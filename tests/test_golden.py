@@ -35,6 +35,16 @@ GOLDEN = [
         "10cab30a9eb0cfa7192119a2bb10336e95ee5ec792a4de923aad098796ae7301",
     ),
     (
+        # above base 256, captured when the string counts carried five raw
+        # power sums
+        ("verify-lemma", "--base", "257", "--n-max", "150"),
+        "2a5fdf9fb6c9b763055a4216a4829fb218870a4241b04849a57b6bc06b1418b1",
+    ),
+    (
+        ("verify-lemma", "--base", "257", "--n-max", "150", "--format", "csv"),
+        "6600b410feacd7b717dbebacd5d3582ec03db68b3705240307e4df740f6f014b",
+    ),
+    (
         ("measure", "--base", "7", "--digit", "2", "--epsilon", "1/10",
          "--n-max", "200", "--format", "csv"),
         "989adf0bc19114b89090239e737b5cd1366f33837f1e00fe7793ee07fdefa639",

@@ -398,6 +398,16 @@ class TestOnePassSweep:
     def test_single_moment_matches_horner(self, r, n):
         assert frequency_fourth_moment(n, r) == horner_fourth_moment(n, r)
 
+    @pytest.mark.parametrize("r", [41, 257, 65537, 2**64 + 1])
+    def test_large_bases_match_horner(self, r):
+        d = derive_constants(r).d
+        for row in check_moment_bound(r, 80):
+            expected = horner_fourth_moment(row.n, r)
+            assert row.strings == r**row.n
+            assert row.moment_sum == expected
+            assert row.holds == (expected <= d / row.n**2)
+            assert frequency_fourth_moment(row.n, r) == expected
+
     @pytest.mark.parametrize("r", range(2, 13))
     def test_integer_decision_matches_the_fractions(self, r):
         for row in check_moment_bound(r, 300):
