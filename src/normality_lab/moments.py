@@ -148,6 +148,11 @@ def scaled_moment_via_operator(n: int, r: int, k: int) -> Fraction:
     return poly.evaluate(Fraction(1, r), Fraction(r - 1, r))
 
 
+# the most ints the operator sweep's factor tables may hold in all, r*n_max
+# + 1 per base r; verify-paper's sweeps need 15,411
+MAX_SWEEP_TABLE = 10**6
+
+
 def operator_moment_sweep(
     bases: tuple[int, ...], k: int, n_max: int
 ) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
@@ -162,14 +167,14 @@ def operator_moment_sweep(
     -n_max..s*n_max for every n <= n_max.  So the k operator passes are
     made once per base, on a table of that range starting from ones:
     (s+1)*n_max + 1 = r*n_max + 1 ints per base, 15,411 in all for the
-    bases 2..12 at n_max = 200 (the table grows with r; every caller
-    uses r <= 256).  Row n then takes the k-th powers of its factors as
-    one stride-(s+1) slice of the table, one multiplication per
-    coefficient, and the specialization as the per-n route does.  By
-    linearity the row's image is the same.
+    bases 2..12 at n_max = 200 (the table grows with r, so the sweep
+    refuses more than MAX_SWEEP_TABLE ints in all).  Row n then takes
+    the k-th powers of its factors as one stride-(s+1) slice of the
+    table, one multiplication per coefficient, and the specialization
+    as the per-n route does.  By linearity the row's image is the same.
 
     k, every base and n_max are checked before any table or row is
-    built.
+    built, and then the tables' total size against MAX_SWEEP_TABLE.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -177,6 +182,11 @@ def operator_moment_sweep(
         validate_base(r)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    size = sum(r * n_max + 1 for r in bases)
+    if size > MAX_SWEEP_TABLE:
+        shown = size if size.bit_length() <= 256 else f"a {size.bit_length()}-bit count of"
+        raise ValueError(
+            f"the sweep's tables would hold {shown} ints, over the cap of {MAX_SWEEP_TABLE}")
     points = []
     for r in bases:
         factors = range(-n_max, (r - 1) * n_max + 1)

@@ -21,8 +21,10 @@ Champernowne digits come a block of integers at a time, file digits a
 read of whole lines at a time and random digits a block of xorshift
 states at a time, each block one `bytes` (a tuple or list above base
 256) that the :class:`DigitStream` reads as one chunk, with no per-digit
-step.  The random blocks come from many xorshift states stepped together
-in the lanes of one int; see `_random_chunks`.
+step.  In a base 2**k <= 256 the random blocks come from the linear
+recurrence that every state bit obeys, a block of digits at a time; see
+`_bit_plane_chunks`.  In any other base they come from many xorshift
+states stepped together in the lanes of one int; see `_random_chunks`.
 """
 from __future__ import annotations
 
@@ -31,9 +33,10 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from itertools import chain, count
+from operator import itemgetter, xor
 from pathlib import Path
 from typing import Iterator
 
@@ -112,11 +115,13 @@ def random_stream(base: int, seed: int) -> DigitStream:
     the rejection test.
 
     The digits are those of one `xorshift64_step` after another, made a
-    block at a time by `_random_chunks`.
+    block at a time by `_bit_plane_chunks` in a base 2**k <= 256 and by
+    `_random_chunks` in any other.
     """
     _check_random_base(base)
     seed &= _MASK64
-    return DigitStream(base, _random_chunks(base, seed or _SEED_SUBSTITUTE),
+    chunks = _bit_plane_chunks if base <= 256 and not base & (base - 1) else _random_chunks
+    return DigitStream(base, chunks(base, seed or _SEED_SUBSTITUTE),
                        description=f"xorshift64 seed {seed}")
 
 
@@ -200,7 +205,8 @@ def _spread(state: int, lanes: int) -> int:
 
 
 def _random_chunks(base: int, state: int) -> Iterator:
-    """The digits of the states after `state`, one chunk per block.
+    """The digits of the states after `state`, one chunk per block, in a
+    base above 256 or not a power of two.
 
     A power-of-two base masks its digits out of the states.  Any other
     base takes s mod base = s - q*base, where q = s*m >> shift is the
@@ -259,6 +265,75 @@ def _random_chunks(base: int, state: int) -> Iterator:
             packed = _spread(packed >> (_WIDTH * (lanes // 2 - 1)), lanes)
         else:
             packed = _apply(_jump_matrices()[1], packed, lanes)
+
+
+# Each bit of the xorshift state obeys x_t = XOR of x_(t-j) over j in
+# _TAPS (Berlekamp-Massey on bit 0; Massey 1969, "Shift-register synthesis
+# and BCH decoding"), and as (sum of z**j)**D = sum of z**(j*D) over GF(2)
+# for D a power of two, so do blocks of D bits: B_m = XOR of B_(m-j).
+_TAPS = (8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48,
+         51, 52, 55, 64)
+_SHIFT_BITS, _BLOCK_BITS = 1 << 10, 1 << 12
+
+
+def _bit_plane_chunks(base: int, state: int) -> Iterator[bytes]:
+    """The digits in base 2**k <= 256 of the states after `state`, each
+    the low k bits of its state, by the recurrence of _TAPS.
+
+    A digit is a `width`-bit field, width the power of two at or above k,
+    so one XOR serves a whole block.  The first chunk is 64
+    `xorshift64_step`s, 64 one-digit blocks; each next one is 64 new
+    blocks, and then, until they reach _BLOCK_BITS bits (a chunk of 32
+    KiB), the old and new pair up into 64 blocks twice as long.  Below
+    _SHIFT_BITS bits a block the 64 are one int, and 8 passes of 24
+    shifts make 8 blocks each (the smallest tap is 8): few Python steps,
+    though a pass moves some 730 blocks to make 8.  Then they are a list
+    and a new block is the XOR of 24 entries.
+    """
+    width = 1 << (base.bit_length() - 2).bit_length()  # 1, 2, 4 or 8
+    window = 0
+    for shift in range(0, 64 * width, width):
+        state = xorshift64_step(state)
+        window |= (state & (base - 1)) << shift
+    yield _unpack(window.to_bytes(8 * width, "little"), width)
+    size = width  # bits in a block
+    while size < _SHIFT_BITS:
+        old, octet = window, (1 << 8 * size) - 1
+        for _ in range(8):
+            new = 0
+            for j in _TAPS:
+                new ^= window >> (64 - j) * size
+            window = window >> 8 * size | (new & octet) << 56 * size
+        yield _unpack(window.to_bytes(8 * size, "little"), width)
+        window, size = old | window << 64 * size, 2 * size
+    blocks = [window >> i & (1 << size) - 1 for i in range(0, 64 * size, size)]
+    taps = itemgetter(*(-j for j in _TAPS))
+    while True:
+        for _ in range(64):
+            blocks.append(reduce(xor, taps(blocks)))
+        yield _unpack(b"".join([b.to_bytes(size // 8, "little") for b in blocks[64:]]), width)
+        if size < _BLOCK_BITS:
+            blocks = [low | high << size for low, high in zip(blocks[::2], blocks[1::2])]
+            size *= 2
+        else:
+            del blocks[:64]
+
+
+@cache
+def _field_tables(width: int) -> tuple[bytes, ...]:
+    """Per `width`-bit field of a byte, lowest first, the byte's field."""
+    return tuple(bytes(v >> i & (1 << width) - 1 for v in range(256)) for i in range(0, 8, width))
+
+
+def _unpack(data: bytes, width: int) -> bytes:
+    """The `width`-bit fields of `data`, lowest first, one byte each."""
+    if width == 8:
+        return data
+    tables = _field_tables(width)
+    digits = bytearray(len(data) * len(tables))
+    for i, table in enumerate(tables):
+        digits[i :: len(tables)] = data.translate(table)
+    return bytes(digits)
 
 
 # --- digit files -----------------------------------------------------------

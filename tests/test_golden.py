@@ -9,7 +9,8 @@ longer measure sweeps from one deviation_set_measure call per n, the
 three battery hashes around base 2**16 from power views built as lists
 one window at a time above base 256, and the three grouped file views
 in bases 1000 and 10000 from grouped reads that packed each group above
-base 256 as a list, one Python step per group; any
+base 256 as a list, one Python step per group, and the three long random
+reads in bases 2, 4 and 256 from xorshift states stepped in lanes; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 The demo hashes pin the stdout of each script under demos/ the same way.
 """
@@ -159,6 +160,20 @@ GOLDEN = [
         ("stats", "--source", "file:pi_base10.digits", "--base", "10000", "-n", "200",
          "--word", "[1415][9265]", "--format", "text"),
         "fb67763124881c4f00ff602dbe6173cfe9482f6281343c1b7860042727b2e35d",
+    ),
+    (
+        # long reads in power-of-two bases, into the random blocks kept as a list
+        ("stats", "--source", "random:7", "--base", "2", "-n", "300000", "--word", "10111",
+         "--format", "json"),
+        "1818d4fa87b6428b1e1703cc3eea4dcdb37d6e8113052053412acb8a3a74d9b5",
+    ),
+    (
+        ("battery", "--source", "random:7", "--base", "4", "--max-power", "4", "-n", "20000"),
+        "a2d6e7ab216cb62cafd8a4ce441696317a41dea7d95edbfc395c44dc8211f38a",
+    ),
+    (
+        ("stats", "--source", "random:7", "--base", "256", "-n", "300000", "--format", "text"),
+        "700f8d59d9a1bb45308d42ebea8b35e179547452e4fa5a525d9bc4dd35ff1272",
     ),
 ]
 

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -238,6 +239,21 @@ class TestOperatorSweep:
         ]:
             with pytest.raises(ValueError, match=message):
                 next(operator_moment_sweep(bases, k, n_max))
+
+    def test_rejects_a_table_over_the_cap(self, monkeypatch):
+        # 3*10**7 + 1 ints: built, the table alone would take over 1 GB
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"30000001 ints, over the cap of 1000000"):
+            next(operator_moment_sweep((10**7,), 1, 3))
+        with pytest.raises(ValueError, match=r"hold a 16612-bit count of ints, over the cap"):
+            next(operator_moment_sweep((10**5000,), 1, 3))
+        assert time.perf_counter() - start < 1
+        # the bases 2 and 3 at n_max = 5 need 11 + 16 ints
+        monkeypatch.setattr(moments, "MAX_SWEEP_TABLE", 27)
+        assert list(operator_moment_sweep((2, 3), 4, 5)) == per_cell_sweep((2, 3), 4, 5)
+        monkeypatch.setattr(moments, "MAX_SWEEP_TABLE", 26)
+        with pytest.raises(ValueError, match="27 ints, over the cap of 26"):
+            next(operator_moment_sweep((2, 3), 4, 5))
 
 
 class TestSpecializedMoments:

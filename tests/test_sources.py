@@ -4,7 +4,9 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, islice
+from operator import xor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,8 +35,11 @@ from normality_lab.radix import (
 )
 from normality_lab.sources import (
     ASSETS_ENV,
+    _BLOCK_BITS,
     _LANES,
+    _SEED_SUBSTITUTE,
     _STEPS,
+    _TAPS,
     SourceSpec,
     _apply,
     _jump_matrices,
@@ -821,6 +826,130 @@ class TestRandomLanes:
         assert parse_source_spec("random:1", 2**64).stream().take(3) == list(
             islice(xorshift_by_digit(2**64, 1), 3)
         )
+
+
+def berlekamp_massey(bits):
+    """The taps j of the shortest recurrence x_t = XOR of x_(t-j) that the
+    bit sequence obeys (Massey 1969)."""
+    c, b, length, gap = [1], [1], 0, 1
+    for n, bit in enumerate(bits):
+        for i in range(1, length + 1):
+            bit ^= c[i] & bits[n - i]
+        if not bit:
+            gap += 1
+            continue
+        previous = c
+        c = c + [0] * max(0, len(b) + gap - len(c))
+        c[gap : gap + len(b)] = [x ^ y for x, y in zip(c[gap:], b)]
+        if 2 * length <= n:
+            length, b, gap = n + 1 - length, previous, 1
+        else:
+            gap += 1
+    return tuple(j for j in range(1, length + 1) if j < len(c) and c[j])
+
+
+def xorshift_states(seed, count):
+    states = [seed]
+    for _ in range(count):
+        states.append(xorshift64_step(states[-1]))
+    return states[1:]
+
+
+def block_cap(base):
+    """The most digits a block of the bit-plane source holds: a digit of
+    base 2**k takes 1, 2, 4 or 8 bits, the power of two at or above k."""
+    return _BLOCK_BITS // {2: 1, 4: 2, 8: 4, 16: 4}.get(base, 8)
+
+
+def bit_plane_edge(base, j):
+    """Where chunk j + 1 of the bit-plane random source in `base` starts:
+    64 digits, then 64 blocks of 1, 2, 4, ... digits a chunk, up to
+    `block_cap`."""
+    edge, digits = 64, 1
+    for _ in range(j):
+        edge += 64 * digits
+        digits = min(2 * digits, block_cap(base))
+    return edge
+
+
+power_bases = st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256])
+
+
+class TestBitPlanes:
+    def test_taps_are_those_berlekamp_massey_finds(self):
+        states = xorshift_states(_SEED_SUBSTITUTE, 256)
+        assert berlekamp_massey([s & 1 for s in states]) == _TAPS
+
+    @pytest.mark.parametrize("seed", [1, _SEED_SUBSTITUTE, 2**64 - 1])
+    def test_bit_planes_obey_the_taps(self, seed):
+        # the low byte holds bit planes 0-7, and an XOR of bytes is one
+        # per plane; blocks of D bits, D a power of two, obey the taps
+        # spread D apart
+        low = [s & 255 for s in xorshift_states(seed, 4096)]
+        for spread in (1, 2, 4, 8, 16, 32, 64):
+            for t in range(64 * spread, 4096):
+                parts = [low[t - j * spread] for j in _TAPS]
+                assert low[t] == reduce(xor, parts), (spread, t)
+
+    @given(
+        power_bases,
+        random_seeds,
+        st.integers(0, 9),
+        st.integers(-200, 200),
+        st.lists(st.integers(0, 3000), max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_matches_per_digit(self, base, seed, edge, lead, sizes):
+        head = max(0, bit_plane_edge(base, edge) + lead)
+        got = read_in_pieces(random_stream(base, seed), head, sizes)
+        assert got == list(islice(xorshift_by_digit(base, seed), len(got)))
+
+    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
+    def test_full_blocks_match_per_digit(self, base):
+        # up to the end of the second chunk past the blocks' doubling, in
+        # three pieces
+        n = bit_plane_edge(base, block_cap(base).bit_length() + 2)
+        stream = random_stream(base, 5006714841306934763)
+        got = read_in_pieces(stream, 1000, [n // 2, n - n // 2 - 1000])
+        assert got == list(islice(xorshift_by_digit(base, 5006714841306934763), n))
+
+    @given(
+        power_bases,
+        random_seeds,
+        st.integers(0, 8),
+        st.integers(-100, 100),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2000)), max_size=10),
+    )
+    @settings(max_examples=40)
+    def test_forks_read_interleaved(self, base, seed, edge, lead, reads):
+        head = max(0, bit_plane_edge(base, edge) + lead)
+        stream = random_stream(base, seed)
+        stream.take(head)
+        twin = stream.fork()
+        got = {True: b"", False: b""}
+        for first, size in reads:
+            got[first] += (stream if first else twin).take(size)
+        longest = max(len(got[True]), len(got[False]))
+        expected = bytes(islice(xorshift_by_digit(base, seed), head + longest))[head:]
+        assert got[True] == expected[: len(got[True])]
+        assert got[False] == expected[: len(got[False])]
+
+    @pytest.mark.parametrize("base", [2, 16, 256])
+    def test_short_read_is_short(self, base):
+        random_stream(base, 1).take(10**5)  # fills any cache a read uses
+        elapsed = []
+        for seed in range(5):
+            start = time.perf_counter()
+            random_stream(base, seed).take(10)
+            elapsed.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            random_stream(base, 7).take(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(elapsed) < 1e-3
+        assert peak < 2**20
 
 
 def rational_chunk_edge(base, j):
