@@ -47,7 +47,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, tee
 from typing import Iterator
 
@@ -160,6 +160,30 @@ def _lane_major(rows: list[bytes], lanes: int, stride: int | None = None):
         words[i::8] = flat[i::stride]
     words = _byte_order(array("Q", words))
     return list(chain.from_iterable(words[k::lanes] for k in range(lanes)))
+
+
+@cache
+def _byte_digits(base: int) -> tuple[bytes, ...]:
+    """For base <= 256, the k digits of a byte value in base, most
+    significant first, k the largest with base**k <= 256: translate table
+    i takes a value below base**k to its digit i, any other to 0."""
+    k = 1
+    while base ** (k + 1) <= 256:
+        k += 1
+    return tuple((b"".join(bytes([d]) * base ** (k - 1 - i) for d in range(base))
+                  * base**i).ljust(256, b"\0") for i in range(k))
+
+
+def _spread_digits(values: bytes, tables: tuple[bytes, ...]) -> bytes:
+    """Each byte of `values` as one digit per translate table, in table
+    order, one `translate` a table.  A single table is skipped: callers
+    pass only values below its base, which `_byte_digits` keeps."""
+    if len(tables) == 1:
+        return values
+    digits = bytearray(len(tables) * len(values))
+    for i, table in enumerate(tables):
+        digits[i :: len(tables)] = values.translate(table)
+    return bytes(digits)
 
 
 def _windows(digits, base: int, n: int, step: int = 1) -> Iterator:
@@ -385,27 +409,18 @@ def _rational_lanes(r: int, den: int, base: int) -> Iterator[bytes]:
     below 2**(2n+1), which is the lane width (rounded up to whole bytes),
     so no lane carries into the next.  Each step's quotients are byte 0
     of every lane; the block puts them lane after lane (`_lane_major`)
-    and, for k > 1, one `translate` a digit position spreads them into
-    digits.  The last lane ends where the next block starts, which has
-    twice the lanes of this one, up to _RATIONAL_LANES, so the first
-    blocks stay short.
+    and `_spread_digits` turns them into digits.  The last lane ends
+    where the next block starts, which has twice the lanes of this one,
+    up to _RATIONAL_LANES, so the first blocks stay short.
     """
-    k = 1
-    while base ** (k + 1) <= 256:
-        k += 1
-    s = base**k
+    tables = _byte_digits(base)
+    s = base ** len(tables)
     n = ((den - 1) * s).bit_length()
     shift = n + (den - 1).bit_length()
     multiplier = -(-(1 << shift) // den)
     lane_bytes = (2 * n + 8) // 8
     lane_bits = 8 * lane_bytes
     jump = pow(s, _RATIONAL_STEPS, den)
-    # translate tables from a quotient to its digit i, which runs through
-    # range(base), each value base**(k-1-i) times, base**i times over
-    spreads = []
-    for i in range(k):
-        run = b"".join(bytes([d]) * base ** (k - 1 - i) for d in range(base))
-        spreads.append((run * base**i).ljust(256, b"\0"))
     lanes = 2 * _RATIONAL_BATCH // _RATIONAL_STEPS
     while True:
         starts = [r]
@@ -421,14 +436,7 @@ def _rational_lanes(r: int, den: int, base: int) -> Iterator[bytes]:
             quotients = ((t * multiplier) & quotient_bits) >> shift
             packed = t - quotients * den
             rows.append(quotients.to_bytes(lane_bytes * lanes, "little")[::lane_bytes])
-        groups = _lane_major(rows, lanes)
-        if k == 1:
-            yield groups
-        else:
-            digits = bytearray(k * len(groups))
-            for i, spread in enumerate(spreads):
-                digits[i::k] = groups.translate(spread)
-            yield bytes(digits)
+        yield _spread_digits(_lane_major(rows, lanes), tables)
         r = packed >> (lane_bits * (lanes - 1))
         lanes = min(2 * lanes, _RATIONAL_LANES)
 

@@ -21,16 +21,19 @@ Champernowne digits come a block of integers at a time, file digits a
 read of whole lines at a time and random digits a block of xorshift
 states at a time, each block one `bytes` (a tuple or list above base
 256) that the :class:`DigitStream` reads as one chunk, with no per-digit
-step.  In a base 2**k <= 256 the random blocks come from the linear
-recurrence that every state bit obeys, a block of digits at a time; see
+step.  In a base 2**k the random blocks come from the linear recurrence
+that every state bit obeys, a block of digits at a time; see
 `_bit_plane_chunks`.  In any other base they come from many xorshift
-states stepped together in the lanes of one int; see `_random_chunks`.
+states stepped together in the lanes of one int, each lane moved to the
+next block by the jump polynomial of that recurrence; see
+`_random_chunks`.
 """
 from __future__ import annotations
 
 import io
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -46,9 +49,12 @@ from .radix import (
     CHAR_VALUE,
     DigitExpansion,
     DigitStream,
+    _byte_digits,
+    _byte_order,
     _digit_reader,
     _digit_table,
     _lane_major,
+    _spread_digits,
     digits_to_int,
     expand_rational,
     int_to_digits,
@@ -115,12 +121,12 @@ def random_stream(base: int, seed: int) -> DigitStream:
     the rejection test.
 
     The digits are those of one `xorshift64_step` after another, made a
-    block at a time by `_bit_plane_chunks` in a base 2**k <= 256 and by
-    `_random_chunks` in any other.
+    block at a time by `_bit_plane_chunks` in a base 2**k and by
+    `_random_chunks`, in lanes the jump polynomial moves, in any other.
     """
     _check_random_base(base)
     seed &= _MASK64
-    chunks = _bit_plane_chunks if base <= 256 and not base & (base - 1) else _random_chunks
+    chunks = _random_chunks if base & (base - 1) else _bit_plane_chunks
     return DigitStream(base, chunks(base, seed or _SEED_SUBSTITUTE),
                        description=f"xorshift64 seed {seed}")
 
@@ -131,22 +137,51 @@ def _check_random_base(base: int) -> None:
         raise ValueError(f"random source needs base <= 2**64, got {brief_rational(base)}")
 
 
-# The packed generator.  xorshift is linear over GF(2): one step is a
-# 64x64 bit matrix A, and A**e (built by squaring) jumps e steps ahead
-# (Haramoto et al. 2008, "Efficient jump ahead for F2-linear random
-# number generators").  A block holds `lanes` states in the _WIDTH-bit
-# lanes of one int, lane k _STEPS states after lane k-1, so _STEPS packed
-# steps make the lanes * _STEPS states that follow the block's start,
-# lane after lane.  The bits above 64 in a lane take what a shift pushes
-# out of the state, the products of the reduction mod base and the carry
-# that marks a rejected state in its own digit, so each step makes one
-# row of digits with the rejected ones marked in-band; a byte digit
-# takes one byte of its lane, so 16 steps share one int before it is
-# turned into bytes (`radix._lane_major` puts the rows lane after lane,
-# as it does for rational lanes).  The first block has one lane, so a
-# short read stays short, and each next one twice as many, spread out
-# from the last state of the block before; from _LANES lanes on, one
-# jump moves every lane to the next block.
+# One xorshift step is linear over GF(2), a 64x64 bit matrix A.  Each bit
+# of the state obeys x_t = XOR of x_(t-j) over j in _TAPS (Berlekamp-Massey
+# on bit 0; Massey 1969, "Shift-register synthesis and BCH decoding"), so
+# p(A) = 0 for the jump polynomial p(z) = z**64 + the sum of z**(64-j).
+# As (sum of z**j)**D = sum of z**(j*D) over GF(2) for D a power of two,
+# blocks of D bits obey the taps D apart: B_m = XOR of B_(m-j).  And
+# A**e = c(A) for c(z) = z**e mod p(z), of degree below 64, so the state
+# e steps after s is the XOR of the states i < 64 steps after s, one for
+# each term z**i of c (Haramoto et al. 2008, "Efficient jump ahead for
+# F2-linear random number generators").
+_TAPS = (8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48,
+         51, 52, 55, 64)
+_JUMP_POLYNOMIAL = 1 << 64 | sum(1 << 64 - j for j in _TAPS)
+_SHIFT_BITS, _BLOCK_BITS = 1 << 10, 1 << 12
+
+
+@cache
+def _ahead(e: int) -> frozenset[int]:
+    """The i with z**i a term of z**e mod p(z): the steps whose states XOR
+    to the state e steps on.  A square over GF(2) has the terms of its
+    root doubled, so z**e is the square of z**(e//2), times z if e is odd."""
+    if e < 64:
+        return frozenset((e,))
+    c = sum(1 << 2 * i for i in _ahead(e // 2)) << (e & 1)
+    while c >> 64:
+        c ^= _JUMP_POLYNOMIAL << c.bit_length() - 65
+    return frozenset(i for i in range(64) if c >> i & 1)
+
+
+# The packed generator, for a base that is not a power of two.  A block
+# holds `lanes` states in the _WIDTH-bit lanes of one int, lane k _STEPS
+# states after lane k-1, so _STEPS packed steps make the lanes * _STEPS
+# states that follow the block's start, lane after lane.  The bits above
+# 64 in a lane take what a shift pushes out of the state, the products of
+# the reduction mod base and the carry that marks a rejected state in its
+# own digit, so each step makes one row of digits with the rejected ones
+# marked in-band; a byte digit takes one byte of its lane, so 16 steps
+# share one int before it is turned into bytes (`radix._lane_major` puts
+# the rows lane after lane, as it does for rational lanes).  The first
+# block has one lane, so a short read stays short, and each next one
+# twice as many, up to _LANES.  Lane k of the next block starts
+# _STEPS * lanes states after lane k of this one and, while the lanes
+# double, lane lanes + k twice as far: each the XOR of the lane's states
+# at the steps `_ahead` gives, all below 64, so the lane passes them
+# within its own block and needs no jump of its own.
 _WIDTH = 136
 _LANE_BYTES = _WIDTH // 8
 _LANES = 256
@@ -158,62 +193,15 @@ def _rep(value: int, lanes: int) -> int:
     return int.from_bytes(value.to_bytes(_LANE_BYTES, "little") * lanes, "little")
 
 
-def _apply(columns: tuple[int, ...], packed: int, lanes: int) -> int:
-    """The matrix, given by its 64 columns, applied to the 64-bit value in
-    each of `lanes` lanes."""
-    ones = _rep(1, lanes)
-    out = 0
-    for i, column in enumerate(columns):
-        out ^= ((packed >> i) & ones) * column
-    return out
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The matrix product a b, each matrix given by its 64 columns: a
-    applied to the columns of b, held in 64 lanes."""
-    packed = b"".join(column.to_bytes(_LANE_BYTES, "little") for column in b)
-    data = _apply(a, int.from_bytes(packed, "little"), 64).to_bytes(len(packed), "little")
-    return tuple(_lane_major([data], 64, _LANE_BYTES))
-
-
-@cache
-def _jump_matrices() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(doubling, jump): doubling[i] is A**(_STEPS * 2**i), for the lanes
-    that `_spread` adds; jump is A**((_LANES - 1) * _STEPS), which moves
-    each lane of a full block to its place in the next block."""
-    power = tuple(xorshift64_step(1 << i) for i in range(64))
-    for _ in range(_STEPS.bit_length() - 1):
-        power = _compose(power, power)
-    doubling = [power]
-    while len(doubling) < _LANES.bit_length() - 1:
-        doubling.append(_compose(doubling[-1], doubling[-1]))
-    jump = doubling[0]
-    for power in doubling[1:]:
-        jump = _compose(power, jump)
-    return tuple(doubling), jump
-
-
-def _spread(state: int, lanes: int) -> int:
-    """Lanes holding `state` and the states _STEPS, 2*_STEPS, ... after it."""
-    packed, n = state, 1
-    for power in _jump_matrices()[0]:
-        if n == lanes:
-            break
-        packed |= _apply(power, packed, n) << (_WIDTH * n)
-        n *= 2
-    return packed
-
-
 def _random_chunks(base: int, state: int) -> Iterator:
     """The digits of the states after `state`, one chunk per block, in a
-    base above 256 or not a power of two.
+    base that is not a power of two.
 
-    A power-of-two base masks its digits out of the states.  Any other
-    base takes s mod base = s - q*base, where q = s*m >> shift is the
+    A digit is s mod base = s - q*base, where q = s*m >> shift is the
     exact quotient for every 64-bit s, with 2**l >= base, shift = 64 + l
     and m = 2**shift / base rounded up (Granlund and Montgomery 1994,
     "Division by invariant integers using multiplication", Theorem 4.2);
-    s*m stays below 2**129.  Such a base also rejects the states s with
+    s*m stays below 2**129.  The states s rejected are those with
     s + 2**64 mod base >= 2**64, those whose sum carries into bit 64 of
     their lane; a step with no such carry marks nothing.  A carry c marks
     its lane's digit with a value no digit of the base takes: 255 in a
@@ -231,28 +219,28 @@ def _random_chunks(base: int, state: int) -> Iterator:
     multiplier = -(-(1 << shift) // base)
     lanes, packed = 1, state
     while True:
-        mask = _rep(_MASK64, lanes)
-        if spill:
-            spills, carries = _rep(spill, lanes), _rep(1 << 64, lanes)
-            quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
-        else:
-            digit_bits = _rep(base - 1, lanes)
-        rows, rejected = [], False
+        mask, spills, carries = _rep(_MASK64, lanes), _rep(spill, lanes), _rep(1 << 64, lanes)
+        quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
+        same = _ahead(_STEPS * lanes)
+        added = _ahead(2 * _STEPS * lanes) if lanes < _LANES else frozenset()
+        rows, rejected, jumped, doubled, step = [], False, 0, 0, 0
         for _ in range(_STEPS // per_row):
             row = 0
             for offset in range(0, 8 * per_row, 8):
+                if step in same:
+                    jumped ^= packed
+                if step in added:
+                    doubled ^= packed
+                step += 1
                 packed ^= (packed << 13) & mask
                 packed ^= (packed >> 7) & mask
                 packed ^= (packed << 17) & mask
-                if spill:
-                    quotients = ((packed * multiplier) & quotient_bits) >> shift
-                    digits = packed - quotients * base
-                    if carry := (packed + spills) & carries:
-                        rejected = True
-                        low = carry >> 56 if small else carry
-                        digits |= low - (carry >> 64)
-                else:
-                    digits = packed & digit_bits
+                quotients = ((packed * multiplier) & quotient_bits) >> shift
+                digits = packed - quotients * base
+                if carry := (packed + spills) & carries:
+                    rejected = True
+                    low = carry >> 56 if small else carry
+                    digits |= low - (carry >> 64)
                 row |= digits << offset if offset else digits
             data = row.to_bytes(_LANE_BYTES * lanes, "little")
             rows += [data[i::_LANE_BYTES] for i in range(per_row)] if small else [data]
@@ -260,28 +248,16 @@ def _random_chunks(base: int, state: int) -> Iterator:
         if rejected:
             chunk = chunk.translate(None, b"\xff") if small else list(filter(_MASK64.__ne__, chunk))
         yield chunk
-        if lanes < _LANES:
-            lanes *= 2
-            packed = _spread(packed >> (_WIDTH * (lanes // 2 - 1)), lanes)
-        else:
-            packed = _apply(_jump_matrices()[1], packed, lanes)
+        packed = jumped | doubled << (_WIDTH * lanes)
+        lanes = min(2 * lanes, _LANES)
 
 
-# Each bit of the xorshift state obeys x_t = XOR of x_(t-j) over j in
-# _TAPS (Berlekamp-Massey on bit 0; Massey 1969, "Shift-register synthesis
-# and BCH decoding"), and as (sum of z**j)**D = sum of z**(j*D) over GF(2)
-# for D a power of two, so do blocks of D bits: B_m = XOR of B_(m-j).
-_TAPS = (8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48,
-         51, 52, 55, 64)
-_SHIFT_BITS, _BLOCK_BITS = 1 << 10, 1 << 12
+def _bit_plane_chunks(base: int, state: int) -> Iterator:
+    """The digits in base 2**k of the states after `state`, each the low k
+    bits of its state, by the recurrence of _TAPS.
 
-
-def _bit_plane_chunks(base: int, state: int) -> Iterator[bytes]:
-    """The digits in base 2**k <= 256 of the states after `state`, each
-    the low k bits of its state, by the recurrence of _TAPS.
-
-    A digit is a `width`-bit field, width the power of two at or above k,
-    so one XOR serves a whole block.  The first chunk is 64
+    A digit is a `width`-bit field, width the power of two at or above k
+    (1 to 64), so one XOR serves a whole block.  The first chunk is 64
     `xorshift64_step`s, 64 one-digit blocks; each next one is 64 new
     blocks, and then, until they reach _BLOCK_BITS bits (a chunk of 32
     KiB), the old and new pair up into 64 blocks twice as long.  Below
@@ -290,7 +266,7 @@ def _bit_plane_chunks(base: int, state: int) -> Iterator[bytes]:
     though a pass moves some 730 blocks to make 8.  Then they are a list
     and a new block is the XOR of 24 entries.
     """
-    width = 1 << (base.bit_length() - 2).bit_length()  # 1, 2, 4 or 8
+    width = 1 << (base.bit_length() - 2).bit_length()  # 1, 2, 4, ..., 64
     window = 0
     for shift in range(0, 64 * width, width):
         state = xorshift64_step(state)
@@ -319,21 +295,12 @@ def _bit_plane_chunks(base: int, state: int) -> Iterator[bytes]:
             del blocks[:64]
 
 
-@cache
-def _field_tables(width: int) -> tuple[bytes, ...]:
-    """Per `width`-bit field of a byte, lowest first, the byte's field."""
-    return tuple(bytes(v >> i & (1 << width) - 1 for v in range(256)) for i in range(0, 8, width))
-
-
-def _unpack(data: bytes, width: int) -> bytes:
-    """The `width`-bit fields of `data`, lowest first, one byte each."""
-    if width == 8:
-        return data
-    tables = _field_tables(width)
-    digits = bytearray(len(data) * len(tables))
-    for i, table in enumerate(tables):
-        digits[i :: len(tables)] = data.translate(table)
-    return bytes(digits)
+def _unpack(data: bytes, width: int):
+    """The `width`-bit fields of `data`, lowest first: a `bytes` of one
+    byte each up to 8 bits, a list of words above."""
+    if width > 8:
+        return list(_byte_order(array({16: "H", 32: "I", 64: "Q"}[width], data)))
+    return _spread_digits(data, _byte_digits(1 << width)[::-1])
 
 
 # --- digit files -----------------------------------------------------------

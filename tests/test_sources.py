@@ -41,8 +41,7 @@ from normality_lab.sources import (
     _STEPS,
     _TAPS,
     SourceSpec,
-    _apply,
-    _jump_matrices,
+    _ahead,
     champernowne_stream,
     load_digit_file,
     parse_prefix_digits,
@@ -715,11 +714,9 @@ def random_block_edge(j):
     return _STEPS * sum(min(2**b, _LANES) for b in range(j + 1))
 
 
-# small bases, the largest one, bases that reject about half and a
-# quarter of all states, and one past the bytes chunks
-random_bases = st.one_of(
-    st.integers(2, 300), st.sampled_from([2**40, 2**64, 2**63 + 1, 3 * 2**62])
-)
+# small bases, and bases that reject about half and a quarter of all
+# states
+random_bases = st.one_of(st.integers(2, 300), st.sampled_from([2**63 + 1, 3 * 2**62]))
 random_seeds = st.one_of(
     st.sampled_from([0, 5 + 2**64, (0xDEADBEEF << 64) | 12345]),
     st.integers(1, 2**64 - 1),
@@ -740,9 +737,9 @@ class TestRandomLanes:
         got = read_in_pieces(random_stream(base, seed), head, sizes)
         assert got == list(islice(xorshift_by_digit(base, seed), len(got)))
 
-    @pytest.mark.parametrize("base", [10, 256, 257, 2**63 + 1, 3 * 2**62])
+    @pytest.mark.parametrize("base", [10, 256, 257, 2**9, 2**63 + 1, 3 * 2**62, 2**64])
     def test_full_blocks_match_per_digit(self, base):
-        # past the lane doubling, into blocks reached by the jump matrix
+        # past the lane doubling, into blocks reached by the jump polynomial
         n = random_block_edge(10)
         assert list(random_stream(base, 99).take(n)) == list(
             islice(xorshift_by_digit(base, 99), n)
@@ -772,16 +769,18 @@ class TestRandomLanes:
             islice(xorshift_by_digit(base, seed), n)
         )
 
-    def test_jump_matrices_step_the_states(self):
-        doubling, jump = _jump_matrices()
-        marks = {_STEPS * 2**i: i for i in range(len(doubling))}
+    def test_ahead_steps_the_states(self):
+        # every jump a block makes: _STEPS times its 1, 2, ..., _LANES
+        # lanes and, while the lanes double, twice that
+        marks = {_STEPS * 2**i for i in range(9)}
+        assert max(marks) == _LANES * _STEPS
         for start in (1, 0x9E3779B97F4A7C15, 2**64 - 1):
-            state = start
-            for steps in range(1, (_LANES - 1) * _STEPS + 1):
-                state = xorshift64_step(state)
+            states = [start]
+            for steps in range(1, max(marks) + 1):
+                states.append(xorshift64_step(states[-1]))
                 if steps in marks:
-                    assert _apply(doubling[marks[steps]], start, 1) == state
-            assert _apply(jump, start, 1) == state
+                    assert all(i < 64 for i in _ahead(steps))
+                    assert reduce(xor, [states[i] for i in _ahead(steps)]) == states[-1]
 
     @given(
         random_bases,
@@ -803,7 +802,7 @@ class TestRandomLanes:
         assert got[False] == expected[: len(got[False])]
 
     def test_short_read_is_short(self):
-        random_stream(10, 1).take(random_block_edge(9))  # builds the jump matrices
+        random_stream(10, 1).take(random_block_edge(9))  # fills the jump cache
         elapsed = []
         for seed in range(5):
             start = time.perf_counter()
@@ -857,8 +856,10 @@ def xorshift_states(seed, count):
 
 def block_cap(base):
     """The most digits a block of the bit-plane source holds: a digit of
-    base 2**k takes 1, 2, 4 or 8 bits, the power of two at or above k."""
-    return _BLOCK_BITS // {2: 1, 4: 2, 8: 4, 16: 4}.get(base, 8)
+    base 2**k takes 1, 2, 4, 8, 16, 32 or 64 bits, the power of two at or
+    above k."""
+    k = base.bit_length() - 1
+    return _BLOCK_BITS // min(w for w in (1, 2, 4, 8, 16, 32, 64) if w >= k)
 
 
 def bit_plane_edge(base, j):
@@ -872,7 +873,8 @@ def bit_plane_edge(base, j):
     return edge
 
 
-power_bases = st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256])
+power_bases = st.sampled_from(
+    [2, 4, 8, 16, 32, 64, 128, 256, 2**9, 2**16, 2**17, 2**33, 2**40, 2**64])
 
 
 class TestBitPlanes:
@@ -882,14 +884,13 @@ class TestBitPlanes:
 
     @pytest.mark.parametrize("seed", [1, _SEED_SUBSTITUTE, 2**64 - 1])
     def test_bit_planes_obey_the_taps(self, seed):
-        # the low byte holds bit planes 0-7, and an XOR of bytes is one
-        # per plane; blocks of D bits, D a power of two, obey the taps
-        # spread D apart
-        low = [s & 255 for s in xorshift_states(seed, 4096)]
+        # an XOR of states is one per bit plane; blocks of D bits, D a
+        # power of two, obey the taps spread D apart
+        states = xorshift_states(seed, 4096)
         for spread in (1, 2, 4, 8, 16, 32, 64):
             for t in range(64 * spread, 4096):
-                parts = [low[t - j * spread] for j in _TAPS]
-                assert low[t] == reduce(xor, parts), (spread, t)
+                parts = [states[t - j * spread] for j in _TAPS]
+                assert states[t] == reduce(xor, parts), (spread, t)
 
     @given(
         power_bases,
@@ -904,7 +905,7 @@ class TestBitPlanes:
         got = read_in_pieces(random_stream(base, seed), head, sizes)
         assert got == list(islice(xorshift_by_digit(base, seed), len(got)))
 
-    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
+    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256, 2**9, 2**64])
     def test_full_blocks_match_per_digit(self, base):
         # up to the end of the second chunk past the blocks' doubling, in
         # three pieces
@@ -926,11 +927,11 @@ class TestBitPlanes:
         stream = random_stream(base, seed)
         stream.take(head)
         twin = stream.fork()
-        got = {True: b"", False: b""}
+        got = {True: [], False: []}
         for first, size in reads:
             got[first] += (stream if first else twin).take(size)
         longest = max(len(got[True]), len(got[False]))
-        expected = bytes(islice(xorshift_by_digit(base, seed), head + longest))[head:]
+        expected = list(islice(xorshift_by_digit(base, seed), head + longest))[head:]
         assert got[True] == expected[: len(got[True])]
         assert got[False] == expected[: len(got[False])]
 
