@@ -25,7 +25,15 @@ import sys
 from fractions import Fraction
 
 from .errors import CapError, MalformedHeaderError, NormalityLabError
-from .exact import brief_rational, brief_text, decimal_approx, format_rational, parse_rational
+from .exact import (
+    _int_text,
+    _rational_text,
+    brief_rational,
+    brief_text,
+    decimal_approx,
+    format_rational,
+    parse_rational,
+)
 from .measure import (
     DEFAULT_ENUMERATION_BUDGET,
     DeviationSetSpec,
@@ -365,7 +373,7 @@ def cmd_measure(args) -> tuple[int, str]:
         if args.target is not None:
             lines.append(
                 f"smallest m with tail bound <= {payload['target']}:"
-                f" {format_rational(witness)}"
+                f" {payload['witness_m']}"
             )
         return 0, "\n".join(lines) + "\n"
 
@@ -373,7 +381,8 @@ def cmd_measure(args) -> tuple[int, str]:
         rows = [MEASURE_SWEEP_CSV_HEADER]
         for n, exact, bound in deviation_set_sweep(args.base, args.epsilon, args.n_max):
             rows.append(
-                f"{n},{format_rational(exact)},{format_rational(bound)},"
+                f"{n},{_rational_text(exact.numerator, exact.denominator)},"
+                f"{_rational_text(bound.numerator, bound.denominator)},"
                 f"{'true' if exact <= bound else 'false'}"
             )
         return 0, "\n".join(rows) + "\n"
@@ -404,7 +413,7 @@ def _json_int(value: int) -> int | str:
     """value for json.dumps, or its digits as a string once it is too long
     for int-to-str conversion, which json.loads could not read back."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    digits = format_rational(value)
+    digits = _int_text(value)
     return digits if 0 < limit < len(digits) else value
 
 

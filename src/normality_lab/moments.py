@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, mul
 
-from .exact import binomial_row, decimal_approx, format_rational
+from .exact import _approx_text, _rational_text, binomial_row
 from .radix import validate_base
 
 
@@ -288,7 +288,9 @@ class MomentBoundRow:
     The row holds integers: `numerator` = sum_p W_n(p) (r*p - n)**4 over
     the `strings` = r**n digit strings of length n in base r, and the
     sweep's constant C.  `holds` is decided on them; moment_sum, bound
-    and ratio are Fractions built each time they are read.
+    and ratio are Fractions built each time they are read.  to_csv_row
+    reads none of them: it prints from the integers, with one gcd for the
+    moment sum and small ints for the bound.
     """
 
     n: int
@@ -317,12 +319,18 @@ class MomentBoundRow:
         )
 
     def to_csv_row(self) -> str:
+        n, c = self.n, self.c
+        den = self.strings * (self.base * n) ** 4
+        g = math.gcd(self.numerator, den)
+        # C is in lowest terms, so only r**4 * n**2 can share a factor with it
+        scale = self.base**4 * n * n
+        h = math.gcd(c.numerator, scale)
         return ",".join(
             (
-                str(self.n),
-                format_rational(self.moment_sum),
-                format_rational(self.bound),
-                decimal_approx(self.ratio),
+                str(n),
+                _rational_text(self.numerator // g, den // g),
+                _rational_text(c.numerator // h, c.denominator * (scale // h)),
+                _approx_text(self.numerator * c.denominator, c.numerator * self.strings * n * n),
                 "true" if self.holds else "false",
             )
         )

@@ -183,6 +183,20 @@ class TestExpand:
         assert code == 0
         assert out == "0.000\n"
 
+    def test_decimal_literal_past_the_int_str_digit_limit(self, capsys):
+        # 5000 digits after the point, and in a denominator: Fraction alone
+        # stops at 4300
+        code, out, err = run(
+            capsys, "expand", "--source", "rational:0." + "3" * 5000, "--base", "10",
+            "--digits", "5",
+        )
+        assert (code, out, err) == (0, "0.33333\n", "")
+        code, out, err = run(
+            capsys, "measure", "--base", "2", "--epsilon", "1/" + "7" * 5000, "--tail", "1",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["epsilon"] == "1/" + "7" * 5000
+
     def test_base_required_for_rational(self, capsys):
         run_usage_error(capsys, "expand", "--source", "rational:1/3",
                         "--digits", "4")

@@ -10,7 +10,8 @@ three battery hashes around base 2**16 from power views built as lists
 one window at a time above base 256, and the three grouped file views
 in bases 1000 and 10000 from grouped reads that packed each group above
 base 256 as a list, one Python step per group, and the three long random
-reads in bases 2, 4 and 256 from xorshift states stepped in lanes; any
+reads in bases 2, 4 and 256 from xorshift states stepped in lanes, and
+the tiny-epsilon measure from ints printed through decimal.Decimal; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 The demo hashes pin the stdout of each script under demos/ the same way.
 """
@@ -174,6 +175,11 @@ GOLDEN = [
     (
         ("stats", "--source", "random:7", "--base", "256", "-n", "300000", "--format", "text"),
         "700f8d59d9a1bb45308d42ebea8b35e179547452e4fa5a525d9bc4dd35ff1272",
+    ),
+    (
+        # a 400001-digit bound, past the int-to-str digit limit
+        ("measure", "--base", "2", "--epsilon", "1e-100000", "-n", "3", "--format", "json"),
+        "76bbd36e4a33732901cd656bf2130bf4b0c9d5a2945d1fc0bf9f49e229335299",
     ),
 ]
 

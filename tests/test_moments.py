@@ -1,4 +1,5 @@
 """Fourth-moment machinery: operator algebra, constants, bound sweeps."""
+import decimal
 import os
 import subprocess
 import sys
@@ -446,6 +447,24 @@ class TestOnePassSweep:
             assert row.c == derive(r).c / 2
             assert row.holds == (row.moment_sum <= row.bound)
             assert row.ratio == row.moment_sum / row.bound
+
+    @pytest.mark.parametrize("r", [2, 3, 7, 12, 257])
+    @pytest.mark.parametrize("halve", [False, True])
+    def test_csv_row_matches_the_fraction_route(self, monkeypatch, r, halve):
+        # to_csv_row prints from the row's integers; here the cells come
+        # from the Fraction properties, str(Fraction) and a Decimal division.
+        # A halved C has a denominator and fails the bound at some n.
+        if halve:
+            derive = moments.derive_constants
+            monkeypatch.setattr(moments, "derive_constants", lambda base: (
+                moments.MomentBoundConstants(base=base, c=derive(base).c / 2,
+                                             d=derive(base).c / 2 / base**4)))
+        for row in check_moment_bound(r, 300):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 12
+                ratio = decimal.Decimal(row.ratio.numerator) / decimal.Decimal(row.ratio.denominator)
+            cells = (row.n, row.moment_sum, row.bound, ratio, str(row.holds).lower())
+            assert row.to_csv_row() == ",".join(map(str, cells))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
