@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import EnumerationBudgetError
 from .exact import binomial_row, brief_rational, decimal_approx, format_rational
 from .moments import derive_constants
-from .radix import validate_base
+from .radix import _rep, validate_base
 from .sources import random_stream
 
 #: ceiling on r**n for honest string-by-string enumeration
@@ -346,7 +346,7 @@ def monte_carlo_deviation(
         lanes[::width] = hit[j::n]
         counts += int.from_bytes(lanes, "little")
     top = 1 << (8 * width - 1)
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * samples, "little")
+    ones = _rep(1, samples, width)
     # lane-wise, lo + top - c reaches top iff c <= lo, and c + top - hi iff
     # c >= hi; the clamped edges keep every lane in 0 .. 2 top - 1
     low = (max(lo, -1) + top) * ones - counts

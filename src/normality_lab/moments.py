@@ -60,6 +60,10 @@ class MomentPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.s < 1:
+            raise ValueError(f"s must be >= 1, got {self.s}")
         if len(self.coeffs) != self.n + 1:
             raise ValueError(
                 f"need n + 1 coefficients for n = {self.n}, got {len(self.coeffs)}"
@@ -97,10 +101,6 @@ class MomentPolynomial:
 
 def binomial_power_polynomial(n: int, s: int) -> MomentPolynomial:
     """The expansion of (x**s + y)**n: the row C(n,0..n)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
     return MomentPolynomial(n, s, tuple(binomial_row(n)))
 
 

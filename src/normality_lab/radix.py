@@ -34,9 +34,10 @@ a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET, beyond it a bracketed decimal like "[17]".
-`digit_token` writes a digit and `_digit_reader` builds the one reader
-of runs of them, which `parse_digit_text` (words, digit prefixes) and
-digit files (blocks of whole lines, whitespace skipped) go through.
+`digit_token` writes a digit, `_digit_reader` builds the one reader of
+runs of them, which `parse_digit_text` (words, digit prefixes) and digit
+files (blocks of whole lines, whitespace skipped) go through, and
+`_bad_digit` words a digit file's error where that reader stops.
 """
 from __future__ import annotations
 
@@ -49,9 +50,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, tee
+from pathlib import Path
 from typing import Iterator
 
-from .errors import FactorizationBudgetError, InsufficientDigitsError
+from .errors import FactorizationBudgetError, InsufficientDigitsError, InvalidDigitError
 from .exact import brief_text
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -141,9 +143,14 @@ def digits_to_int(digits, base: int) -> int:
 
 
 def _join(base: int, parts: list):
-    """Chunk parts as one run of digits: `bytes` up to base 256, a list
-    above."""
+    """Chunk parts as one run of digits, one C-level join: `bytes` up to
+    base 256, a list above."""
     return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))
+
+
+def _rep(value: int, lanes: int, width: int) -> int:
+    """`value` in each of `lanes` little-endian lanes of `width` bytes."""
+    return int.from_bytes(value.to_bytes(width, "little") * lanes, "little")
 
 
 def _lane_major(rows: list[bytes], lanes: int, stride: int | None = None):
@@ -428,8 +435,7 @@ def _rational_lanes(r: int, den: int, base: int) -> Iterator[bytes]:
             starts.append(starts[-1] * jump % den)
         packed = int.from_bytes(
             b"".join(x.to_bytes(lane_bytes, "little") for x in starts), "little")
-        quotient_bits = int.from_bytes(
-            ((1 << lane_bits) - (1 << shift)).to_bytes(lane_bytes, "little") * lanes, "little")
+        quotient_bits = _rep((1 << lane_bits) - (1 << shift), lanes, lane_bytes)
         rows = []
         for _ in range(_RATIONAL_STEPS):
             t = packed * s
@@ -802,6 +808,27 @@ def _digit_reader(base: int, spaced: bool = False):
         return (bytes if base <= 256 else list)(digits), end
 
     return read
+
+
+def _bad_digit(path: Path, base: int, lineno: int, line: str, col: int) -> InvalidDigitError:
+    """The error for the text at 0-based `col`, where the digit reader
+    stopped: neither whitespace nor a digit of `base` up to base 36, above
+    it no bracket token or one out of range."""
+    ch, column = line[col], col + 1
+    if base <= 36:
+        value = CHAR_VALUE.get(ch)
+        detail = f"invalid digit character {ch!r}" if value is None else (
+            f"digit {ch!r} (= {value}) out of range for base {base}")
+    elif ch != "[":
+        detail = f"expected '[', got {ch!r}"
+    elif (end := line.find("]", col)) == -1:
+        detail = "unterminated '[' token"
+    elif not (text := line[col + 1 : end]).isdigit():
+        detail, column = f"expected decimal digits inside [], got {brief_text(text)}", col + 2
+    else:
+        value = brief_text(text.lstrip("0"), quoted=False)
+        detail, column = f"digit [{value}] out of range for base {base}", col + 2
+    return InvalidDigitError(path, lineno, column, detail)
 
 
 def parse_digit_text(text: str, base: int) -> list[int]:

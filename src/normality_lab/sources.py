@@ -19,13 +19,13 @@ integer digits and fractional stream, and a file spec keeps the header
 
 Champernowne digits come a block of integers at a time, file digits a
 read of whole lines at a time and random digits a block of xorshift
-states at a time, each block one `bytes` (a tuple or list above base
-256) that the :class:`DigitStream` reads as one chunk, with no per-digit
-step.  In a base 2**k the random blocks come from the linear recurrence
-that every state bit obeys, a block of digits at a time; see
-`_bit_plane_chunks`.  In any other base they come from many xorshift
-states stepped together in the lanes of one int, each lane moved to the
-next block by the jump polynomial of that recurrence; see
+states at a time, each block one `bytes` (a list above base 256) that
+the :class:`DigitStream` reads as one chunk, made by C-level joins with
+no per-digit step.  In a base 2**k the random blocks come from the
+linear recurrence that every state bit obeys, a block of digits at a
+time; see `_bit_plane_chunks`.  In any other base they come from many
+xorshift states stepped together in the lanes of one int, each lane
+moved to the next block by the jump polynomial of that recurrence; see
 `_random_chunks`.
 """
 from __future__ import annotations
@@ -38,22 +38,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from importlib import resources
-from itertools import chain, count
+from itertools import count
 from operator import itemgetter, xor
 from pathlib import Path
 from typing import Iterator
 
-from .errors import InvalidDigitError, MalformedHeaderError
+from .errors import MalformedHeaderError
 from .exact import brief_rational, brief_text, parse_rational
 from .radix import (
-    CHAR_VALUE,
     DigitExpansion,
     DigitStream,
+    _bad_digit,
     _byte_digits,
     _byte_order,
     _digit_reader,
     _digit_table,
+    _join,
     _lane_major,
+    _rep,
     _spread_digits,
     digits_to_int,
     expand_rational,
@@ -80,24 +82,24 @@ def rational_stream(value: Fraction, base: int) -> DigitStream:
 def champernowne_stream(base: int) -> DigitStream:
     """Concatenated digits of 1, 2, 3, ... in the given base.
 
-    With t and its table from `_digit_table`, the integers below base**t
-    come first, each its table entry without the leading zeros.  Then comes
-    one chunk per high part hi: the integers hi*base**t up to
-    (hi+1)*base**t - 1, each the digits of hi followed by t table digits.
+    Each chunk is one `radix._join` of `_digit_table` entries of t digits:
+    first the integers below base**t, each its entry without the leading
+    zeros, then per high part hi the integers hi*base**t up to
+    (hi+1)*base**t - 1, each the digits of hi and then t table digits.
     """
     validate_base(base)
     t, table = _digit_table(base)
     pack = type(table[0])
 
     def chunks() -> Iterator:
-        yield pack(chain.from_iterable(  # the k-digit integers, t-k zeros cut
-            e[t - k :] for k in range(1, t + 1) for e in table[base ** (k - 1) : base**k]))
+        yield _join(base, [  # the k-digit integers, t-k zeros cut
+            e[t - k :] for k in range(1, t + 1) for e in table[base ** (k - 1) : base**k]])
         for hi in count(1):
             head = pack(int_to_digits(hi, base))
             if pack is bytes:
                 yield head + head.join(table)
             else:
-                yield tuple(d for low in table for d in head + low)
+                yield _join(base, [head + low for low in table])
 
     return DigitStream(base, chunks(), description=f"champernowne base {base}")
 
@@ -188,11 +190,6 @@ _LANES = 256
 _STEPS = 128
 
 
-def _rep(value: int, lanes: int) -> int:
-    """`value` (below 2**_WIDTH) in each of `lanes` lanes."""
-    return int.from_bytes(value.to_bytes(_LANE_BYTES, "little") * lanes, "little")
-
-
 def _random_chunks(base: int, state: int) -> Iterator:
     """The digits of the states after `state`, one chunk per block, in a
     base that is not a power of two.
@@ -219,8 +216,8 @@ def _random_chunks(base: int, state: int) -> Iterator:
     multiplier = -(-(1 << shift) // base)
     lanes, packed = 1, state
     while True:
-        mask, spills, carries = _rep(_MASK64, lanes), _rep(spill, lanes), _rep(1 << 64, lanes)
-        quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes)
+        mask, spills, carries = (_rep(v, lanes, _LANE_BYTES) for v in (_MASK64, spill, 1 << 64))
+        quotient_bits = _rep((1 << _WIDTH) - (1 << shift), lanes, _LANE_BYTES)
         same = _ahead(_STEPS * lanes)
         added = _ahead(2 * _STEPS * lanes) if lanes < _LANES else frozenset()
         rows, rejected, jumped, doubled, step = [], False, 0, 0, 0
@@ -312,11 +309,11 @@ def _unpack(data: bytes, width: int):
 # most as many digits after them as r - 1 has: a longer token is out of
 # range and never reaches int().  Whitespace is ignored anywhere in the
 # digit section, which `radix._digit_reader` reads in blocks of whole
-# lines, so only `radix` knows the token format.  Files are read as
-# ASCII with undecodable bytes replaced, so a stray non-ASCII byte
-# surfaces as an InvalidDigitError at its line and column instead of a
-# decoding error.  Messages quote at most 32 characters of the file's
-# text (`brief_text`).
+# lines and `radix._bad_digit` words the error for where it stops, so only
+# `radix` knows the token format.  Files are read as ASCII with
+# undecodable bytes replaced, so a stray non-ASCII byte surfaces as an
+# InvalidDigitError at its line and column instead of a decoding error.
+# Messages quote at most 32 characters of the file's text (`brief_text`).
 
 
 @dataclass(frozen=True)
@@ -374,8 +371,8 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
     Each read goes to the base's digit reader (`radix._digit_reader`,
     whitespace skipped), which gives the digits of its longest well-formed
     start as one chunk; if that start stops short of the end of the read,
-    the InvalidDigitError for the text there follows the chunk, at the
-    line and column the newlines before it give.
+    the InvalidDigitError for the text there (`radix._bad_digit`) follows
+    the chunk, at the line and column the newlines before it give.
     """
     read = _digit_reader(base, spaced=True)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -391,27 +388,6 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
                 lineno += block.count("\n", 0, start)
                 raise _bad_digit(path, base, lineno, line, end - start)
             lineno += block.count("\n")
-
-
-def _bad_digit(path: Path, base: int, lineno: int, line: str, col: int) -> InvalidDigitError:
-    """The error for the text at 0-based `col`, where the digit reader
-    stopped: neither whitespace nor a digit of `base` up to base 36, above
-    it no bracket token or one out of range."""
-    ch, column = line[col], col + 1
-    if base <= 36:
-        value = CHAR_VALUE.get(ch)
-        detail = f"invalid digit character {ch!r}" if value is None else (
-            f"digit {ch!r} (= {value}) out of range for base {base}")
-    elif ch != "[":
-        detail = f"expected '[', got {ch!r}"
-    elif (end := line.find("]", col)) == -1:
-        detail = "unterminated '[' token"
-    elif not (text := line[col + 1 : end]).isdigit():
-        detail, column = f"expected decimal digits inside [], got {brief_text(text)}", col + 2
-    else:
-        value = brief_text(text.lstrip("0"), quoted=False)
-        detail, column = f"digit [{value}] out of range for base {base}", col + 2
-    return InvalidDigitError(path, lineno, column, detail)
 
 
 # --- asset resolution ------------------------------------------------------

@@ -46,13 +46,9 @@ class Word:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+        digits_to_int(self.digits, self.base)  # checks the base and every digit
         if not self.digits:
             raise ValueError("a word needs at least one digit")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -89,6 +89,15 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             binomial_power_polynomial(3, 0)
 
+    @pytest.mark.parametrize("n, s, coeffs, message", [
+        (-1, 1, (), "n must be >= 0, got -1"),
+        (2, 0, (1, 2, 1), "s must be >= 1, got 0"),
+        (0, -3, (1,), "s must be >= 1, got -3"),
+    ])
+    def test_constructor_holds_n_and_s(self, n, s, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            MomentPolynomial(n, s, coeffs)
+
     @given(st.integers(0, 40), st.integers(1, 9))
     @settings(max_examples=40)
     def test_coefficients_are_binomials(self, n, s):

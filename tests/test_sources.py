@@ -609,7 +609,7 @@ def scan_bracketed_line(path, base, lineno, line):
         yield value
 
 
-# bytes chunks up to base 256, tuples above, and no digit table past 4096
+# bytes chunks up to base 256, lists above, and no digit table past 4096
 chunk_bases = st.one_of(st.integers(2, 300), st.integers(4090, 4100))
 
 
@@ -646,6 +646,16 @@ class TestChunkedSources:
         got = read_in_pieces(champernowne_stream(base), head, sizes)
         assert got == list(islice(champernowne_by_digit(base), len(got)))
 
+    @pytest.mark.parametrize("base", [2, 10, 256, 257, 300, 4096, 4097, 2**40])
+    def test_champernowne_chunks_keep_the_contract(self, base):
+        """A chunk is a `bytes` up to base 256 and a list above, and chunk
+        j ends where `champernowne_chunk_edge(base, j)` says."""
+        chunks = list(islice(champernowne_stream(base)._chunks, 3))
+        assert [type(c) for c in chunks] == [bytes if base <= 256 else list] * 3
+        ends = [sum(map(len, chunks[: j + 1])) for j in range(3)]
+        assert ends == [champernowne_chunk_edge(base, j) for j in range(3)]
+        digits = list(chain.from_iterable(chunks))
+        assert digits == list(islice(champernowne_by_digit(base), len(digits)))
     @given(
         chunk_bases,
         st.integers(0, 10**9),

@@ -103,6 +103,15 @@ class TestWord:
         with pytest.raises(ValueError):
             Word(2, ())
 
+    @pytest.mark.parametrize("base, error, message", [
+        (2.5, TypeError, "base must be an int, got float"),
+        (True, TypeError, "base must be an int, got bool"),
+        (1, ValueError, "base must be >= 2, got 1"),
+    ])
+    def test_checks_its_base_like_validate_base(self, base, error, message):
+        with pytest.raises(error, match=message):
+            Word(base, (0,))
+
     def test_parse_big_base_unsupported(self):
         with pytest.raises(ValueError):
             Word.parse("14", 100)
