@@ -1,10 +1,12 @@
 """Digit statistics: tallies, block counts, the shift/power battery."""
+import random
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normality_lab import stats
@@ -16,7 +18,7 @@ from normality_lab.sources import (
     random_stream,
 )
 from normality_lab.stats import (
-    _BYTES_TALLY_MAX_BASE,
+    _PLANE_BLOCK,
     Word,
     _report,
     count_block,
@@ -182,11 +184,33 @@ def assert_report_matches_counter(report, base, digits):
     assert report.max_deviation == max(deviations.values())
 
 
-# both tally paths: bytes.count up to the crossover, Counter above it
-tally_bases = st.one_of(
-    st.integers(2, 300),
-    st.sampled_from([_BYTES_TALLY_MAX_BASE, _BYTES_TALLY_MAX_BASE + 1, 1000]),
+# both tally paths: a `bytes` of at least 64*base digits by bit planes,
+# a shorter one and a list by a Counter
+tally_bases = st.one_of(st.integers(2, 300), st.sampled_from([2, 3, 256, 257, 1000]))
+
+# a length as (multiples of 64*base, of the plane block, offset): the
+# ends of the first slabs, either side of the plane rule, of a block
+plane_lengths = st.one_of(
+    st.tuples(st.just(0), st.just(0), st.integers(1, 17)),
+    st.tuples(st.just(1), st.just(0), st.integers(-1, 1)),
+    st.sampled_from([(0, 1, -1), (0, 1, 0), (0, 1, 1), (0, 2, 1)]),
 )
+
+
+def plane_length(length, base):
+    rule, blocks, offset = length
+    return rule * 64 * base + blocks * _PLANE_BLOCK + offset
+
+
+def fill_digits(fill, base, n, seed):
+    """n digits of the base: all 0, all base-1, uniform, or from 3 values."""
+    if fill == "zeros":
+        return bytes(n)
+    if fill == "top":
+        return bytes([base - 1]) * n
+    rng = random.Random(seed)
+    values = range(base) if fill == "random" else rng.sample(range(base), min(3, base))
+    return rng.randbytes(n).translate(bytes(values[i % len(values)] for i in range(256)))
 
 
 class TestTallyPaths:
@@ -196,15 +220,52 @@ class TestTallyPaths:
         # digits from a few values only, so most digits never occur
         seen = data.draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=5))
         digits = data.draw(st.lists(st.sampled_from(seen), min_size=1, max_size=400))
+        if base <= 256:
+            digits = bytes(digits)  # long enough for the planes in bases up to 6
         assert_report_matches_counter(_report(base, digits), base, digits)
 
-    @pytest.mark.parametrize(
-        "base", [2, _BYTES_TALLY_MAX_BASE, _BYTES_TALLY_MAX_BASE + 1, 256]
+    @given(
+        st.integers(2, 256),
+        plane_lengths,
+        st.sampled_from(["random", "few", "zeros", "top"]),
+        st.integers(0, 2**32),
     )
+    @example(256, (0, 2, 1), "top", 7)
+    @example(255, (0, 1, 1), "zeros", 7)
+    @example(2, (0, 1, -1), "top", 7)
+    @example(3, (1, 0, 0), "zeros", 7)
+    @example(200, (1, 0, -1), "random", 7)
+    @example(129, (0, 1, 0), "few", 7)
+    @settings(max_examples=120)
+    def test_bytes_match_counter_at_the_plane_edges(self, base, length, fill, seed):
+        n = plane_length(length, base)
+        digits = fill_digits(fill, base, n, seed)
+        report = _report(base, digits)
+        assert type(report.tally) is (dict if n >= 64 * base else Counter)
+        assert_report_matches_counter(report, base, digits)
+        listed = _report(base, list(digits))
+        assert type(listed.tally) is Counter
+        assert listed.tally == report.tally
+        assert listed.max_deviation == report.max_deviation
+
+    @pytest.mark.parametrize("base, limit_mib", [(256, 16), (10, 4)])
+    def test_plane_tally_memory_is_bounded(self, base, limit_mib):
+        digits = fill_digits("random", base, 10**6, 3)
+        tracemalloc.start()
+        try:
+            report = _report(base, digits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(report.tally) is dict and sum(report.tally.values()) == 10**6
+        assert peak < limit_mib * 2**20
+
+    @pytest.mark.parametrize("base", [2, 60, 61, 256])
     def test_single_digit(self, base):
-        report = _report(base, [base - 1])
-        assert_report_matches_counter(report, base, [base - 1])
-        assert report.max_deviation == 1 - Fraction(1, base)
+        for digits in ([base - 1], bytes([base - 1]), bytes([base - 1]) * (64 * base)):
+            report = _report(base, digits)
+            assert_report_matches_counter(report, base, digits)
+            assert report.max_deviation == 1 - Fraction(1, base)
 
     def test_report_builds_a_constant_number_of_fractions(self, monkeypatch):
         built = []
@@ -232,7 +293,7 @@ class TestTallyPaths:
             assert_report_matches_counter(cell.report, 2**cell.power, digits)
 
     # one view of each kind the battery hands the Counter tally: `bytes`
-    # above the crossover, `array('H')` up to 2**16, a list above
+    # shorter than 64*base, `array('H')` up to 2**16, a list above
     @pytest.mark.parametrize("base, power, kind", [
         (2, 7, bytes), (10, 2, bytes), (3, 5, bytes),
         (2, 12, array), (10, 4, array), (2, 16, array),
