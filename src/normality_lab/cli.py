@@ -12,10 +12,11 @@ runtime errors, 2 usage errors.  Each option's own range is checked by
 its argparse type; a ValueError from a handler is a usage error (exit
 2), and a NormalityLabError, OSError, OverflowError or MemoryError
 exits 1 with one `error:` line.  Each cap exits 1 with a CapError
-before any digit is made: a command that would read more than
+before any digit or row is made: a command that would read more than
 MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
-view of `battery`), and a `battery` that would build more than
-MAX_VIEWS views or tally more than MAX_ENTRIES entries across them.
+view of `battery`), a `battery` that would build more than
+MAX_VIEWS views or tally more than MAX_ENTRIES entries across them, and
+a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows.
 """
 from __future__ import annotations
 
@@ -65,6 +66,12 @@ STATS_JSON_MAX_BASE = 2**16
 # random, each with a 208 MiB peak (2-core VM, Python 3.11); above base
 # 256 a digit is a Python int, so a read holds several times that
 MAX_DIGITS = 10**8
+# the most rows one `verify-lemma` may print, one per n up to --n-max.
+# A row holds a few ints of O(log r) bits, but every row and its text
+# are held until the table prints: at the cap, base 10 took 3.3 s with
+# a 261 MiB peak and base 2**64 + 1 5.4 s with 636 MiB (2-core VM,
+# Python 3.11)
+MAX_LEMMA_ROWS = 5 * 10**5
 # the most views one `battery` may build, P(P+1)/2 for --max-power P, so
 # P <= 140.  On champernowne in base 2 with -n 1 (Python 3.11, 2-core
 # VM), 9870 views (P = 140) took 0.20 s, 80200 (P = 400) 1.0 s, and
@@ -304,6 +311,7 @@ def cmd_battery(args) -> tuple[int, str]:
 
 
 def cmd_verify_lemma(args) -> tuple[int, str]:
+    _check_cap(args.n_max, MAX_LEMMA_ROWS, "rows", "print")
     r = args.base
     constants = derive_constants(r)
 

@@ -15,15 +15,16 @@ All coefficients and values are exact; the only floats anywhere are the
 display columns of the CSV rows.  The hot sums run on ints: a
 polynomial is one dense row of n + 1 coefficients, apply_euler_operator
 takes k operator steps (one by default) as k passes that multiply the
-row by one range of factors, evaluation is one Horner pass over the row
-and builds a single Fraction at the end, and the direct moment sums
-come from one pass over n that adds a digit per step and carries three
-centered sums of the digit string counts, so a sweep up to n_max costs
-O(n_max) big-int steps.  A row of that sweep keeps the integer
-numerator of its moment and the string count r**n, decides the bound by
-one integer comparison, and builds its Fractions only when they are
-read.  The operator route has a sweep over n of its own: each row
-C(n, 0..n) comes from the previous one by Pascal's rule, since
+row by the factors its monomials' exponents give, evaluation is one
+Horner pass over the row and builds a single Fraction at the end, and
+the direct moment sums come from one pass over n that adds a digit per
+step and carries two centered sums of the digit string counts, each
+divided by the string count r**n, so a sweep up to n_max costs O(n_max)
+steps on ints a few words long.  A row of that sweep keeps the integer
+numerator of its moment, decides the bound by one integer comparison,
+and builds its Fractions only when they are read.  The operator route
+has a sweep over n of its own: each row C(n, 0..n) comes from the
+previous one by Pascal's rule, since
 (x**s + y)**n = (x**s + y) * (x**s + y)**(n-1).  The row does not
 depend on the base, so one walk of Pascal's triangle serves every base
 of the sweep.  Nor do the operator's factors depend on the row: the
@@ -39,7 +40,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from .exact import _approx_text, _rational_text, binomial_row
 from .radix import validate_base
@@ -109,16 +110,16 @@ def apply_euler_operator(poly: MomentPolynomial, k: int = 1) -> MomentPolynomial
 
     A term c * x**(s*p) * y**(n-p) becomes c * (s*p - (n-p)) * the same
     monomial: the operator is diagonal on monomials, which is the whole
-    point, so one step multiplies the row by the factors, which run
-    from -n to s*n in steps of s + 1.  The k steps are k passes of that
-    product over the row, each materialised as a tuple, so that a large
-    k never nests k lazy iterators; each coefficient meets its factor
-    once per step.
+    point, so one step multiplies the row by the factors, each the
+    x-exponent s*p of its monomial minus the y-exponent n - p.  The k
+    steps are k passes of that product over the row, each materialised
+    as a tuple, so that a large k never nests k lazy iterators; each
+    coefficient meets its factor once per step.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n, s = poly.n, poly.s
-    factors = range(-n, s * n + 1, s + 1)
+    factors = tuple(map(sub, range(0, s * n + 1, s), range(n, -1, -1)))
     coeffs = poly.coeffs
     for _ in range(k):
         coeffs = tuple(map(mul, coeffs, factors))
@@ -240,8 +241,8 @@ def derive_constants(r: int) -> MomentBoundConstants:
     return MomentBoundConstants(base=r, c=c, d=c / r**4)
 
 
-def _centered_sums(r: int) -> Iterator[tuple[int, int]]:
-    """(Q_0(n), Q_4(n)) for n = 1, 2, ..., where
+def _centered_sums(r: int) -> Iterator[int]:
+    """E_4(n) = Q_4(n) / r**n for n = 1, 2, ..., where
     Q_j(n) = sum_p W_n(p) (r*p - n)**j.
 
     Counts digit strings, independent of the operator route, the closed
@@ -250,18 +251,18 @@ def _centered_sums(r: int) -> Iterator[tuple[int, int]]:
     a digit moves x = r*p - n to x + r - 1 (one hit) or to x - 1 (r - 1
     misses), so
     Q_j(n+1) = sum_(i<=j) C(j,i) a_(j-i) Q_i(n)
-    with a_m = (r-1)**m + (r-1)(-1)**m.  Since a_0 = r and a_1 = 0, Q_1
-    stays 0 and no Q_j needs Q_(j-1): Q_4 needs only Q_2 and Q_0 (Q_6
-    would need Q_4, Q_3, Q_2 and Q_0), so each step costs O(1) big-int
-    operations and builds no moment.
+    with a_m = (r-1)**m + (r-1)(-1)**m.  Since r - 1 = -1 (mod r), r
+    divides every a_m, so E_j = Q_j / r**n steps by the integers
+    b_m = a_m / r: b_0 = 1 and b_1 = 0, so E_0 stays 1, E_1 stays 0 and
+    E_4 needs only E_2.  Each step costs O(1) operations on ints a few
+    words long and builds no moment.
     """
-    q0, q2, q4 = 1, 0, 0  # the empty string
-    a2, a4 = r * (r - 1), (r - 1) ** 4 + r - 1
+    e2, e4 = 0, 0  # the empty string
+    b2, b4 = r - 1, ((r - 1) ** 4 + r - 1) // r
     while True:
-        q4 = r * q4 + 6 * a2 * q2 + a4 * q0
-        q2 = r * q2 + a2 * q0
-        q0 = r * q0
-        yield q0, q4
+        e4 += 6 * b2 * e2 + b4
+        e2 += b2
+        yield e4
 
 
 def frequency_fourth_moment(n: int, r: int) -> Fraction:
@@ -270,40 +271,39 @@ def frequency_fourth_moment(n: int, r: int) -> Fraction:
 
     Computed directly from the counts C(n,p)(r-1)^(n-p) of n-digit
     strings with p hits, independent of the operator route and the
-    closed form: Q_4(n) / (Q_0(n) * (r*n)**4) from the one-pass
-    digit-string sweep that check_moment_bound iterates, run to n, so it
-    costs O(n) big-int steps.
+    closed form: E_4(n) / (r*n)**4 from the one-pass digit-string sweep
+    that check_moment_bound iterates, run to n, so it costs O(n) steps
+    on small ints.
     """
     validate_base(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    strings, numerator = next(islice(_centered_sums(r), n - 1, None))
-    return Fraction(numerator, strings * (r * n) ** 4)
+    return Fraction(next(islice(_centered_sums(r), n - 1, None)), (r * n) ** 4)
 
 
 @dataclass(frozen=True)
 class MomentBoundRow:
     """One line of the bound sweep: the moment sum against D/n**2.
 
-    The row holds integers: `numerator` = sum_p W_n(p) (r*p - n)**4 over
-    the `strings` = r**n digit strings of length n in base r, and the
-    sweep's constant C.  `holds` is decided on them; moment_sum, bound
-    and ratio are Fractions built each time they are read.  to_csv_row
-    reads none of them: it prints from the integers, with one gcd for the
-    moment sum and small ints for the bound.
+    The row holds integers: `numerator` = E_4(n), the sum
+    sum_p W_n(p) (r*p - n)**4 over the digit strings of length n in
+    base r divided by their count r**n, and the sweep's constant C.
+    `holds` is decided on them; moment_sum, bound and ratio are
+    Fractions built each time they are read.  to_csv_row reads none of
+    them: it prints from the integers, with one gcd for the moment sum
+    and small ints for the bound.
     """
 
     n: int
     base: int
     numerator: int
-    strings: int
     c: Fraction
     holds: bool
 
     @property
     def moment_sum(self) -> Fraction:
-        """E[(X/n - 1/r)**4] = numerator / (r**n * (r*n)**4)."""
-        return Fraction(self.numerator, self.strings * (self.base * self.n) ** 4)
+        """E[(X/n - 1/r)**4] = numerator / (r*n)**4."""
+        return Fraction(self.numerator, (self.base * self.n) ** 4)
 
     @property
     def bound(self) -> Fraction:
@@ -312,15 +312,12 @@ class MomentBoundRow:
 
     @property
     def ratio(self) -> Fraction:
-        """moment_sum / bound = numerator / (C * r**n * n**2)."""
-        return Fraction(
-            self.numerator * self.c.denominator,
-            self.c.numerator * self.strings * self.n**2,
-        )
+        """moment_sum / bound = numerator / (C * n**2)."""
+        return Fraction(self.numerator * self.c.denominator, self.c.numerator * self.n**2)
 
     def to_csv_row(self) -> str:
         n, c = self.n, self.c
-        den = self.strings * (self.base * n) ** 4
+        den = (self.base * n) ** 4
         g = math.gcd(self.numerator, den)
         # C is in lowest terms, so only r**4 * n**2 can share a factor with it
         scale = self.base**4 * n * n
@@ -330,7 +327,7 @@ class MomentBoundRow:
                 str(n),
                 _rational_text(self.numerator // g, den // g),
                 _rational_text(c.numerator // h, c.denominator * (scale // h)),
-                _approx_text(self.numerator * c.denominator, c.numerator * self.strings * n * n),
+                _approx_text(self.numerator * c.denominator, c.numerator * n * n),
                 "true" if self.holds else "false",
             )
         )
@@ -342,19 +339,18 @@ MOMENT_SWEEP_CSV_HEADER = "n,sum,bound,ratio_decimal,holds"
 def check_moment_bound(r: int, n_max: int) -> list[MomentBoundRow]:
     """Sweep n = 1..n_max: frequency fourth moment vs its D/n**2 bound.
 
-    Every row's numerator Q_4(n) and strings Q_0(n) = r**n come from one
-    pass of the digit-string sweep behind frequency_fourth_moment, so
-    the whole sweep costs O(n_max) big-int steps.  The moments never
-    touch the operator route or the closed form; each is compared
-    exactly with D/n**2 = C / (r**4 * n**2), in integers:
-    numerator / (r**n * (r*n)**4) <= D/n**2 is
-    numerator * den(C) <= num(C) * r**n * n**2.
+    Every row's numerator E_4(n) = Q_4(n) / r**n comes from one pass of
+    the digit-string sweep behind frequency_fourth_moment, so the whole
+    sweep costs O(n_max) steps on small ints.  The moments never touch
+    the operator route or the closed form; each is compared exactly
+    with D/n**2 = C / (r**4 * n**2), in integers:
+    numerator / (r*n)**4 <= D/n**2 is numerator * den(C) <= num(C) * n**2.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     c = derive_constants(r).c
     rows = []
-    for n, (strings, numerator) in enumerate(islice(_centered_sums(r), n_max), 1):
-        holds = numerator * c.denominator <= c.numerator * strings * n * n
-        rows.append(MomentBoundRow(n, r, numerator, strings, c, holds))
+    for n, numerator in enumerate(islice(_centered_sums(r), n_max), 1):
+        holds = numerator * c.denominator <= c.numerator * n * n
+        rows.append(MomentBoundRow(n, r, numerator, c, holds))
     return rows

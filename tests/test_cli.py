@@ -698,6 +698,39 @@ def test_n_max_past_an_index_is_refused_at_once(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_n_max_past_the_row_cap_is_refused_at_once():
+    # in a child process, so a sweep started by mistake fails the test
+    # instead of stalling it
+    env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from normality_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verify-lemma", "--base", "2", "--n-max", str(sys.maxsize)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert f"error: printing {sys.maxsize} rows is over the cap of 500000 rows" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_the_row_cap_counts_every_n(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_LEMMA_ROWS", 5)
+    argv = ("verify-lemma", "--base", "3", "--format", "csv", "--n-max")
+    code, out, _ = run(capsys, *argv, "5")
+    assert code == 0 and out.count("\n") == 6  # the header and 5 rows
+
+    def no_rows(r, n_max):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "check_moment_bound", no_rows)
+    code, out, err = run(capsys, *argv, "6")
+    assert (code, out) == (1, "")
+    assert "error: printing 6 rows is over the cap of 5 rows a command may print" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-lemma", "--base", "2"),
     ("measure", "--base", "2", "--epsilon", "1/3"),
@@ -859,6 +892,7 @@ def test_the_entry_cap_counts_every_view(capsys, monkeypatch):
     ("digits", "read", "reading"),
     ("views", "build", "building"),
     ("entries", "tally", "tallying"),
+    ("rows", "print", "printing"),
 ])
 def test_cap_error_names_its_unit_and_verb(unit, verb, doing):
     assert normality_lab.CapError is CapError

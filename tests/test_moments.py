@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -56,6 +57,20 @@ def horner_fourth_moment(n, r):
         total = total * (r - 1) + binom * (r * p - n) ** 4
         binom = binom * (n - p) // (p + 1)
     return Fraction(total, r**n * (r * n) ** 4)
+
+
+def string_count_sums(r):
+    """(Q_0(n), Q_4(n)) for n = 1, 2, ..., Q_j(n) = sum_p C(n,p) (r-1)**(n-p)
+    (r*p - n)**j: the centered sums over the digit strings themselves,
+    by the recurrence Q_j(n+1) = sum_(i<=j) C(j,i) a_(j-i) Q_i(n) with
+    a_m = (r-1)**m + (r-1)(-1)**m, undivided by the string count r**n."""
+    q0, q2, q4 = 1, 0, 0
+    a2, a4 = r * (r - 1), (r - 1) ** 4 + r - 1
+    while True:
+        q4 = r * q4 + 6 * a2 * q2 + a4 * q0
+        q2 = r * q2 + a2 * q0
+        q0 = r * q0
+        yield q0, q4
 
 
 class TestPolynomial:
@@ -429,10 +444,25 @@ class TestOnePassSweep:
         d = derive_constants(r).d
         for row in check_moment_bound(r, 80):
             expected = horner_fourth_moment(row.n, r)
-            assert row.strings == r**row.n
+            assert row.numerator == fourth_moment_closed_form(row.n, r)
             assert row.moment_sum == expected
             assert row.holds == (expected <= d / row.n**2)
             assert frequency_fourth_moment(row.n, r) == expected
+
+    @given(st.integers(2, 2**64 + 1), st.integers(1, 200))
+    @example(2, 200)
+    @example(2**64 + 1, 200)
+    @settings(max_examples=40)
+    def test_rows_are_the_string_count_sums_over_r_to_the_n(self, r, n_max):
+        rows = check_moment_bound(r, n_max)
+        for row, (q0, q4) in zip(rows, islice(string_count_sums(r), n_max), strict=True):
+            assert q0 == r**row.n
+            assert row.numerator * q0 == q4
+
+    def test_rows_hold_small_ints(self):
+        # E_4(n) = 3(r-1)**2 n**2 + (r**3 - 7r**2 + 12r - 6)n, not Q_4(n),
+        # which has about n*log2(r) bits
+        assert all(row.numerator < 2**64 for row in check_moment_bound(11, 20000))
 
     @pytest.mark.parametrize("r", range(2, 13))
     def test_integer_decision_matches_the_fractions(self, r):
