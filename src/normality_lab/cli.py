@@ -51,8 +51,14 @@ from .moments import (
     verify_operator_closed_form,
 )
 from .radix import format_bracket, rational_period
-from .sources import parse_source_spec
-from .stats import Word, count_block, normality_battery, simple_normality_report
+from .sources import champernowne_tally, parse_source_spec
+from .stats import (
+    Word,
+    _tally_report,
+    count_block,
+    normality_battery,
+    simple_normality_report,
+)
 from .verify import check_ids, run_checks
 
 BATTERY_CSV_HEADER = "m,n,max_deviation"
@@ -62,9 +68,10 @@ MEASURE_SWEEP_CSV_HEADER = "n,exact_measure,bound,holds"
 # report, is offered
 STATS_JSON_MAX_BASE = 2**16
 # the most source digits one command may read.  At the cap, `stats` in
-# base 10 took 1.3 s on champernowne, 4.9 s on a rational and 11.1 s on
-# random, each with a 208 MiB peak (2-core VM, Python 3.11); above base
-# 256 a digit is a Python int, so a read holds several times that
+# base 10 took 4.9 s on a rational and 11.1 s on random, each with a
+# 208 MiB peak (2-core VM, Python 3.11); above base 256 a digit is a
+# Python int, so a read holds several times that.  `stats` on
+# champernowne without --word reads no digit: it counts them by formula
 MAX_DIGITS = 10**8
 # the most rows one `verify-lemma` may print, one per n up to --n-max.
 # A row holds a few ints of O(log r) bits, but every row and its text
@@ -254,11 +261,15 @@ def cmd_stats(args) -> tuple[int, str]:
     word = None if args.word is None else Word.parse(args.word, base)
     _check_cap(args.n, MAX_DIGITS, "digits", "read")
 
-    stream = source.stream()
-    twin = None if word is None else stream.fork()
-    report = simple_normality_report(stream, args.n)
+    if word is None and source.kind == "champernowne":  # counted by formula, no digit made
+        report = _tally_report(base, args.n, champernowne_tally(base, args.n))
+        word_count = None
+    else:
+        stream = source.stream()
+        twin = None if word is None else stream.fork()
+        report = simple_normality_report(stream, args.n)
+        word_count = None if twin is None else count_block(twin, word, args.n)
     digit_count = None if args.digit is None else report.tally.get(args.digit, 0)
-    word_count = None if twin is None else count_block(twin, word, args.n)
 
     if args.format == "json":
         payload = report.to_json_dict()

@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, tee
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import FactorizationBudgetError, InsufficientDigitsError, InvalidDigitError
 from .exact import brief_text
@@ -142,7 +142,7 @@ def digits_to_int(digits, base: int) -> int:
     return value
 
 
-def _join(base: int, parts: list):
+def _join(base: int, parts: Iterable):
     """Chunk parts as one run of digits, one C-level join: `bytes` up to
     base 256, a list above."""
     return b"".join(parts) if base <= 256 else list(chain.from_iterable(parts))

@@ -27,6 +27,10 @@ time; see `_bit_plane_chunks`.  In any other base they come from many
 xorshift states stepped together in the lanes of one int, each lane
 moved to the next block by the jump polynomial of that recurrence; see
 `_random_chunks`.
+
+A champernowne tally needs no digits at all: `champernowne_tally` gives
+the count of every digit among the first n by formula, in O(log n)
+big-int steps, and `stats` reports from it.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from importlib import resources
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter, xor
 from pathlib import Path
 from typing import Iterator
@@ -46,6 +50,7 @@ from typing import Iterator
 from .errors import MalformedHeaderError
 from .exact import brief_rational, brief_text, parse_rational
 from .radix import (
+    _TABLE_LIMIT,
     DigitExpansion,
     DigitStream,
     _bad_digit,
@@ -82,10 +87,14 @@ def rational_stream(value: Fraction, base: int) -> DigitStream:
 def champernowne_stream(base: int) -> DigitStream:
     """Concatenated digits of 1, 2, 3, ... in the given base.
 
-    Each chunk is one `radix._join` of `_digit_table` entries of t digits:
-    first the integers below base**t, each its entry without the leading
-    zeros, then per high part hi the integers hi*base**t up to
-    (hi+1)*base**t - 1, each the digits of hi and then t table digits.
+    Each chunk is one `radix._join` of the digits of up to
+    `radix._TABLE_LIMIT` integers.  Up to that base they are
+    `_digit_table` entries of t digits: first the integers below
+    base**t, each its entry without the leading zeros, then per high
+    part hi the integers hi*base**t up to (hi+1)*base**t - 1, each the
+    digits of hi and then t table digits.  Past it there is no table,
+    and a chunk is a run of integers that share their high part
+    hi = i // base, each the digits of hi and then its last digit.
     """
     validate_base(base)
     t, table = _digit_table(base)
@@ -101,7 +110,80 @@ def champernowne_stream(base: int) -> DigitStream:
             else:
                 yield _join(base, [head + low for low in table])
 
-    return DigitStream(base, chunks(), description=f"champernowne base {base}")
+    def runs() -> Iterator:
+        start = 1
+        for hi in count():
+            head = int_to_digits(hi, base)  # [] for 0
+            for low in range(start, base, _TABLE_LIMIT):
+                lows = range(low, min(low + _TABLE_LIMIT, base))
+                yield _join(base, zip(*map(repeat, head), lows))
+            start = 0
+
+    return DigitStream(base, chunks() if t else runs(),
+                       description=f"champernowne base {base}")
+
+
+def champernowne_tally(base: int, n: int) -> dict[int, int]:
+    """The count of each digit that occurs among the first n digits of
+    `champernowne_stream(base)`, in digit order, by formula: no digit is
+    made.
+
+    The k-digit integers base**(k-1) .. base**k - 1 fill a whole block of
+    k*(base-1)*base**(k-1) digits, where every digit d >= 1 leads
+    base**(k-1) integers and each of the k-1 other positions shows every
+    digit (base-1)*base**(k-2) times.  The first n digits end in block K,
+    after q integers of it and t digits of the next, top = base**(K-1) + q.
+    Over the integers below top, padded to K digits, position i (weight
+    w = base**i) shows each digit high*w times, high = top // (base*w), w
+    more times for each digit below the position's digit cur of top, and
+    low = top % w more at cur; those below base**(K-1) are taken off
+    again, each position below K-1 showing every digit base**(K-2) times
+    and position K-1 only zeros.  Then come the t leading digits of top.
+
+    Each term counts alike over a range of digit values, so the terms are
+    steps of a difference array over the digits, O(K) of them, summed in
+    one sweep that keeps the ranges of nonzero count: one entry per digit
+    that occurs, which is never more than n, in any base.
+    """
+    validate_base(base)
+    if n < 1:
+        raise ValueError(f"prefix length must be >= 1, got {n}")
+    steps: dict[int, int] = {}
+
+    def add(low: int, high: int, amount: int) -> None:
+        """Count `amount` more for each digit low .. high - 1."""
+        if amount:
+            steps[low] = steps.get(low, 0) + amount
+            steps[high] = steps.get(high, 0) - amount
+
+    k, first = 1, 1  # first = base**(k-1), the least k-digit integer
+    while n >= k * (base - 1) * first:  # whole blocks
+        n -= k * (base - 1) * first
+        add(1, base, first)
+        add(0, base, (k - 1) * (base - 1) * first // base)
+        k, first = k + 1, first * base
+    q, t = divmod(n, k)
+    top = first + q
+    w = 1
+    for _ in range(k):
+        high, rest = divmod(top, base * w)
+        cur, low = divmod(rest, w)
+        add(0, base, high * w)
+        add(0, cur, w)
+        add(cur, cur + 1, low)
+        w *= base
+    add(0, base, -(k - 1) * first // base)  # the padded integers below first
+    add(0, 1, -first)
+    for d in int_to_digits(top, base)[:t]:
+        add(d, d + 1, 1)
+    tally: dict[int, int] = {}
+    edges = sorted(steps)
+    running = 0
+    for low, high in zip(edges, edges[1:]):
+        running += steps[low]
+        if running:
+            tally.update(dict.fromkeys(range(low, high), running))
+    return tally
 
 
 def xorshift64_step(state: int) -> int:

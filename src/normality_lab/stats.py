@@ -30,6 +30,11 @@ Over 10**6 random digits the planes take about 1.7 ms in base 2 and
 3.5 ms in base 10 against about 30 ms for a `Counter`; their cost grows
 with the base, and in base 256 it is about a `Counter`'s.
 
+A champernowne report for `stats` reads no digits: its tally comes by
+formula from `sources.champernowne_tally`, and `_tally_report` makes
+the report from it as from a streamed tally.  `stats --word`, the
+battery and the verify-paper regression still count its streamed digits.
+
 `stats --word` reads its source once too: the block count runs on a
 fork of the stream the report reads.  Up to base 256 it counts with
 one big-int mask of hits per distinct digit of the word, and makes no
@@ -236,6 +241,14 @@ def _report(base: int, digits) -> NormalityReport:
         tally = _plane_tally(base, digits)
     else:
         tally = Counter(digits)
+    return _tally_report(base, n, tally)
+
+
+def _tally_report(base: int, n: int, tally: Mapping[int, int]) -> NormalityReport:
+    """The report over n digits of the base from their tally, which holds
+    exactly the digits that occur, each with its count: a streamed
+    prefix's (`_report`) or a count made without digits, such as
+    `sources.champernowne_tally`."""
     high = max(tally.values())
     low = min(tally.values()) if len(tally) == base else 0  # an unseen digit counts 0
     max_deviation = Fraction(max(high * base - n, n - low * base), n * base)

@@ -375,6 +375,31 @@ class TestStats:
         assert code == 0
         assert "n: 3\n" in out
 
+    CHAMPERNOWNE = ("stats", "--source", "champernowne", "--base", "10", "--digit", "1")
+
+    @pytest.mark.parametrize("n, lines", [
+        (10**6, ["max deviation: 7981/100000 (~ 0.07981)", "digit 1: 179810 occurrences"]),
+        (10**8, ["max deviation: 529321/12500000 (~ 0.04234568)",
+                 "digit 1: 14234568 occurrences"]),
+    ])
+    def test_champernowne_is_counted_without_digits(self, capsys, monkeypatch, n, lines):
+        def no_stream(base):
+            raise AssertionError("a champernowne stream was started")
+
+        monkeypatch.setattr(sources, "champernowne_stream", no_stream)
+        code, out, _ = run(capsys, *self.CHAMPERNOWNE, "-n", str(n), "--format", "text")
+        assert code == 0
+        assert out.splitlines()[3:] == lines
+        code, out, _ = run(capsys, *self.CHAMPERNOWNE, "-n", str(n))
+        assert code == 0
+        payload = json.loads(out)
+        assert f"max deviation: {payload['max_deviation']} " in lines[0]
+        assert payload["digit_count"] == payload["counts"]["1"]
+        assert sum(payload["counts"].values()) == n
+        # a word is counted on the digits themselves
+        with pytest.raises(AssertionError, match="stream was started"):
+            main([*self.CHAMPERNOWNE, "-n", "100", "--word", "12"])
+
     def test_json_cap_is_inclusive(self, capsys):
         code, out, _ = run(
             capsys, "stats", "--source", "random:1", "--base", str(2**16), "-n", "10",

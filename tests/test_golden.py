@@ -11,7 +11,8 @@ one window at a time above base 256, and the three grouped file views
 in bases 1000 and 10000 from grouped reads that packed each group above
 base 256 as a list, one Python step per group, and the three long random
 reads in bases 2, 4 and 256 from xorshift states stepped in lanes, and
-the tiny-epsilon measure from ints printed through decimal.Decimal; any
+the tiny-epsilon measure from ints printed through decimal.Decimal, and
+the champernowne stats from streamed digits and their tally; any
 rewrite of those paths must leave every byte of these outputs unchanged.
 The demo hashes pin the stdout of each script under demos/ the same way.
 """
@@ -180,6 +181,28 @@ GOLDEN = [
         # a 400001-digit bound, past the int-to-str digit limit
         ("measure", "--base", "2", "--epsilon", "1e-100000", "-n", "3", "--format", "json"),
         "76bbd36e4a33732901cd656bf2130bf4b0c9d5a2945d1fc0bf9f49e229335299",
+    ),
+    (
+        # champernowne counted by formula: no digit is made
+        ("stats", "--source", "champernowne", "--base", "10", "-n", "1000000", "--digit", "1",
+         "--format", "json"),
+        "d7afee78970a6b0939f6c937bab053bb70ccea529a57313728fc0dffcc339abc",
+    ),
+    (
+        ("stats", "--source", "champernowne", "--base", "4097", "-n", "20000",
+         "--digit", "4096", "--format", "text"),
+        "b3cf0fc19b28644f23c7f3e8cab5c2ab0dbba3262bec477a13cb49d170c4768e",
+    ),
+    (
+        # a word still reads the stream, once, for both counts
+        ("stats", "--source", "champernowne", "--base", "10", "-n", "100000", "--word", "12",
+         "--digit", "3", "--format", "text"),
+        "0a339237d817baa39349a4421feec1cd123178fce6b59cfcd75449266c2ab2bb",
+    ),
+    (
+        ("stats", "--source", "champernowne", "--base", "10", "-n", "100000", "--word", "12",
+         "--digit", "3", "--format", "json"),
+        "5c90772157c039db5d5bc0ff75304495b679367b626184888e7120ceea15c2c4",
     ),
 ]
 

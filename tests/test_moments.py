@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import normality_lab
 from normality_lab import moments
+from normality_lab.cli import main
 from normality_lab.measure import digit_count_measure
 from normality_lab.moments import (
     MOMENT_SWEEP_CSV_HEADER,
@@ -210,6 +211,26 @@ class TestEulerOperator:
         monkeypatch.setattr(moments, "apply_euler_operator", off_at_entry_0)
         for n, s, k in ((0, 1, 0), (3, 1, 2), (7, 3, 2)):
             assert not verify_operator_closed_form(n, s, k)
+
+    def test_closed_form_check_catches_a_wrong_factor(self, monkeypatch, capsys):
+        """A factor s*p - (n-p) + 1 planted in the operator alone, with the
+        check's own ((s+1)*p - n)**k left as it is, fails the check and
+        verify-paper's sweep."""
+        def off_by_one_factor(poly, k=1):
+            n, s = poly.n, poly.s
+            coeffs = poly.coeffs
+            for _ in range(k):
+                coeffs = tuple(c * (s * p - (n - p) + 1) for p, c in enumerate(coeffs))
+            return MomentPolynomial(n, s, coeffs)
+
+        monkeypatch.setattr(moments, "apply_euler_operator", off_by_one_factor)
+        for n, s, k in ((0, 1, 1), (3, 1, 2), (7, 3, 2)):
+            assert not verify_operator_closed_form(n, s, k)
+        assert verify_operator_closed_form(7, 3, 0)  # no step, no factor
+        assert main(["verify-paper", "--only", "operator-closed-form-sweep"]) == 1
+        first, last = capsys.readouterr().out.splitlines()
+        assert first.startswith("FAIL  operator-closed-form-sweep: operator identity fails at")
+        assert last == "1 checks: 0 passed, 1 failed, 0 skipped"
 
     def test_a_large_k_runs_in_a_child(self):
         # k lazy passes would nest k C-level iterators, which crashes the

@@ -3,6 +3,7 @@ import math
 import os
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
@@ -43,6 +44,7 @@ from normality_lab.sources import (
     SourceSpec,
     _ahead,
     champernowne_stream,
+    champernowne_tally,
     load_digit_file,
     parse_prefix_digits,
     parse_source_spec,
@@ -97,6 +99,62 @@ class TestChampernowne:
         monkeypatch.setattr(sources, "int_to_digits", counting)
         assert list(champernowne_stream(2).take(1)) == [1]
         assert len(calls) <= 1
+
+
+def block_end(base, k):
+    """Digits in the integers 1 .. base**k - 1: the end of block k."""
+    return sum(j * (base - 1) * base ** (j - 1) for j in range(1, k + 1))
+
+
+tally_bases = st.one_of(
+    st.integers(2, 40), st.sampled_from([255, 256, 257, 4096, 4097, 2**40]))
+
+
+@st.composite
+def tally_prefixes(draw):
+    """(base, n) with n up to 30000, half the time next to a block end."""
+    base = draw(tally_bases)
+    ends = [e for e in (block_end(base, k) for k in range(1, 8)) if e < 30000]
+    if ends and draw(st.booleans()):
+        return base, max(1, draw(st.sampled_from(ends)) + draw(st.integers(-1, 1)))
+    return base, draw(st.integers(1, 30000))
+
+
+class TestChampernowneTally:
+    @given(tally_prefixes())
+    @settings(max_examples=200)
+    def test_matches_a_count_of_the_stream(self, prefix):
+        base, n = prefix
+        tally = champernowne_tally(base, n)
+        assert tally == Counter(champernowne_stream(base).take(n))
+        assert list(tally) == sorted(tally)
+        assert 0 not in tally.values()
+
+    @pytest.mark.parametrize("base, n, counts", [
+        (10, 9, dict.fromkeys(range(1, 10), 1)),
+        (10, 11, {**dict.fromkeys(range(1, 10), 1), 1: 2, 0: 1}),
+        (2, 11, {0: 4, 1: 7}),
+        # the end of block 5: every nonzero digit alike
+        (10, 488889, {0: 38889, **dict.fromkeys(range(1, 10), 50000)}),
+        (2**40, 5, {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}),
+    ])
+    def test_pinned_counts(self, base, n, counts):
+        assert champernowne_tally(base, n) == counts
+
+    def test_a_far_prefix_costs_a_few_steps(self):
+        start = time.perf_counter()
+        tally = champernowne_tally(10, 10**30)
+        assert time.perf_counter() - start < 1
+        assert sum(tally.values()) == 10**30
+        assert len(tally) == 10
+
+    @pytest.mark.parametrize("base, n, message", [
+        (10, 0, "prefix length must be >= 1"),
+        (1, 5, "base"),
+    ])
+    def test_validation(self, base, n, message):
+        with pytest.raises(ValueError, match=message):
+            champernowne_tally(base, n)
 
 
 class TestRandomStream:
@@ -615,10 +673,17 @@ chunk_bases = st.one_of(st.integers(2, 300), st.integers(4090, 4100))
 
 def champernowne_chunk_edge(base, j):
     """Where chunk j + 1 of the chunked champernowne stream starts: the
-    integers below base**t, then base**t integers per high part."""
+    integers below base**t, then base**t integers per high part; with no
+    table (base past 4096), runs of up to 4096 integers that share their
+    high part i // base."""
     t = 0
     while base ** (t + 1) <= 4096:
         t += 1
+    if not t:
+        runs = ((hi * base + low, hi * base + min(low + 4096, base))
+                for hi in range(j + 1) for low in range(0 if hi else 1, base, 4096))
+        return sum(len(int_to_digits(k, base))
+                   for start, stop in islice(runs, j + 1) for k in range(start, stop))
     edge = sum(len(int_to_digits(k, base)) for k in range(1, base**t))
     for hi in range(1, j + 1):
         edge += base**t * (t + len(int_to_digits(hi, base)))

@@ -14,6 +14,7 @@ from normality_lab.radix import DigitStream, _windows, regroup_to_power_base
 from normality_lab.sources import (
     SourceSpec,
     champernowne_stream,
+    champernowne_tally,
     parse_source_spec,
     random_stream,
 )
@@ -21,6 +22,7 @@ from normality_lab.stats import (
     _PLANE_BLOCK,
     Word,
     _report,
+    _tally_report,
     count_block,
     count_digit,
     normality_battery,
@@ -169,6 +171,29 @@ class TestTally:
             count_digit(champernowne_stream(10), 10, 5)
         with pytest.raises(ValueError):
             simple_normality_report(champernowne_stream(10), 0)
+
+
+class TestChampernowneReport:
+    """Reports from the closed-form tally, the route `stats` takes."""
+
+    @pytest.mark.parametrize("n, deviation", [
+        # the ends of the 5- and 6-digit blocks, where criterion 12a's
+        # threshold of 1/50 is missed and then met
+        (488889, Fraction(11111, 543210)),
+        (5888889, Fraction(37037, 2181070)),
+    ])
+    def test_pinned_max_deviations(self, n, deviation):
+        assert _tally_report(10, n, champernowne_tally(10, n)).max_deviation == deviation
+
+    @given(st.sampled_from([2, 3, 10, 16, 257, 4097]), st.integers(1, 20000))
+    @settings(max_examples=40)
+    def test_equals_the_streamed_report(self, base, n):
+        streamed = simple_normality_report(champernowne_stream(base), n)
+        counted = _tally_report(base, n, champernowne_tally(base, n))
+        assert counted.counts == streamed.counts
+        assert counted.max_deviation == streamed.max_deviation
+        if base <= 2**16:
+            assert counted.to_json_dict() == streamed.to_json_dict()
 
 
 def assert_report_matches_counter(report, base, digits):
