@@ -12,11 +12,12 @@ runtime errors, 2 usage errors.  Each option's own range is checked by
 its argparse type; a ValueError from a handler is a usage error (exit
 2), and a NormalityLabError, OSError, OverflowError or MemoryError
 exits 1 with one `error:` line.  Each cap exits 1 with a CapError
-before any digit or row is made: a command that would read more than
-MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
+before any digit, row or weight is made: a command that would read more
+than MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
 view of `battery`), a `battery` that would build more than
-MAX_VIEWS views or tally more than MAX_ENTRIES entries across them, and
-a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows.
+MAX_VIEWS views or tally more than MAX_ENTRIES entries across them,
+a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows, and a
+`measure -n` that would do more than MAX_MEASURE_WORK bit operations.
 """
 from __future__ import annotations
 
@@ -91,6 +92,11 @@ MAX_VIEWS = 10**4
 # peak, P = 44 (1,980,000) 0.91 s and 158 MiB, and P = 100 (10,100,000)
 # 4.7 s and 824 MiB: every entry stays held in its view to the end
 MAX_ENTRIES = 2 * 10**6
+# the most bit operations one `measure -n` may do: n + 1 steps on weights
+# of n log2(r) bits, once per 30-bit word of the divisor (p + 1)(r - 1).  At
+# the cap with epsilon 1 (Python 3.11, 2-core VM) base 2 took 2.5 s at n =
+# 99,999 and base 2**64 + 1 1.0 s at n = 7160, each under a 20 MiB peak
+MAX_MEASURE_WORK = 10**10
 
 
 def _integer(text: str) -> int:
@@ -406,7 +412,10 @@ def cmd_measure(args) -> tuple[int, str]:
             )
         return 0, "\n".join(rows) + "\n"
 
-    spec = DeviationSetSpec(args.base, args.digit, args.n, args.epsilon)
+    n, rm1 = args.n, args.base - 1
+    _check_cap((n + 1) * n * rm1.bit_length() * ((n * rm1).bit_length() // 30 + 1),
+               MAX_MEASURE_WORK, "bit operations", "do")
+    spec = DeviationSetSpec(args.base, args.digit, n, args.epsilon)
     report = deviation_set_measure(spec)
     payload = report.to_json_dict()
     if args.oracle:

@@ -11,10 +11,11 @@ of the deviation set
 is the sum of those weights over the admissible counts p.  Membership
 uses the exact >= comparison, so boundary cases land inside the set, and
 is decided in one place, _edges: p is admissible exactly when p <= lo or
-p >= hi.  deviation_set_measure sums a binomial row for one n;
-deviation_set_sweep yields every n up to n_max in one pass, carrying the
-partial sums up to lo and hi from n to n + 1, so `measure --n-max` costs
-O(n_max) big-int steps, not O(n_max**2).
+p >= hi.  Both sums step the weights by one exact ratio, _next_weight.
+deviation_set_measure walks one n's band lo < p < hi from math.comb,
+holding one weight at a time; deviation_set_sweep yields every n up to
+n_max in one pass, carrying the partial sums up to lo and hi from n to
+n + 1, so `measure --n-max` costs O(n_max) big-int steps, not O(n_max**2).
 
 deviation_set_measure_bruteforce is the independent oracle: it visits
 every one of the r**n strings as a count byte, the number of times digit
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnumerationBudgetError
-from .exact import binomial_row, brief_rational, decimal_approx, format_rational
+from .exact import brief_rational, format_rational
 from .moments import derive_constants
 from .radix import _rep, validate_base
 from .sources import random_stream
@@ -136,19 +137,25 @@ class MeasureReport:
 
 
 def deviation_set_measure(spec: DeviationSetSpec) -> MeasureReport:
-    """Exact measure of M(n, epsilon), summed over admissible counts."""
-    lo, hi = _edges(spec.base, spec.epsilon, spec.n)
-    # sum of C(n,p) (r-1)**(n-p) over admissible p, by Horner's rule in (r-1)
-    rm1 = spec.base - 1
-    numerator = 0
-    for p, count in enumerate(binomial_row(spec.n)):
-        numerator = numerator * rm1 + (0 if lo < p < hi else count)
+    """Exact measure of M(n, epsilon): r**n less the weights of the band
+    lo < p < hi, over r**n, walked from math.comb by _next_weight."""
+    r, n = spec.base, spec.n
+    lo, hi = _edges(r, spec.epsilon, n)
+    first = max(lo + 1, 0)
+    w, band = math.comb(n, first) * (r - 1) ** (n - first), 0
+    for p in range(first, min(hi, n + 1)):
+        band, w = band + w, _next_weight(w, r, n, p)
     return MeasureReport(
         spec=spec,
-        exact_measure=Fraction(numerator, spec.base**spec.n),
-        bound=deviation_bound(spec.base, spec.epsilon, spec.n),
+        exact_measure=Fraction(r**n - band, r**n),
+        bound=deviation_bound(r, spec.epsilon, n),
         admissible_p=tuple(admissible_counts(spec)),
     )
+
+
+def _next_weight(w: int, r: int, n: int, p: int) -> int:
+    """W_n(p + 1) from w = W_n(p) by an exact division; W_n(0) from p = -1."""
+    return (r - 1) ** n if p < 0 else w * (n - p) // ((p + 1) * (r - 1))
 
 
 def _edge_sums(r: int, targets):
@@ -163,7 +170,7 @@ def _edge_sums(r: int, targets):
         f = r * f - w
         w = w * n * (r - 1) // (n - k)
         while k < target:
-            w = (r - 1) ** n if k < 0 else w * (n - k) // ((k + 1) * (r - 1))
+            w = _next_weight(w, r, n, k)
             k += 1
             f += w
         yield f
@@ -172,8 +179,8 @@ def _edge_sums(r: int, targets):
 def deviation_set_sweep(base: int, epsilon: Fraction, n_max: int):
     """Yield (n, exact measure of M(n, epsilon), its bound) for n = 1..n_max.
 
-    One pass, where deviation_set_measure builds a binomial row for each
-    n.  With (lo, hi) the _edges of n, the numerator is F_n(lo) + r**n -
+    One pass, where deviation_set_measure walks each n's band anew.
+    With (lo, hi) the _edges of n, the numerator is F_n(lo) + r**n -
     F_n(hi - 1), each edge carried by _edge_sums.  The bound is the
     _moment_scale over n**2.  Independent of the digit, by symmetry.
     """

@@ -757,6 +757,63 @@ def test_the_row_cap_counts_every_n(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--base", "2", "--epsilon", "1/3", "-n", "100000000"),
+    ("--base", str(2**64 + 1), "--epsilon", "1/3", "-n", "100000"),
+    ("--base", "10", "--epsilon", "1e-100000", "-n", "1000000000"),
+    ("--base", "2", "--epsilon", "1/3", "-n", str(2**64 + 1)),
+], ids=["long", "wide", "one-term", "past-an-index"])
+def test_measure_past_the_work_cap_is_refused_at_once(argv):
+    # in a child process, so a walk started by mistake fails the test
+    # instead of stalling it
+    env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from normality_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "measure", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "bit operations is over the cap of 10000000000 bit operations" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_the_measure_cap_counts_every_step(capsys, monkeypatch):
+    # base 3 at n = 5: 6 steps on weights of 5 * 2 bits, one word a divisor
+    monkeypatch.setattr(cli, "MAX_MEASURE_WORK", 60)
+    argv = ("measure", "--base", "3", "--epsilon", "1/3", "-n")
+    assert run(capsys, *argv, "5")[0] == 0
+
+    def no_weights(spec):
+        raise AssertionError("a weight was made")
+
+    monkeypatch.setattr(cli, "deviation_set_measure", no_weights)
+    code, out, err = run(capsys, *argv, "6")
+    assert (code, out) == (1, "")
+    assert "error: doing 84 bit operations is over the cap of 60 bit operations a command may do" in err
+
+
+@pytest.mark.parametrize("base, top", [(2, 99_999), (10, 49_999), (2**64 + 1, 7160)])
+def test_the_measure_cap_admits_its_calibrated_n(capsys, monkeypatch, base, top):
+    # a divisor (p + 1)(r - 1) of three words counts thrice
+    class Walked(Exception):
+        pass
+
+    def walk(spec):
+        raise Walked
+
+    monkeypatch.setattr(cli, "deviation_set_measure", walk)
+    argv = ("measure", "--base", str(base), "--epsilon", "1/3", "-n")
+    with pytest.raises(Walked):
+        main([*argv, str(top)])
+    code, out, err = run(capsys, *argv, str(top + 1))
+    assert (code, out) == (1, "")
+    assert "over the cap of 10000000000 bit operations" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("verify-lemma", "--base", "2"),
     ("measure", "--base", "2", "--epsilon", "1/3"),
 ], ids=["verify-lemma", "measure"])
@@ -935,9 +992,20 @@ def test_a_size_past_an_index_is_one_error_line(capsys):
     code, out, err = run(capsys, "measure", "--base", "2", "--epsilon", "1/3",
                          "-n", str(2**64 + 1))
     assert (code, out) == (1, "")
-    # the rest of the line is Python's own text
-    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    # the work cap refuses it before Python is asked for an index that size
+    assert err.startswith("error: doing ") and err.count("\n") == 1
+    assert "bit operations is over the cap" in err
     assert "Traceback" not in err
+
+
+def test_an_overflow_is_one_error_line(capsys, monkeypatch):
+    def too_large(spec):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+    monkeypatch.setattr(cli, "deviation_set_measure", too_large)
+    code, out, err = run(capsys, "measure", "--base", "2", "--epsilon", "1/3", "-n", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: OverflowError: cannot fit 'int' into an index-sized integer\n"
 
 
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):

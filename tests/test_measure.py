@@ -1,5 +1,6 @@
 """Deviation-set measures: exact values, bounds, tails, covers."""
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normality_lab import measure
+from normality_lab import exact, measure, moments
 from normality_lab.cli import main
 from normality_lab.errors import EnumerationBudgetError
+from normality_lab.exact import binomial_row
 from normality_lab.measure import (
     DeviationSetSpec,
     admissible_counts,
@@ -88,6 +90,32 @@ def oracle_cases(draw):
     return r, draw(st.integers(0, r - 1)), n, eps
 
 
+def horner_measure(s):
+    """The row-and-Horner route that the band walk replaced: every C(n,p)
+    of binomial_row(n), by Horner's rule in r - 1, with the band's counts
+    lo < p < hi as 0."""
+    lo, hi = measure._edges(s.base, s.epsilon, s.n)
+    numerator = 0
+    for p, count in enumerate(binomial_row(s.n)):
+        numerator = numerator * (s.base - 1) + (0 if lo < p < hi else count)
+    return Fraction(numerator, s.base**s.n)
+
+
+@st.composite
+def walk_cases(draw):
+    """(r, n, epsilon) with r in 2..12, 257 or 2**64 + 1 and n up to 400;
+    epsilon an edge of the count rule (1, the empty set, among them) or a
+    random a/b in (0, 1], above 1/r for lo < 0 and above 1 - 1/r for hi > n."""
+    r = draw(st.integers(2, 12) | st.sampled_from([257, 2**64 + 1]))
+    n = draw(st.integers(1, 400))
+    eps = draw(
+        st.sampled_from(edge_epsilons(r, n))
+        | st.fractions(min_value=Fraction(1, 1000), max_value=1)
+        | st.fractions(min_value=Fraction(1, r), max_value=1)
+    )
+    return r, n, eps
+
+
 @st.composite
 def boundary_cases(draw, n_max=300):
     """(r, n, p, epsilon): epsilon is count p's own deviation or one of
@@ -156,6 +184,25 @@ class TestDeviationSetMeasure:
         report = deviation_set_measure(spec(2, 0, 2, "3/4"))
         assert report.admissible_p == ()
         assert report.exact_measure == 0
+
+    @given(walk_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_band_walk_equals_row_and_horner(self, case):
+        r, n, eps = case
+        s = spec(r, 0, n, eps)
+        assert deviation_set_measure(s).exact_measure == horner_measure(s)
+
+    def test_measure_memory_is_one_weight(self):
+        # the binomial row of n = 20000 alone peaked at 18.8 MiB
+        s = spec(2, 0, 20000, "1/3")
+        tracemalloc.start()
+        try:
+            got = deviation_set_measure(s).exact_measure
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == horner_measure(s)
+        assert peak < 2**20
 
     def test_threshold_is_inclusive(self):
         # p = 3, n = 4: |3/4 - 1/2| = 1/4 exactly; eps = 1/4 keeps it
@@ -338,19 +385,26 @@ class TestDeviationSetSweep:
             list(deviation_set_sweep(1, Fraction(1, 2), 3))
 
     def test_cli_sweep_builds_no_binomial_rows(self, capsys, monkeypatch):
+        # neither --n-max nor -n builds a row, and the walk of -n meets the
+        # sweep's last row
         calls = []
-        plain = measure.binomial_row
+        plain = exact.binomial_row
 
         def counting_row(n):
             calls.append(n)
             return plain(n)
 
-        monkeypatch.setattr(measure, "binomial_row", counting_row)
-        argv = ["measure", "--base", "10", "--epsilon", "1/10", "--n-max", "300",
-                "--format", "csv"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.count("\n") == 301
-        assert len(calls) <= 1  # one row per n would be 300
+        assert not hasattr(measure, "binomial_row")
+        for module in (exact, moments):
+            monkeypatch.setattr(module, "binomial_row", counting_row)
+        argv = ["measure", "--base", "10", "--epsilon", "1/10"]
+        assert main([*argv, "--n-max", "300", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 301
+        assert main([*argv, "-n", "300"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact_measure"] == out.splitlines()[-1].split(",")[1]
+        assert calls == []
 
 
 class TestDeviationBound:
