@@ -17,7 +17,8 @@ than MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
 view of `battery`), a `battery` that would build more than
 MAX_VIEWS views or tally more than MAX_ENTRIES entries across them,
 a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows, and a
-`measure -n` that would do more than MAX_MEASURE_WORK bit operations.
+`measure -n` or `--n-max` that would do more than MAX_MEASURE_WORK bit
+operations.
 """
 from __future__ import annotations
 
@@ -95,7 +96,11 @@ MAX_ENTRIES = 2 * 10**6
 # the most bit operations one `measure -n` may do: n + 1 steps on weights
 # of n log2(r) bits, once per 30-bit word of the divisor (p + 1)(r - 1).  At
 # the cap with epsilon 1 (Python 3.11, 2-core VM) base 2 took 2.5 s at n =
-# 99,999 and base 2**64 + 1 1.0 s at n = 7160, each under a 20 MiB peak
+# 99,999 and base 2**64 + 1 1.0 s at n = 7160, each under a 20 MiB peak.
+# `--n-max` counts n_max**3 log2(r)**2 / 30 for its rows' walks (epsilon 1/10:
+# base 10 0.32 s at n_max = 2000, 1.87 s at 4000; base 2**64 + 1 0.97 s at 500)
+# and n_max times the squared 30-bit words of epsilon**4 for their bounds'
+# text (base 100, epsilon 1e-100000: 20 s at n_max = 163)
 MAX_MEASURE_WORK = 10**10
 
 
@@ -403,6 +408,10 @@ def cmd_measure(args) -> tuple[int, str]:
         return 0, "\n".join(lines) + "\n"
 
     if args.n_max is not None:
+        eps = args.epsilon
+        words = 4 * (eps.numerator.bit_length() + eps.denominator.bit_length()) // 30
+        _check_cap(args.n_max**3 * (args.base - 1).bit_length() ** 2 // 30
+                   + args.n_max * words**2, MAX_MEASURE_WORK, "bit operations", "do")
         rows = [MEASURE_SWEEP_CSV_HEADER]
         for n, exact, bound in deviation_set_sweep(args.base, args.epsilon, args.n_max):
             rows.append(

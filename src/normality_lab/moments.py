@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub
 
-from .exact import _approx_text, _rational_text, binomial_row
+from .exact import _SHOWN_BITS, _approx_text, _rational_text, binomial_row
 from .radix import validate_base
 
 
@@ -185,7 +185,7 @@ def operator_moment_sweep(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     size = sum(r * n_max + 1 for r in bases)
     if size > MAX_SWEEP_TABLE:
-        shown = size if size.bit_length() <= 256 else f"a {size.bit_length()}-bit count of"
+        shown = size if size.bit_length() <= _SHOWN_BITS else f"a {size.bit_length()}-bit count of"
         raise ValueError(
             f"the sweep's tables would hold {shown} ints, over the cap of {MAX_SWEEP_TABLE}")
     points = []

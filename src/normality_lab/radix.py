@@ -6,11 +6,11 @@ rational expansion and a regrouping into base r**n are both streams; a
 fractional shift by m is `take(m)`) and every consumer states up front
 how many digits it needs, so exhaustion is always reported with exact
 positions.  Sources emit digits in chunks, a `bytes` up to base 256 and
-a sequence of ints above, and a stream keeps them as they come: a read
-is one join of the chunks it spans, the first and last of them sliced,
-and returns `bytes` up to base 256 and a list above, so it costs no
-Python frame per digit.  A fork tees the chunk iterator and shares the
-unread rest of the current chunk.  A regrouped stream reads n inner
+a list above, and a stream keeps them as they come: a read is one join
+of the chunks it spans, the first and last of them sliced, and returns
+`bytes` up to base 256 and a list above, so it costs no Python frame
+per digit.  A fork tees the chunk iterator and shares the unread rest
+of the current chunk.  A regrouped stream reads n inner
 digits per group, a slice of groups at a time, packed by `_windows`,
 which alone decides how base-r**k values are held (the battery's views
 come from it too), and forks by regrouping a fork of the inner stream.
@@ -100,17 +100,16 @@ _LANE_DENOMINATORS = 1 << 61
 
 @lru_cache(maxsize=32)
 def _digit_table(base: int) -> tuple[int, tuple]:
-    """(t, table) with t >= 0 the largest group size with base**t <= 4096
-    and table[g] the t digits of g, zero-padded, for g in range(base**t).
+    """(t, table) with t the largest group size with base**t <= 4096 and
+    table[g] the `bytes` of g's t digits, zero-padded, for g < base**t.
 
-    Entries are `bytes` up to base 256 and tuples above; beyond base 4096
-    t is 0 and the table holds the one empty group.  Tables are kept per
-    base, for the last 32 bases asked for.
+    Only byte bases have one: above base 256 t is 0 and the table holds
+    the one empty group, so a stream takes one digit per group.  Tables
+    are kept per base, for the last 32 bases asked for.
     """
-    pack = bytes if base <= 256 else tuple
-    if base > _TABLE_LIMIT:
-        return 0, (pack(),)
-    t, table = 1, [pack((d,)) for d in range(base)]
+    if base > 256:
+        return 0, (b"",)
+    t, table = 1, [bytes((d,)) for d in range(base)]
     digits = table
     while base ** (t + 1) <= _TABLE_LIMIT:
         t, table = t + 1, [group + d for group in table for d in digits]
@@ -245,11 +244,11 @@ def _byte_order(values: array) -> array:
 class DigitStream:
     """Single-consumer stream of base-r digits after the radix point.
 
-    An iterator of chunks (`bytes` up to base 256, sequences of ints
-    above; empty ones allowed), the chunk being read and the offset of
-    its next digit, plus a `position`: the count of digits consumed from
-    the underlying expansion since this stream's origin.  A fork shares
-    the origin, so both copies report positions in the same coordinate
+    An iterator of chunks (`bytes` up to base 256, lists of ints above;
+    empty ones allowed), the chunk being read and the offset of its next
+    digit, plus a `position`: the count of digits consumed from the
+    underlying expansion since this stream's origin.  A fork shares the
+    origin, so both copies report positions in the same coordinate
     system; its chunks are kept only until both copies have read them.
     `take` does all its reading through `_read`, which a regrouped
     stream overrides (see `regroup_to_power_base`).
@@ -388,7 +387,7 @@ def expand_rational(q: Fraction, base: int) -> DigitExpansion:
             for _ in range(size):
                 g, r = divmod(r * step, den)
                 quotients.append(g)
-            # above base 4096 there is no table: each quotient is one digit
+            # above base 256 there is no table: each quotient is one digit
             yield _join(base, map(table.__getitem__, quotients)) if t else quotients
             if use_lanes and size == _RATIONAL_BATCH:
                 yield from _rational_lanes(r, den, base)

@@ -88,27 +88,23 @@ def champernowne_stream(base: int) -> DigitStream:
     """Concatenated digits of 1, 2, 3, ... in the given base.
 
     Each chunk is one `radix._join` of the digits of up to
-    `radix._TABLE_LIMIT` integers.  Up to that base they are
+    `radix._TABLE_LIMIT` integers.  Up to base 256 they are
     `_digit_table` entries of t digits: first the integers below
     base**t, each its entry without the leading zeros, then per high
     part hi the integers hi*base**t up to (hi+1)*base**t - 1, each the
-    digits of hi and then t table digits.  Past it there is no table,
-    and a chunk is a run of integers that share their high part
+    digits of hi and then t table digits.  Above it there is no table,
+    and a chunk is a list, a run of integers that share their high part
     hi = i // base, each the digits of hi and then its last digit.
     """
     validate_base(base)
     t, table = _digit_table(base)
-    pack = type(table[0])
 
     def chunks() -> Iterator:
         yield _join(base, [  # the k-digit integers, t-k zeros cut
             e[t - k :] for k in range(1, t + 1) for e in table[base ** (k - 1) : base**k]])
         for hi in count(1):
-            head = pack(int_to_digits(hi, base))
-            if pack is bytes:
-                yield head + head.join(table)
-            else:
-                yield _join(base, [head + low for low in table])
+            head = bytes(int_to_digits(hi, base))
+            yield head + head.join(table)
 
     def runs() -> Iterator:
         start = 1

@@ -1,14 +1,18 @@
 """End-to-end CLI behavior: output bytes, formats, exit codes."""
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import normality_lab
 from normality_lab import cli, sources, verify
@@ -761,7 +765,9 @@ def test_the_row_cap_counts_every_n(capsys, monkeypatch):
     ("--base", str(2**64 + 1), "--epsilon", "1/3", "-n", "100000"),
     ("--base", "10", "--epsilon", "1e-100000", "-n", "1000000000"),
     ("--base", "2", "--epsilon", "1/3", "-n", str(2**64 + 1)),
-], ids=["long", "wide", "one-term", "past-an-index"])
+    ("--base", str(2**64 + 1), "--epsilon", "1/10", "--n-max", "2000"),
+    ("--base", "2", "--epsilon", "1/3", "--n-max", str(sys.maxsize)),
+], ids=["long", "wide", "one-term", "past-an-index", "wide-sweep", "sweep-at-maxsize"])
 def test_measure_past_the_work_cap_is_refused_at_once(argv):
     # in a child process, so a walk started by mistake fails the test
     # instead of stalling it
@@ -793,6 +799,44 @@ def test_the_measure_cap_counts_every_step(capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "6")
     assert (code, out) == (1, "")
     assert "error: doing 84 bit operations is over the cap of 60 bit operations a command may do" in err
+
+
+def test_the_sweep_cap_counts_every_row(capsys, monkeypatch):
+    # base 3: n_max**3 * 2**2 // 30 is 16 at n_max = 5 and 28 at 6
+    monkeypatch.setattr(cli, "MAX_MEASURE_WORK", 16)
+    argv = ("measure", "--base", "3", "--epsilon", "1/3", "--n-max")
+    code, out, _ = run(capsys, *argv, "5")
+    assert code == 0 and out.count("\n") == 6  # the header and 5 rows
+
+    def no_rows(r, epsilon, n_max):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "deviation_set_sweep", no_rows)
+    code, out, err = run(capsys, *argv, "6")
+    assert (code, out) == (1, "")
+    assert "error: doing 28 bit operations is over the cap of 16 bit operations a command may do" in err
+
+
+@pytest.mark.parametrize("base, epsilon, top", [
+    (10, "1/10", 2656), (2**64 + 1, "1/10", 414), (8, "1/10", 3218), (100, "1e-100000", 5),
+])
+def test_the_sweep_cap_admits_its_calibrated_n_max(capsys, monkeypatch, base, epsilon, top):
+    # base 10 past CI's n_max 2000, base 2**64 + 1 refused at 500, the
+    # benchmark's bases 5-8 far past its n_max 400, and a bound of about
+    # 44,000 words a row taking 0.9 s at n_max = 5
+    class Swept(Exception):
+        pass
+
+    def sweep(r, epsilon, n_max):
+        raise Swept
+
+    monkeypatch.setattr(cli, "deviation_set_sweep", sweep)
+    argv = ("measure", "--base", str(base), "--epsilon", epsilon, "--n-max")
+    with pytest.raises(Swept):
+        main([*argv, str(top)])
+    code, out, err = run(capsys, *argv, str(top + 1))
+    assert (code, out) == (1, "")
+    assert "over the cap of 10000000000 bit operations" in err
 
 
 @pytest.mark.parametrize("base, top", [(2, 99_999), (10, 49_999), (2**64 + 1, 7160)])
@@ -1217,3 +1261,102 @@ class TestOutputPlumbing:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# --- the argv contract: any command drawn from the parser's options exits
+# 0, 1 or 2 with no traceback, prints the same stdout twice, and ends
+# promptly.  Each option is there most of the time and takes a small good
+# value seven times in eight, else an edge case; values go in as
+# --flag=value so that empty and negative ones reach the option's own type.
+
+HUGE = str(2**64 + 1)
+EDGES = ["0", "1", "-1", "", "x", HUGE]
+BASES = ["2", "3", "10", "16", "100", "256", "257", "1000", "4096", "4097", str(2**40), HUGE]
+SOURCES = [
+    "champernowne", "rational:1/7", "rational:123457/987659", "rational:0",
+    "rational:11010111011-prefix", "random:7", "file:pi_base10.digits", "rational:1e-100000",
+]
+SOURCE_EDGES = EDGES + ["rational:1e-99999999", "rational:7/1e5000", "rational:2",
+                        "rational:", "random:", "file:", "bogus"]
+RATIONALS = ["1/10", "1/3", "1", "1e-100000", "1e-99999999", "1e100000", "1/1e100000", "1/0"]
+WORDS = ["1", "01", "[17]", "[", "[1][0]", "z", "0" * 40]
+FORMATS = ["text", "json", "csv"]
+# neither can be written, so no case leaves a file behind
+OUTPUTS = ["", os.devnull + "/out.txt"]
+CHECKS = [",", "pi-digit-count", "shift-regroup-worked-example,bogus", "bogus",
+          "pi-bracket-display, half-expansion-tail-free"]
+
+# per command: (flag, values, the chance it is there); values are a list
+# of good ones, the largest good size, or None for a flag with no value
+COMMAND_OPTIONS = {
+    "expand": [("--source", SOURCES, 0.95), ("--base", BASES, 0.9), ("--digits", 300, 0.95)],
+    "stats": [("--source", SOURCES, 0.95), ("--base", BASES, 0.9), ("-n", 300, 0.95),
+              ("--digit", 20, 0.3), ("--word", WORDS, 0.3)],
+    "battery": [("--source", SOURCES, 0.95), ("--base", BASES, 0.9),
+                ("--max-power", 6, 0.95), ("-n", 100, 0.95)],
+    "verify-lemma": [("--base", BASES, 0.95), ("--n-max", 200, 0.8)],
+    "measure": [("--base", BASES, 0.95), ("--digit", 20, 0.3), ("--epsilon", RATIONALS, 0.95)],
+    "verify-paper": [("--list", None, 0.3), ("--only", CHECKS, 1)],
+}
+COMMON_OPTIONS = [("--format", FORMATS, 0.3), ("--output", OUTPUTS, 0.1)]
+# measure's modes: one always, a second one time in ten, each with its options
+MEASURE_MODES = [
+    [("-n", 60, 1), ("--oracle", None, 0.3), ("--budget", 10**6, 0.3)],
+    [("--n-max", 200, 1)],
+    [("--tail", 1000, 1), ("--target", RATIONALS, 0.5)],
+]
+
+
+@st.composite
+def command_lines(draw):
+    rnd = draw(st.randoms(use_true_random=True))
+    command = rnd.choice(sorted(COMMAND_OPTIONS))
+    options = COMMAND_OPTIONS[command] + COMMON_OPTIONS
+    if command == "measure":
+        options += rnd.choice(MEASURE_MODES)
+        if rnd.random() < 0.1:
+            options += rnd.choice(MEASURE_MODES)
+    argv = [command]
+    for flag, values, chance in options:
+        if rnd.random() >= chance:
+            continue
+        if values is None:
+            argv.append(flag)
+            continue
+        if flag == "--output":
+            value = rnd.choice(values)
+        elif rnd.random() < 1 / 8:
+            value = rnd.choice(SOURCE_EDGES if flag == "--source" else EDGES)
+        else:
+            value = str(rnd.randint(1, values)) if isinstance(values, int) else rnd.choice(values)
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@given(command_lines())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(["measure", f"--base={HUGE}", "--epsilon=1/10", "--n-max=2000"])
+@example(["measure", "--base=2", "--epsilon=1/3", f"--n-max={sys.maxsize}"])
+@example(["expand", "--source=rational:1/3", "--base=2", "--digits=1", "--output="])
+@example(["stats", "--source=random:7", f"--base={HUGE}", "-n=200", "--word=[17]"])
+@example(["battery", "--source=champernowne", "--base=1000", "--max-power=3", "-n=100"])
+# found by this test: 20 s of bound text while the sweep's cap counted only walks
+@example(["measure", "--base=100", "--epsilon=1e-100000", "--format=csv", "--n-max=163"])
+def test_every_command_line_keeps_the_contract(argv):
+    code, out, err, elapsed = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    assert elapsed < 2, (argv, elapsed)
+    again = run_in_process(argv)
+    assert (again[0], again[1]) == (code, out)

@@ -667,15 +667,18 @@ def scan_bracketed_line(path, base, lineno, line):
         yield value
 
 
-# bytes chunks up to base 256, lists above, and no digit table past 4096
+# bytes chunks up to base 256, lists above, and a digit table of up to
+# 4096 entries only in the bytes bases
 chunk_bases = st.one_of(st.integers(2, 300), st.integers(4090, 4100))
 
 
 def champernowne_chunk_edge(base, j):
     """Where chunk j + 1 of the chunked champernowne stream starts: the
-    integers below base**t, then base**t integers per high part; with no
-    table (base past 4096), runs of up to 4096 integers that share their
-    high part i // base."""
+    integers below base**t, then base**t integers per high part, t the
+    largest with base**t <= 4096.  A stream above base 256 has no table
+    and makes runs of up to 4096 integers that share their high part
+    i // base; up to base 4096 (t = 1) they are the same integers, and
+    past it t = 0 counts the runs."""
     t = 0
     while base ** (t + 1) <= 4096:
         t += 1
@@ -721,6 +724,26 @@ class TestChunkedSources:
         assert ends == [champernowne_chunk_edge(base, j) for j in range(3)]
         digits = list(chain.from_iterable(chunks))
         assert digits == list(islice(champernowne_by_digit(base), len(digits)))
+
+    @pytest.mark.parametrize("base", [257, 1000, 4096, 4097])
+    def test_list_bases_take_one_digit_per_group(self, base):
+        """Above base 256 there is no digit table: champernowne and long
+        division yield lists of plain digits, and 20k digits read in
+        uneven pieces equal the per-digit references."""
+        assert _digit_table(base)[0] == 0
+        q, n = Fraction(123457, 987659), 20000
+        makers = [(lambda: champernowne_stream(base), champernowne_by_digit(base)),
+                  (lambda: expand_rational(q, base).fractional, long_division_by_digit(q, base))]
+        for make, reference in makers:
+            chunks, total = make()._chunks, 0
+            while total < n:
+                chunk = next(chunks)
+                assert type(chunk) is list
+                total += len(chunk)
+            got = read_in_pieces(make(), 1, [7, 4096, 3, 640, 1, 9999, 17, 5236])
+            assert len(got) == n
+            assert got == list(islice(reference, n))
+
     @given(
         chunk_bases,
         st.integers(0, 10**9),
@@ -1031,7 +1054,7 @@ class TestBitPlanes:
 def rational_chunk_edge(base, j):
     """Where chunk j + 1 of a rational stream in `base` starts: chunks of
     1, 2, 4, ... groups of t digits (t from the digit table, 1 past base
-    4096) up to _RATIONAL_BATCH; past that chunk, for a base up to 256 and
+    256) up to _RATIONAL_BATCH; past that chunk, for a base up to 256 and
     a denominator below _LANE_DENOMINATORS, lane blocks of 16, 32, ... up
     to _RATIONAL_LANES lanes of _RATIONAL_STEPS groups of k digits, the
     largest k with base**k <= 256."""
