@@ -16,7 +16,8 @@ before any digit, row or weight is made: a command that would read more
 than MAX_DIGITS source digits (`expand --digits`, `stats -n`, the widest
 view of `battery`), a `battery` that would build more than
 MAX_VIEWS views or tally more than MAX_ENTRIES entries across them,
-a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows, and a
+a `verify-lemma` that would print more than MAX_LEMMA_ROWS rows (fewer
+in a base of 2**15 or more), and a
 `measure -n` or `--n-max` that would do more than MAX_MEASURE_WORK bit
 operations.
 """
@@ -75,11 +76,19 @@ STATS_JSON_MAX_BASE = 2**16
 # Python int, so a read holds several times that.  `stats` on
 # champernowne without --word reads no digit: it counts them by formula
 MAX_DIGITS = 10**8
-# the most rows one `verify-lemma` may print, one per n up to --n-max.
-# A row holds a few ints of O(log r) bits, but every row and its text
-# are held until the table prints: at the cap, base 10 took 3.3 s with
-# a 261 MiB peak and base 2**64 + 1 5.4 s with 636 MiB (2-core VM,
-# Python 3.11)
+# the most rows one `verify-lemma` may print, one per n up to --n-max, in
+# a base below 2**15.  A row holds a few ints of O(log r) bits, but every
+# row and its text are held until the table prints: at this cap base 10
+# took 3.3 s with a 261 MiB peak (2-core VM, Python 3.11).  A row costs
+# more the wider the base (at --n-max 2000: 10 us in base 10, 35 us in
+# 10**100, 145 us in 10**300, 1.6 ms in 10**1000), so the cap is divided
+# by 1 + b//16 + b**2//2**16 for the b bits of the base, which kept every
+# run at its cap within base 10's time and memory:
+#   base 2**64 + 1  100000 rows  1.1 s  138 MiB
+#   base 10**100     22727 rows  1.0 s  120 MiB
+#   base 10**300      6410 rows  0.9 s   98 MiB
+#   base 10**1000     1329 rows  2.3 s   72 MiB
+#   base 10**3000      233 rows  2.8 s   46 MiB
 MAX_LEMMA_ROWS = 5 * 10**5
 # the most views one `battery` may build, P(P+1)/2 for --max-power P, so
 # P <= 140.  On champernowne in base 2 with -n 1 (Python 3.11, 2-core
@@ -333,8 +342,9 @@ def cmd_battery(args) -> tuple[int, str]:
 
 
 def cmd_verify_lemma(args) -> tuple[int, str]:
-    _check_cap(args.n_max, MAX_LEMMA_ROWS, "rows", "print")
     r = args.base
+    b = r.bit_length()
+    _check_cap(args.n_max, MAX_LEMMA_ROWS // (1 + b // 16 + b * b // 2**16), "rows", "print")
     constants = derive_constants(r)
 
     # the coefficient identity the whole derivation rests on, checked by

@@ -12,10 +12,12 @@ is the sum of those weights over the admissible counts p.  Membership
 uses the exact >= comparison, so boundary cases land inside the set, and
 is decided in one place, _edges: p is admissible exactly when p <= lo or
 p >= hi.  Both sums step the weights by one exact ratio, _next_weight.
-deviation_set_measure walks one n's band lo < p < hi from math.comb,
-holding one weight at a time; deviation_set_sweep yields every n up to
-n_max in one pass, carrying the partial sums up to lo and hi from n to
-n + 1, so `measure --n-max` costs O(n_max) big-int steps, not O(n_max**2).
+deviation_set_measure walks one n's band lo < p < hi or its two tails,
+whichever has fewer counts, from math.comb, holding one weight at a
+time (at epsilon 1 the tails are empty and no weight is made);
+deviation_set_sweep yields every n up to n_max in one pass, carrying the
+partial sums up to lo and hi from n to n + 1, so `measure --n-max` costs
+O(n_max) big-int steps, not O(n_max**2).
 
 deviation_set_measure_bruteforce is the independent oracle: it visits
 every one of the r**n strings as a count byte, the number of times digit
@@ -137,20 +139,35 @@ class MeasureReport:
 
 
 def deviation_set_measure(spec: DeviationSetSpec) -> MeasureReport:
-    """Exact measure of M(n, epsilon): r**n less the weights of the band
-    lo < p < hi, over r**n, walked from math.comb by _next_weight."""
+    """Exact measure of M(n, epsilon) over r**n: r**n less the weights of
+    the band lo < p < hi, or the weights of the two tails p <= lo and
+    p >= hi, whichever walks fewer counts (_weights)."""
     r, n = spec.base, spec.n
     lo, hi = _edges(r, spec.epsilon, n)
-    first = max(lo + 1, 0)
-    w, band = math.comb(n, first) * (r - 1) ** (n - first), 0
-    for p in range(first, min(hi, n + 1)):
-        band, w = band + w, _next_weight(w, r, n, p)
+    first, stop = max(lo + 1, 0), min(hi, n + 1)
+    if 2 * (stop - first) <= n + 1:
+        count = r**n - _weights(r, n, first, stop)
+    else:
+        count = _weights(r, n, 0, first) + _weights(r, n, stop, n + 1)
     return MeasureReport(
         spec=spec,
-        exact_measure=Fraction(r**n - band, r**n),
+        exact_measure=Fraction(count, r**n),
         bound=deviation_bound(r, spec.epsilon, n),
         admissible_p=tuple(admissible_counts(spec)),
     )
+
+
+def _weights(r: int, n: int, a: int, b: int) -> int:
+    """The sum of W_n(p) = C(n,p)(r-1)**(n-p) over a <= p < b, for
+    0 <= a, b <= n + 1, walked from math.comb by _next_weight; no weight
+    is made when the range is empty."""
+    if a >= b:
+        return 0
+    w = total = math.comb(n, a) * (r - 1) ** (n - a)
+    for p in range(a, b - 1):
+        w = _next_weight(w, r, n, p)
+        total += w
+    return total
 
 
 def _next_weight(w: int, r: int, n: int, p: int) -> int:
@@ -179,7 +196,7 @@ def _edge_sums(r: int, targets):
 def deviation_set_sweep(base: int, epsilon: Fraction, n_max: int):
     """Yield (n, exact measure of M(n, epsilon), its bound) for n = 1..n_max.
 
-    One pass, where deviation_set_measure walks each n's band anew.
+    One pass, where deviation_set_measure walks each n's band or tails anew.
     With (lo, hi) the _edges of n, the numerator is F_n(lo) + r**n -
     F_n(hi - 1), each edge carried by _edge_sums.  The bound is the
     _moment_scale over n**2.  Independent of the digit, by symmetry.

@@ -34,10 +34,11 @@ a hang.  Bases are ints >= 2.
 
 The package's one digit codec lives here too: up to base 36 a digit is
 one character of ALPHABET, beyond it a bracketed decimal like "[17]".
-`digit_token` writes a digit, `_digit_reader` builds the one reader of
-runs of them, which `parse_digit_text` (words, digit prefixes) and digit
-files (blocks of whole lines, whitespace skipped) go through, and
-`_bad_digit` words a digit file's error where that reader stops.
+`digit_token` writes one digit and `_digit_text` a run of them;
+`_digit_reader` builds the one reader of runs, which `parse_digit_text`
+(words, digit prefixes) and digit files (blocks of whole lines,
+whitespace skipped) go through, and `_digit_fault` words why the text
+is not digit text where that reader stops.
 """
 from __future__ import annotations
 
@@ -50,18 +51,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, tee
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FactorizationBudgetError, InsufficientDigitsError, InvalidDigitError
+from .errors import FactorizationBudgetError, InsufficientDigitsError
 from .exact import brief_text
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
 # byte digits 0-35 to their ALPHABET characters, for one bytes.translate
 _TO_ALPHABET = bytes.maketrans(bytes(range(36)), ALPHABET.encode())
-# a bracket token of decimal digits of any length
-_TOKEN = re.compile(r"\[([0-9]+)\]")
 
 
 def validate_base(base: int) -> int:
@@ -755,9 +753,7 @@ def digit_token(d: int, base: int) -> str:
     """One digit as text: 0-9a-z for bases up to 36, bracketed beyond."""
     if not 0 <= d < base:
         raise ValueError(f"digit {d} out of range for base {base}")
-    if base <= 36:
-        return ALPHABET[d]
-    return f"[{d}]"
+    return _digit_text((d,), base)
 
 
 # the characters str.isspace() accepts in ASCII text, which spaced digit
@@ -809,46 +805,44 @@ def _digit_reader(base: int, spaced: bool = False):
     return read
 
 
-def _bad_digit(path: Path, base: int, lineno: int, line: str, col: int) -> InvalidDigitError:
-    """The error for the text at 0-based `col`, where the digit reader
-    stopped: neither whitespace nor a digit of `base` up to base 36, above
-    it no bracket token or one out of range."""
-    ch, column = line[col], col + 1
+def _digit_fault(text: str, at: int, base: int, stop: int | None = None) -> tuple[int, str]:
+    """(index, detail): why `text` is not digit text at `at`, where
+    `_digit_reader` stopped, and the index the detail points at; above
+    base 36 a token's ']' is looked for before `stop`."""
+    ch = text[at]
     if base <= 36:
         value = CHAR_VALUE.get(ch)
-        detail = f"invalid digit character {ch!r}" if value is None else (
+        return at, f"invalid digit character {ch!r}" if value is None else (
             f"digit {ch!r} (= {value}) out of range for base {base}")
-    elif ch != "[":
-        detail = f"expected '[', got {ch!r}"
-    elif (end := line.find("]", col)) == -1:
-        detail = "unterminated '[' token"
-    elif not (text := line[col + 1 : end]).isdigit():
-        detail, column = f"expected decimal digits inside [], got {brief_text(text)}", col + 2
-    else:
-        value = brief_text(text.lstrip("0"), quoted=False)
-        detail, column = f"digit [{value}] out of range for base {base}", col + 2
-    return InvalidDigitError(path, lineno, column, detail)
+    if ch != "[":
+        return at, f"expected '[', got {ch!r}"
+    if (end := text.find("]", at, stop)) == -1:
+        return at, "unterminated '[' token"
+    if not ((token := text[at + 1 : end]).isascii() and token.isdigit()):
+        return at + 1, f"expected decimal digits inside [], got {brief_text(token)}"
+    value = brief_text(token.lstrip("0"), quoted=False)
+    return at + 1, f"digit [{value}] out of range for base {base}"
 
 
 def parse_digit_text(text: str, base: int) -> list[int]:
     """Digit values of text as `digit_token` writes it, in reading order:
     0-9a-z characters up to base 36, bracketed decimals such as "[12][7]"
-    above it, read by `_digit_reader`."""
+    above it, read by `_digit_reader` and faults worded by `_digit_fault`."""
     validate_base(base)
+    if not text:
+        raise ValueError("empty digit text")
     digits, end = _digit_reader(base)(text)
-    if text and end == len(text):
-        return list(digits)
+    if end < len(text):
+        raise ValueError(_digit_fault(text, end, base)[1])
+    return list(digits)
+
+
+def _digit_text(digits, base: int) -> str:
+    """Digits in range(base) as text, `digit_token`'s for each: one
+    `translate` up to base 36, "[d]" tokens joined above it."""
     if base <= 36:
-        if not text:
-            raise ValueError("empty digit text")
-        raise ValueError(f"invalid digit {text[end]!r} for base {base}")
-    if token := _TOKEN.match(text, end):
-        value = brief_text(token[1].lstrip("0"), quoted=False)
-        raise ValueError(f"digit {value} out of range for base {base}")
-    raise ValueError(
-        f"digit text in base {base} is bracketed decimal digits such as"
-        f" [12][7], got {brief_text(text)}"
-    )
+        return bytes(digits).translate(_TO_ALPHABET).decode("ascii")
+    return "".join(map("[{}]".format, digits))
 
 
 def format_bracket(expansion: DigitExpansion, count: int) -> str:
@@ -863,11 +857,5 @@ def format_bracket(expansion: DigitExpansion, count: int) -> str:
         raise ValueError(f"count must be >= 1, got {count}")
     base = expansion.base
     ints = expansion.integer_digits
-    int_text = "".join(digit_token(d, base) for d in ints) if ints else "0"
-    frac_needed = max(0, count - len(ints))
-    frac = expansion.fractional.take(frac_needed)
-    if base <= 36:
-        frac_text = frac.translate(_TO_ALPHABET).decode("ascii")
-    else:
-        frac_text = "".join(digit_token(d, base) for d in frac)
-    return f"{int_text}.{frac_text}"
+    frac = expansion.fractional.take(max(0, count - len(ints)))
+    return f"{_digit_text(ints, base) if ints else '0'}.{_digit_text(frac, base)}"

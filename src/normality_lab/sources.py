@@ -47,15 +47,15 @@ from operator import itemgetter, xor
 from pathlib import Path
 from typing import Iterator
 
-from .errors import MalformedHeaderError
+from .errors import InvalidDigitError, MalformedHeaderError
 from .exact import brief_rational, brief_text, parse_rational
 from .radix import (
     _TABLE_LIMIT,
     DigitExpansion,
     DigitStream,
-    _bad_digit,
     _byte_digits,
     _byte_order,
+    _digit_fault,
     _digit_reader,
     _digit_table,
     _join,
@@ -387,8 +387,8 @@ def _unpack(data: bytes, width: int):
 # most as many digits after them as r - 1 has: a longer token is out of
 # range and never reaches int().  Whitespace is ignored anywhere in the
 # digit section, which `radix._digit_reader` reads in blocks of whole
-# lines and `radix._bad_digit` words the error for where it stops, so only
-# `radix` knows the token format.  Files are read as ASCII with
+# lines and `radix._digit_fault` words the error for where it stops, so
+# only `radix` knows the token format.  Files are read as ASCII with
 # undecodable bytes replaced, so a stray non-ASCII byte surfaces as an
 # InvalidDigitError at its line and column instead of a decoding error.
 # Messages quote at most 32 characters of the file's text (`brief_text`).
@@ -449,8 +449,8 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
     Each read goes to the base's digit reader (`radix._digit_reader`,
     whitespace skipped), which gives the digits of its longest well-formed
     start as one chunk; if that start stops short of the end of the read,
-    the InvalidDigitError for the text there (`radix._bad_digit`) follows
-    the chunk, at the line and column the newlines before it give.
+    the InvalidDigitError for the text there (`radix._digit_fault`)
+    follows the chunk, at the line and column the newlines before it give.
     """
     read = _digit_reader(base, spaced=True)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -462,9 +462,9 @@ def _scan_digits(path: Path, base: int, header_lines: int) -> Iterator:
             yield digits
             if end < len(block):
                 start = block.rfind("\n", 0, end) + 1
-                line = block[start : block.find("\n", end) + 1 or None]
-                lineno += block.count("\n", 0, start)
-                raise _bad_digit(path, base, lineno, line, end - start)
+                at, detail = _digit_fault(block, end, base, block.find("\n", end) + 1 or None)
+                raise InvalidDigitError(
+                    path, lineno + block.count("\n", 0, start), at - start + 1, detail)
             lineno += block.count("\n")
 
 

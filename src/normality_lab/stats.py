@@ -51,7 +51,7 @@ from itertools import chain, islice
 from operator import add, sub, xor
 
 from .exact import decimal_approx, format_rational
-from .radix import DigitStream, _rep, _windows, digit_token, digits_to_int, parse_digit_text
+from .radix import DigitStream, _digit_text, _rep, _windows, digits_to_int, parse_digit_text
 from .sources import SourceSpec
 
 
@@ -75,7 +75,7 @@ class Word:
         return digits_to_int(self.digits, self.base)
 
     def __str__(self) -> str:
-        return "".join(digit_token(d, self.base) for d in self.digits)
+        return _digit_text(self.digits, self.base)
 
     @classmethod
     def parse(cls, text: str, base: int) -> "Word":

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import normality_lab
 from normality_lab import cli, sources, verify
 from normality_lab.cli import main
-from normality_lab.errors import CapError, NormalityLabError
-from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream
-from normality_lab.sources import ASSETS_ENV, SourceSpec, parse_source_spec
+from normality_lab.errors import CapError, InvalidDigitError, NormalityLabError
+from normality_lab.radix import FACTORIZATION_BUDGET, _GroupedStream, parse_digit_text
+from normality_lab.sources import ASSETS_ENV, SourceSpec, load_digit_file, parse_source_spec
 from normality_lab.stats import Word, count_block
 
 
@@ -323,11 +323,13 @@ class TestStats:
         assert expected >= 1
         assert out.splitlines()[-1] == f"word [14][15]: {expected} occurrences"
 
+    # the ids keep the names these cases had under the earlier wording
     @pytest.mark.parametrize("word, message", [
-        ("1415", "bracketed decimal digits"),
-        ("[14][15", "bracketed decimal digits"),
-        ("[14] [15]", "bracketed decimal digits"),
-        ("[14][100]", "digit 100 out of range for base 100"),
+        pytest.param("1415", "expected '[', got '1'", id="1415-bracketed decimal digits"),
+        pytest.param("[14][15", "unterminated '[' token", id="[14][15-bracketed decimal digits"),
+        pytest.param("[14] [15]", "expected '[', got ' '", id="[14] [15]-bracketed decimal digits"),
+        pytest.param("[14][100]", "digit [100] out of range for base 100",
+                     id="[14][100]-digit 100 out of range for base 100"),
     ])
     def test_bracketed_word_errors(self, capsys, word, message):
         err = run_usage_error(capsys, *self.PI_100, "--word", word)
@@ -743,6 +745,44 @@ def test_n_max_past_the_row_cap_is_refused_at_once():
     assert done.stdout == ""
     assert f"error: printing {sys.maxsize} rows is over the cap of 500000 rows" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_the_row_cap_of_a_wide_base_is_refused_at_once():
+    # in a child process, so a table started by mistake fails the test
+    # instead of stalling it
+    env = dict(os.environ, PYTHONPATH=str(Path(normality_lab.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from normality_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verify-lemma", "--base", str(10**1000), "--n-max", "5000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "error: printing 5000 rows is over the cap of 1329 rows" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# (base, rows admitted when MAX_LEMMA_ROWS is 60): the cap is divided by
+# 1 + b//16 + b**2//2**16 for the b bits of the base
+@pytest.mark.parametrize("base, cap", [
+    (3, 60), (2**15 - 1, 60), (2**15, 30), (2**64 + 1, 12), (10**100, 2),
+], ids=["3", "2^15-1", "2^15", "2^64+1", "10^100"])
+def test_the_row_cap_shrinks_with_the_base(capsys, monkeypatch, base, cap):
+    monkeypatch.setattr(cli, "MAX_LEMMA_ROWS", 60)
+    argv = ("verify-lemma", "--base", str(base), "--format", "csv", "--n-max")
+    code, out, _ = run(capsys, *argv, str(cap))
+    assert code == 0 and out.count("\n") == cap + 1  # the header and the rows
+
+    def no_rows(r, n_max):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "check_moment_bound", no_rows)
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert (code, out) == (1, "")
+    assert f"error: printing {cap + 1} rows is over the cap of {cap} rows" in err
 
 
 def test_the_row_cap_counts_every_n(capsys, monkeypatch):
@@ -1360,3 +1400,30 @@ def test_every_command_line_keeps_the_contract(argv):
     assert elapsed < 2, (argv, elapsed)
     again = run_in_process(argv)
     assert (again[0], again[1]) == (code, out)
+
+
+# one case per fault: (base, the digit text as bytes); a file decodes a
+# non-ASCII byte to U+FFFD, the text the word is given here
+DIGIT_FAULTS = [
+    (10, b"!"), (10, b"z"), (10, b"\xe9"),
+    (100, b"1"), (100, b"[12"), (100, b"[1a]"), (100, b"[]"), (100, b"[100]"),
+    (100, b"[" + b"1" * 5000 + b"]"),
+]
+
+
+@pytest.mark.parametrize("base, raw", DIGIT_FAULTS,
+                         ids=["!", "z", "non-ascii", "1", "[12", "[1a]", "[]", "[100]", "long"])
+def test_a_digit_fault_has_one_wording(capsys, tmp_path, base, raw):
+    text = raw.decode("ascii", errors="replace")
+    with pytest.raises(ValueError) as parsed:
+        parse_digit_text(text, base)
+    path = tmp_path / "t.digits"
+    path.write_bytes(b"base=%d\n" % base + raw + b"\n")
+    with pytest.raises(InvalidDigitError) as scanned:
+        load_digit_file(path).stream().take(1)
+    assert scanned.value.detail == str(parsed.value)
+    assert scanned.value.line == 2
+    err = run_usage_error(
+        capsys, "stats", "--source", "random:1", "--base", str(base), "-n", "10", "--word", text)
+    assert str(parsed.value) in err
+    assert "Traceback" not in err

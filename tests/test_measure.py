@@ -192,6 +192,31 @@ class TestDeviationSetMeasure:
         s = spec(r, 0, n, eps)
         assert deviation_set_measure(s).exact_measure == horner_measure(s)
 
+    @pytest.mark.parametrize("base", [2, 10, 2**64 + 1])
+    def test_epsilon_one_makes_no_weight(self, monkeypatch, base):
+        steps = []
+
+        def counted(w, r, n, p):
+            steps.append(p)
+            return next_weight(w, r, n, p)
+
+        next_weight = measure._next_weight
+        monkeypatch.setattr(measure, "_next_weight", counted)
+        assert deviation_set_measure(spec(base, 0, 2000, 1)).exact_measure == 0
+        assert steps == []
+
+    # epsilons whose two tails hold fewer counts than the band
+    @pytest.mark.parametrize("base, eps", [
+        (2, "1/4"), (2, "1/3"), (2, "2/5"), (2, "1/2"), (2, "3/4"), (2, "1"), (3, "1/2"),
+    ])
+    def test_tail_walk_is_sum_of_count_measures(self, base, eps):
+        for n in range(1, 160):
+            expected = sum(
+                (digit_count_measure(base, n, p) for p in admissible_by_fractions(base, n, eps)),
+                Fraction(0),
+            )
+            assert deviation_set_measure(spec(base, 0, n, eps)).exact_measure == expected, n
+
     def test_measure_memory_is_one_weight(self):
         # the binomial row of n = 20000 alone peaked at 18.8 MiB
         s = spec(2, 0, 20000, "1/3")

@@ -914,13 +914,16 @@ class TestFormatBracket:
         text = "".join(digit_token(d, base) for d in digits)
         assert parse_digit_text(text, base) == digits
 
+    # the ids keep the names these cases had under the earlier wording
     @pytest.mark.parametrize("text, base, message", [
         ("", 10, "empty digit text"),
-        ("", 37, "bracketed decimal digits"),
-        ("12", 37, "bracketed decimal digits"),
-        ("[1][2", 37, "bracketed decimal digits"),
-        ("[100]", 100, "digit 100 out of range for base 100"),
-        ("z", 10, "invalid digit 'z' for base 10"),
+        pytest.param("", 37, "empty digit text", id="-37-bracketed decimal digits"),
+        pytest.param("12", 37, "expected '[', got '1'", id="12-37-bracketed decimal digits"),
+        pytest.param("[1][2", 37, "unterminated '[' token", id="[1][2-37-bracketed decimal digits"),
+        pytest.param("[100]", 100, "digit [100] out of range for base 100",
+                     id="[100]-100-digit 100 out of range for base 100"),
+        pytest.param("z", 10, "digit 'z' (= 35) out of range for base 10",
+                     id="z-10-invalid digit 'z' for base 10"),
     ])
     def test_digit_text_errors(self, text, base, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -944,13 +947,13 @@ class TestFormatBracket:
         text = "[1][2][" + "1" * 5000 + "]"
         with pytest.raises(ValueError) as exc:
             parse_digit_text(text, base)
-        assert str(exc.value) == f"digit {'1' * 32}... out of range for base {base}"
+        assert str(exc.value) == f"digit [{'1' * 32}...] out of range for base {base}"
         assert parse_digit_text("[1][" + "0" * 5000 + "7]", base) == [1, 7]
 
     def test_quoted_digit_text_is_cut(self):
         with pytest.raises(ValueError) as exc:
             parse_digit_text("[" + "1" * 10**5, 100)
-        assert str(exc.value).endswith(f"got '[{'1' * 31}'...")
+        assert str(exc.value) == "unterminated '[' token"
 
     def test_digit_token_range_checked(self):
         with pytest.raises(ValueError):

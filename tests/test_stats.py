@@ -131,10 +131,20 @@ class TestWord:
         assert word.digits == digits
         assert str(word) == text
 
-    @pytest.mark.parametrize("text", ["", "[]", "[12", "[1a]", "[12] [7]", "[-1]"])
+    MALFORMED = {
+        "": "empty digit text",
+        "[]": "expected decimal digits inside [], got ''",
+        "[12": "unterminated '[' token",
+        "[1a]": "expected decimal digits inside [], got '1a'",
+        "[12] [7]": "expected '[', got ' '",
+        "[-1]": "expected decimal digits inside [], got '-1'",
+    }
+
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_parse_bracketed_rejects_malformed(self, text):
-        with pytest.raises(ValueError, match="bracketed"):
+        with pytest.raises(ValueError) as exc:
             Word.parse(text, 100)
+        assert str(exc.value) == self.MALFORMED[text]
 
     def test_parse_bracketed_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
